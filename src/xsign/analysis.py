@@ -11,10 +11,10 @@ from . import findings as findings_mod
 from . import xsext
 from .certmodel import CertRecord
 from .findings import AssessmentSet, Finding
-from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, assess_trust,
-                         build_index)
-from .revocation import RevocationRecord, RevocationView
-from .truststore import OperatorMap, RootStoreTimeline
+from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, assess_paths,
+                         build_index, enumerate_paths)
+from .revocation import RevocationRecord, RevocationView, all_sources_view
+from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
 
 # Synthetic revocation-free view backing coverage-style analyzers; named so
@@ -54,34 +54,34 @@ def analyze_corpus(records: Sequence[CertRecord],
                                      mode=options.mode)
     xs_groups = classify_groups(xs_groups, stores, operator_map, index)
 
-    view_list = list(views)
-    if not view_list:
-        view_list = [RevocationView(
-            "all", frozenset(r.source.name for r in revocations))]
+    view_list = list(views) or [all_sources_view(revocations)]
     # Revocation-free view backs coverage-style analyzers (trust deltas,
     # barrier breaches): a cross-sign's intended reach, not its fate.
     coverage_view = RevocationView(COVERAGE_VIEW_ID, frozenset())
 
-    assessments = AssessmentSet()
-    truncated = []
     stores = sorted(stores, key=lambda s: s.store_id)
-    for record in index.sorted_records():
-        for view in [*view_list, coverage_view]:
-            assessment = assess_trust(record, index, stores, revocations, view,
-                                      max_depth=options.max_depth,
-                                      mode=options.mode)
-            assessments.add(assessment)
-            if assessment.truncated and view is coverage_view:
-                truncated.append(record.fingerprint)
+    # Each certificate's paths are enumerated once and shared by the
+    # assessments of every view and by the finding analyzers.
+    anchors = combined_anchors(stores)
+    paths = {record.fingerprint: enumerate_paths(
+                 record, index, max_depth=options.max_depth,
+                 mode=options.mode, anchors=anchors)
+             for record in index.sorted_records()}
+    assessments = AssessmentSet(
+        assess_paths(record, paths[record.fingerprint], index, stores,
+                     revocations, view)
+        for record in index.sorted_records()
+        for view in [*view_list, coverage_view])
 
     all_findings = findings_mod.run_all(
-        xs_groups, index, stores, revocations, view_list, assessments,
+        xs_groups, index, stores, revocations, view_list, assessments, paths,
         coverage_view_id=COVERAGE_VIEW_ID, operator_map=operator_map,
         slack_days=options.backdating_slack_days)
     return AnalysisResult(
         index=index, xs_groups=xs_groups, reissuance_groups=reissuance,
         assessments=assessments, findings=all_findings, views=view_list,
-        truncated_certs=truncated)
+        truncated_certs=[fp for fp, enumeration in paths.items()
+                         if enumeration.truncated])
 
 
 def lint_corpus(result: AnalysisResult,

@@ -17,7 +17,7 @@ from .analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
 from .certmodel import MalformedInput
 from .corpus import ScenarioSpec, UnknownScenario, generate
 from .pathengine import DEFAULT_MAX_DEPTH, select_stores
-from .revocation import RevocationView
+from .revocation import RevocationRecord, RevocationView, all_sources_view
 from .truststore import UnknownStore
 from .workspace import SchemaError, Workspace
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS
@@ -36,7 +36,8 @@ def _err(payload: dict):
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _parse_views(spec: str, source_names: set[str]) -> list[RevocationView]:
+def _parse_views(spec: str,
+                 revocations: list[RevocationRecord]) -> list[RevocationView]:
     views = []
     for entry in spec.split(","):
         entry = entry.strip()
@@ -44,14 +45,14 @@ def _parse_views(spec: str, source_names: set[str]) -> list[RevocationView]:
             continue
         if "=" in entry:
             name, _, srcs = entry.partition("=")
-            accepted = frozenset(s for s in srcs.split("+") if s)
+            views.append(RevocationView(
+                name, frozenset(s for s in srcs.split("+") if s)))
         elif entry == "all":
-            name, accepted = "all", frozenset(source_names)
+            views.append(all_sources_view(revocations))
         elif entry == "none":
-            name, accepted = "none", frozenset()
+            views.append(RevocationView("none", frozenset()))
         else:
-            name, accepted = entry, frozenset([entry])
-        views.append(RevocationView(name, accepted))
+            views.append(RevocationView(entry, frozenset([entry])))
     return views
 
 
@@ -74,33 +75,28 @@ def _options_dict(args, views) -> dict:
     }
 
 
-def _resolve_views(args, ws: Workspace) -> list[RevocationView]:
+def _analysis_inputs(args, ws: Workspace):
+    """The views, selected stores and revocations an analysis runs on, each
+    loaded once."""
     revocations = ws.load_revocations()
-    source_names = {r.source.name for r in revocations}
-    if getattr(args, "views", None):
-        return _parse_views(args.views, source_names)
-    configured = ws.load_views()
-    if configured:
-        return configured
-    return [RevocationView("all", frozenset(source_names))]
+    if args.views:
+        views = _parse_views(args.views, revocations)
+    else:
+        views = ws.load_views() or [all_sources_view(revocations)]
+    store_ids = args.stores.split(",") if args.stores else None
+    stores = select_stores(ws.load_stores(), store_ids)
+    return views, stores, revocations
 
 
 def _run_analysis(args, ws: Workspace):
-    views = _resolve_views(args, ws)
+    views, stores, revocations = _analysis_inputs(args, ws)
     options = _options_dict(args, views)
-    store_ids = args.stores.split(",") if args.stores else None
-    stores = select_stores(ws.load_stores(), store_ids)
     if ws.reports_current(options, REPORT_FILES):
         return options, None
-    records = ws.load_records()
     result = analyze_corpus(
-        records,
-        stores=stores,
-        revocations=ws.load_revocations(),
-        views=views,
-        operator_map=ws.load_operator_map(),
-        options=_analysis_options(args),
-    )
+        ws.load_records(), stores=stores, revocations=revocations,
+        views=views, operator_map=ws.load_operator_map(),
+        options=_analysis_options(args))
     ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
     ws.write_report("reissuance.jsonl",
                     reports.groups_jsonl(result.reissuance_groups))
@@ -170,18 +166,17 @@ def cmd_analyze(args) -> int:
 def cmd_lint(args) -> int:
     ws = Workspace(Path(args.workspace))
     try:
-        views = _resolve_views(args, ws)
-        records = ws.load_records()
+        views, stores, revocations = _analysis_inputs(args, ws)
+        operator_map = ws.load_operator_map()
         result = analyze_corpus(
-            records, stores=ws.load_stores(),
-            revocations=ws.load_revocations(), views=views,
-            operator_map=ws.load_operator_map(),
+            ws.load_records(), stores=stores, revocations=revocations,
+            views=views, operator_map=operator_map,
             options=_analysis_options(args))
         verdicts = lint_corpus(
-            result, ws.load_stores(), ws.load_extensions(),
-            ws.load_revocations(), max_validity_days=args.max_validity,
+            result, stores, ws.load_extensions(), revocations,
+            max_validity_days=args.max_validity,
             explanations=ws.load_explanations(),
-            operator_map=ws.load_operator_map())
+            operator_map=operator_map)
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA

@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import intervals
 from .certmodel import CertRecord
-from .pathengine import CertIndex, TrustAssessment, enumerate_paths
+from .pathengine import CertIndex, PathEnumeration, TrustAssessment
 from .revocation import (IssuerSerial, RevocationRecord, RevocationView,
                          matching_records, revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
-from .truststore import OperatorMap, RootStoreTimeline
+from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import XSCertGroup, overlap_days
 
 CATEGORIES = (
@@ -50,6 +50,10 @@ SEVERITY = {
 }
 
 DEFAULT_BACKDATING_SLACK_DAYS = 365
+
+# Every certificate's enumerated paths, keyed by fingerprint; built once per
+# analysis run with its depth bound, mode and anchors.
+Paths = Mapping[str, PathEnumeration]
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
                             revocations: Sequence[RevocationRecord],
                             store: RootStoreTimeline,
                             index: CertIndex,
-                            anchors: frozenset[str]) -> list[dict]:
+                            paths: Paths) -> list[dict]:
     """Instants from which `member` should have stopped providing trust in
     this (view, store): revocation onsets, matching distrust rules, and the
     member's own removal from the store."""
@@ -140,10 +144,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
             "at": onset,
             "sources": sorted({r.source.name for r in hits}),
         })
-    member_roots = {
-        path.root
-        for path in enumerate_paths(member, index, anchors=anchors).paths
-    }
+    member_roots = {path.root for path in paths[member.fingerprint].paths}
     for rule in store.distrust_rules:
         if member.not_before <= rule.issued_after:
             continue
@@ -168,13 +169,13 @@ def find_valid_after_revocation(group: XSCertGroup,
                                 revocations: Sequence[RevocationRecord],
                                 views: Sequence[RevocationView],
                                 stores: Sequence[RootStoreTimeline],
-                                index: CertIndex) -> list[Finding]:
+                                index: CertIndex,
+                                paths: Paths) -> list[Finding]:
     """One finding per (view, store) where a member is revoked, rule-blocked
     or store-removed at t while the group's key stays trusted afterwards
     through another member or path."""
     if not group.is_xs:
         return []
-    anchors = frozenset().union(*(s.ever_roots() for s in stores)) if stores else frozenset()
     members = [index.get(fp) for fp in group.members]
     findings = []
     for view in sorted(views, key=lambda v: v.consumer_id):
@@ -182,7 +183,7 @@ def find_valid_after_revocation(group: XSCertGroup,
             events = []
             for member in members:
                 events.extend(_member_blocking_events(
-                    member, view, revocations, store, index, anchors))
+                    member, view, revocations, store, index, paths))
             if not events:
                 continue
             trusted = assessments.union_trusted(group.members, view.consumer_id,
@@ -207,13 +208,12 @@ def find_valid_after_revocation(group: XSCertGroup,
 
 # --- PKI barrier breaches ---------------------------------------------------
 
-def _path_nc_mitigation(member: CertRecord, index: CertIndex,
-                        anchors: frozenset[str],
+def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
                         target_roots: frozenset[str]) -> Optional[str]:
     """'nc_critical' / 'nc_noncritical' when every usable path of the member
     into the target roots passes a name-constrained CA; None otherwise."""
     flags = []
-    for path in enumerate_paths(member, index, anchors=anchors).usable_paths():
+    for path in paths[member.fingerprint].usable_paths():
         if path.root not in target_roots:
             continue
         constrained = [index.get(fp).name_constraints
@@ -231,12 +231,12 @@ def find_barrier_breach(groups: Sequence[XSCertGroup],
                         assessments: AssessmentSet,
                         stores: Sequence[RootStoreTimeline],
                         view_id: str,
-                        index: CertIndex) -> list[Finding]:
+                        index: CertIndex,
+                        paths: Paths) -> list[Finding]:
     """A member reaches a store class the group's earliest member (its
     native anchoring) never reaches. Empty native coverage is bootstrapping
     territory, not a breach."""
     class_of = {s.store_id: s.store_class for s in stores}
-    anchors = frozenset().union(*(s.ever_roots() for s in stores)) if stores else frozenset()
     findings = []
     for group in groups:
         if not group.is_xs:
@@ -254,10 +254,9 @@ def find_barrier_breach(groups: Sequence[XSCertGroup],
                           if class_of[s] not in native_classes}
             if not new_stores:
                 continue
-            target_roots = frozenset().union(
-                *(next(st for st in stores if st.store_id == s).ever_roots()
-                  for s in new_stores))
-            mitigation = _path_nc_mitigation(member, index, anchors, target_roots)
+            target_roots = combined_anchors(
+                st for st in stores if st.store_id in new_stores)
+            mitigation = _path_nc_mitigation(member, index, paths, target_roots)
             findings.append(_finding("barrier_breach", group, {
                 "member": member.fingerprint,
                 "native_member": native.fingerprint,
@@ -276,6 +275,7 @@ def find_trust_deltas(group: XSCertGroup,
                       assessments: AssessmentSet,
                       view_id: str,
                       index: CertIndex,
+                      paths: Paths,
                       stores: Sequence[RootStoreTimeline] = (),
                       operator_map: Optional[OperatorMap] = None) -> list[Finding]:
     """Exactly one finding per XS group, with precedence: new stores beat
@@ -315,8 +315,6 @@ def find_trust_deltas(group: XSCertGroup,
     if new_store_members:
         category = "expanded_trust"
         store_map = {s.store_id: s for s in stores}
-        anchors = frozenset().union(
-            *(s.ever_roots() for s in stores)) if stores else frozenset()
         detail = []
         for member, targets in new_store_members:
             external = False
@@ -332,9 +330,8 @@ def find_trust_deltas(group: XSCertGroup,
             for other in members:
                 if other.fingerprint == member.fingerprint:
                     continue
-                for path in enumerate_paths(other, index,
-                                            anchors=anchors).paths:
-                    native_roots.add(path.root)
+                native_roots.update(
+                    path.root for path in paths[other.fingerprint].paths)
             own_root_absent = all(
                 sid in store_map and not (
                     native_roots & store_map[sid].active_roots(member.not_before))
@@ -359,16 +356,15 @@ def find_trust_deltas(group: XSCertGroup,
 # --- multiple signature algorithms ------------------------------------------
 
 def find_multi_algorithm(group: XSCertGroup, index: CertIndex,
-                         stores: Sequence[RootStoreTimeline] = ()) -> list[Finding]:
+                         paths: Paths) -> list[Finding]:
     """Members (or their best paths) use differing signature algorithms."""
     if not group.is_xs:
         return []
     members = [index.get(fp) for fp in group.members]
     direct = {m.fingerprint: m.signature_algorithm for m in members}
-    anchors = frozenset().union(*(s.ever_roots() for s in stores)) if stores else frozenset()
     path_algs: dict[str, list[str]] = {}
     for member in members:
-        usable = enumerate_paths(member, index, anchors=anchors).usable_paths()
+        usable = paths[member.fingerprint].usable_paths()
         if usable:
             best = usable[0]
             path_algs[member.fingerprint] = sorted(
@@ -563,27 +559,31 @@ def run_all(groups: Sequence[XSCertGroup],
             revocations: Sequence[RevocationRecord],
             views: Sequence[RevocationView],
             assessments: AssessmentSet,
+            paths: Paths,
             coverage_view_id: str,
             operator_map: Optional[OperatorMap] = None,
             slack_days: int = DEFAULT_BACKDATING_SLACK_DAYS) -> list[Finding]:
     """Run every analyzer; deterministic order (category, then group key).
 
-    `coverage_view_id` names the revocation-free view used for coverage-based
-    analyzers (barrier breaches and trust deltas)."""
+    `paths` holds every certificate's enumerated paths, the ones the
+    assessments were built from. `coverage_view_id` names the revocation-free
+    view used for coverage-based analyzers (barrier breaches and trust
+    deltas)."""
     findings: list[Finding] = []
     xs_groups = [g for g in groups if g.is_xs]
     for group in xs_groups:
         findings.extend(find_valid_after_revocation(
-            group, assessments, revocations, views, stores, index))
+            group, assessments, revocations, views, stores, index, paths))
         findings.extend(find_trust_deltas(
-            group, assessments, coverage_view_id, index, stores, operator_map))
-        findings.extend(find_multi_algorithm(group, index, stores))
+            group, assessments, coverage_view_id, index, paths, stores,
+            operator_map))
+        findings.extend(find_multi_algorithm(group, index, paths))
         findings.extend(find_ownership_span(group, operator_map, index))
         findings.extend(find_backdating(group, index, slack_days))
         findings.extend(find_revocation_inconsistency(
             group, revocations, views, index))
     findings.extend(find_barrier_breach(
-        xs_groups, assessments, stores, coverage_view_id, index))
+        xs_groups, assessments, stores, coverage_view_id, index, paths))
     findings.sort(key=lambda f: (CATEGORIES.index(f.category),
                                  f.subject, f.spki,
                                  json.dumps(f.evidence, sort_keys=True)))

@@ -12,10 +12,6 @@ from datetime import datetime
 Interval = tuple[datetime, datetime]
 
 
-def make(start: datetime, end: datetime) -> list[Interval]:
-    return [(start, end)] if start < end else []
-
-
 def normalize(items: list[Interval]) -> list[Interval]:
     """Sort, drop empties, merge overlapping/adjacent intervals."""
     todo = sorted(iv for iv in items if iv[0] < iv[1])
@@ -65,11 +61,3 @@ def subtract(a: list[Interval], b: list[Interval]) -> list[Interval]:
         if cur < end:
             out.append((cur, end))
     return out
-
-
-def contains(items: list[Interval], at: datetime) -> bool:
-    return any(start <= at < end for start, end in items)
-
-
-def total_seconds(items: list[Interval]) -> float:
-    return sum((end - start).total_seconds() for start, end in items)

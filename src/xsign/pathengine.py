@@ -18,7 +18,8 @@ from .certmodel import CertRecord, CryptoUnavailable, dns_identities, verify_sig
 from .names import NormalizedName
 from .revocation import RevocationRecord, RevocationView, matching_records
 from .timeutil import DT_MAX, format_rfc3339
-from .truststore import RootStoreTimeline, UnknownStore
+from .truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
+                         rule_blocks_path)
 
 DEFAULT_MAX_DEPTH = 12
 MODES = ("structural", "cryptographic", "strict")
@@ -325,7 +326,7 @@ def _boundary_events(path_records: Sequence[CertRecord],
                 "reason": rec.reason or "",
             }))
     for rule in store.distrust_rules:
-        if rule.matches_anchor(root) and path_records[0].not_before > rule.issued_after:
+        if rule_blocks_path(rule, path_records, rule.effective_from):
             events.append((rule.effective_from, {
                 "kind": "distrust_rule", "description": rule.description}))
     presence = store.presence_intervals(root.fingerprint)
@@ -343,13 +344,21 @@ def assess_trust(cert: CertRecord, index: CertIndex,
                  view: RevocationView,
                  max_depth: int = DEFAULT_MAX_DEPTH,
                  mode: str = "structural") -> TrustAssessment:
+    """Enumerate `cert`'s paths into every store's roots, then assess them."""
+    enumeration = enumerate_paths(cert, index, max_depth=max_depth, mode=mode,
+                                  anchors=combined_anchors(stores))
+    return assess_paths(cert, enumeration, index, stores, revocations, view)
+
+
+def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
+                 index: CertIndex,
+                 stores: Sequence[RootStoreTimeline],
+                 revocations: Sequence[RevocationRecord],
+                 view: RevocationView) -> TrustAssessment:
     """Per store, the maximal intervals during which some enumerated path
     makes `cert` trusted: path validity covers the instant, the path root is
     in the store, no member is revoked in the view, and no distrust rule
     blocks the path."""
-    anchors = frozenset().union(*(s.ever_roots() for s in stores)) if stores else frozenset()
-    enumeration = enumerate_paths(cert, index, max_depth=max_depth,
-                                  mode=mode, anchors=anchors)
     assessment = TrustAssessment(cert.fingerprint, view.consumer_id,
                                  truncated=enumeration.truncated)
 
@@ -358,23 +367,18 @@ def assess_trust(cert: CertRecord, index: CertIndex,
         per_path: list[tuple[TrustPath, list[intervals.Interval]]] = []
         events: list[tuple[datetime, dict]] = []
         for path in usable:
-            records = [index.get(fp) for fp in path.chain]
-            root = records[-1]
             allowed = intervals.intersect(
-                [path.validity], store.presence_intervals(root.fingerprint))
+                [path.validity], store.presence_intervals(path.root))
             if not allowed:
                 continue
-            blocks: list[intervals.Interval] = []
-            for member in records:
-                for rec in matching_records(member, view, revocations):
-                    blocks.append((rec.effective_date, DT_MAX))
-            for rule in store.distrust_rules:
-                if rule.matches_anchor(root) and records[0].not_before > rule.issued_after:
-                    blocks.append((rule.effective_from, DT_MAX))
-            allowed = intervals.subtract(allowed, blocks)
+            records = [index.get(fp) for fp in path.chain]
+            path_events = _boundary_events(records, store, revocations, view)
+            allowed = intervals.subtract(allowed, [
+                (at, DT_MAX) for at, cause in path_events
+                if cause["kind"] in ("revocation", "distrust_rule")])
             if allowed:
                 per_path.append((path, allowed))
-                events.extend(_boundary_events(records, store, revocations, view))
+                events.extend(path_events)
 
         merged = intervals.normalize(
             [iv for _, ivs in per_path for iv in ivs])
@@ -393,20 +397,15 @@ def assess_trust(cert: CertRecord, index: CertIndex,
     return assessment
 
 
-def stores_by_id(stores: Iterable[RootStoreTimeline]) -> dict[str, RootStoreTimeline]:
-    out: dict[str, RootStoreTimeline] = {}
-    for store in stores:
-        if store.store_id in out:
-            raise ValueError(f"duplicate store id {store.store_id!r}")
-        out[store.store_id] = store
-    return out
-
-
 def select_stores(stores: Sequence[RootStoreTimeline],
                   store_ids: Optional[Sequence[str]]) -> list[RootStoreTimeline]:
     if store_ids is None:
         return list(stores)
-    known = stores_by_id(stores)
+    known: dict[str, RootStoreTimeline] = {}
+    for store in stores:
+        if store.store_id in known:
+            raise ValueError(f"duplicate store id {store.store_id!r}")
+        known[store.store_id] = store
     missing = [sid for sid in store_ids if sid not in known]
     if missing:
         raise UnknownStore(f"unknown store(s): {', '.join(missing)}")

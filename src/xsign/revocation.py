@@ -115,20 +115,11 @@ class RevocationView:
 
 
 VIEW_ALL_ID = "all"
-VIEW_NONE_ID = "none"
-
-
-def view_for(consumer_id: str, sources: Iterable[str]) -> RevocationView:
-    return RevocationView(consumer_id, frozenset(sources))
 
 
 def all_sources_view(records: Iterable[RevocationRecord]) -> RevocationView:
     return RevocationView(VIEW_ALL_ID,
                           frozenset(r.source.name for r in records))
-
-
-def none_view() -> RevocationView:
-    return RevocationView(VIEW_NONE_ID, frozenset())
 
 
 def matching_records(cert: CertRecord, view: RevocationView,

@@ -291,7 +291,3 @@ class OperatorMap:
             for e in obj.get("ownership_events", [])
         ]
         return cls(spans, events)
-
-
-def operator_of(cert: CertRecord, at: datetime, operator_map: OperatorMap) -> Optional[str]:
-    return operator_map.operator_of(cert, at)

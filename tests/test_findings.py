@@ -1,7 +1,9 @@
 import random
 from datetime import timedelta
 
-from xsign.analysis import analyze_corpus
+import xsign.analysis
+import xsign.pathengine
+from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
@@ -225,6 +227,39 @@ def test_every_group_gets_exactly_one_delta_label():
                       and f.spki == group.spki_digest
                       and f.subject == str(group.subject)]
             assert len(labels) == 1, (seed, group.key, labels)
+
+
+def test_trust_deltas_use_the_analysis_depth_bound(figure1):
+    # At depth 2 the native members reach no root of the target store, so
+    # their anchors count as absent, as the depth-2 assessments say.
+    result = analyze_corpus(figure1.records, figure1.stores,
+                            figure1.revocations, figure1.views,
+                            figure1.operator_map,
+                            options=AnalysisOptions(max_depth=2))
+    [finding] = _by_category(result)["expanded_trust"]
+    [expansion] = finding.evidence["expansions"]
+    assert expansion["own_root_absent_at_issuance"] is True
+    member = next(r for r in figure1.records
+                  if r.fingerprint == expansion["member"])
+    others = [fp for fp in finding.members if fp != member.fingerprint]
+    for store_id in expansion["new_stores"]:
+        native = result.assessments.union_trusted(others, COVERAGE_VIEW_ID,
+                                                  store_id)
+        assert not any(s <= member.not_before < e for s, e in native)
+
+
+def test_analysis_enumerates_each_certificate_once(figure1, monkeypatch):
+    calls = []
+    original = xsign.pathengine.enumerate_paths
+
+    def counting(cert, *args, **kwargs):
+        calls.append(cert.fingerprint)
+        return original(cert, *args, **kwargs)
+
+    monkeypatch.setattr(xsign.analysis, "enumerate_paths", counting)
+    monkeypatch.setattr(xsign.pathengine, "enumerate_paths", counting)
+    _analyzed(figure1)
+    assert sorted(calls) == sorted(r.fingerprint for r in figure1.records)
 
 
 # --- multiple algorithms -------------------------------------------------------

@@ -191,6 +191,17 @@ def test_unknown_store_filter(tmp_path, capsys):
     assert code == 0
 
 
+def test_lint_rejects_unknown_store_like_analyze(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, out, err = _run(capsys, "lint", "--ws", str(ws_dir),
+                          "--stores", "bogus")
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "analysis"
+    assert "bogus" in payload["detail"]
+
+
 def test_raw_bytes_attach_to_existing_record(tmp_path, capsys):
     # Metadata-only ingest first, PEM second: the raw sidecar appears and
     # the cache invalidates.
