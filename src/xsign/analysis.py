@@ -12,7 +12,8 @@ from . import xsext
 from .certmodel import CertRecord
 from .findings import AssessmentSet, Finding
 from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, assess_paths,
-                         build_index, enumerate_paths)
+                         assess_trust, build_index, check_options,
+                         enumerate_paths)
 from .revocation import RevocationRecord, RevocationView, all_sources_view
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
@@ -31,6 +32,12 @@ class AnalysisOptions:
     max_validity_days: int = xsext.DEFAULT_MAX_VALIDITY_DAYS
     backdating_slack_days: int = findings_mod.DEFAULT_BACKDATING_SLACK_DAYS
 
+    def __post_init__(self):
+        # Checked here, not at the first enumeration, so that a run that
+        # enumerates nothing (lint on a corpus without cross-sign groups)
+        # still rejects a bad depth bound or mode.
+        check_options(self.max_depth, self.mode)
+
 
 @dataclass
 class AnalysisResult:
@@ -43,6 +50,17 @@ class AnalysisResult:
     truncated_certs: list[str] = field(default_factory=list)
 
 
+def _group_corpus(index: CertIndex,
+                  stores: Sequence[RootStoreTimeline],
+                  operator_map: Optional[OperatorMap],
+                  options: AnalysisOptions) -> tuple[list[XSCertGroup],
+                                                     list[XSCertGroup]]:
+    """The classified cross-sign groups and the reissuance groups."""
+    xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
+                                     mode=options.mode)
+    return classify_groups(xs_groups, stores, operator_map, index), reissuance
+
+
 def analyze_corpus(records: Sequence[CertRecord],
                    stores: Sequence[RootStoreTimeline],
                    revocations: Sequence[RevocationRecord],
@@ -50,9 +68,7 @@ def analyze_corpus(records: Sequence[CertRecord],
                    operator_map: Optional[OperatorMap] = None,
                    options: AnalysisOptions = AnalysisOptions()) -> AnalysisResult:
     index = build_index(records)
-    xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
-                                     mode=options.mode)
-    xs_groups = classify_groups(xs_groups, stores, operator_map, index)
+    xs_groups, reissuance = _group_corpus(index, stores, operator_map, options)
 
     view_list = list(views) or [all_sources_view(revocations)]
     # Revocation-free view backs coverage-style analyzers (trust deltas,
@@ -84,25 +100,37 @@ def analyze_corpus(records: Sequence[CertRecord],
                          if enumeration.truncated])
 
 
-def lint_corpus(result: AnalysisResult,
+def lint_corpus(records: Sequence[CertRecord],
                 stores: Sequence[RootStoreTimeline],
-                extensions: dict[str, xsext.XsExtension],
                 revocations: Sequence[RevocationRecord],
-                max_validity_days: int = xsext.DEFAULT_MAX_VALIDITY_DAYS,
-                explanations: Sequence[str] = (),
-                operator_map: Optional[OperatorMap] = None) -> list[xsext.LintVerdict]:
+                extensions: dict[str, xsext.XsExtension],
+                views: Sequence[RevocationView] = (),
+                operator_map: Optional[OperatorMap] = None,
+                options: AnalysisOptions = AnalysisOptions(),
+                explanations: Sequence[str] = ()) -> list[xsext.LintVerdict]:
+    """Lint every cross-sign group. Builds only what the lints read: the
+    groups, and the coverage-view stores of each group member under the
+    options' depth bound and mode; the rest of `analyze_corpus` is skipped."""
+    index = build_index(records)
+    xs_groups, _ = _group_corpus(index, stores, operator_map, options)
+    view_list = list(views) or [all_sources_view(revocations)]
+    coverage_view = RevocationView(COVERAGE_VIEW_ID, frozenset())
+    members = {fp for group in xs_groups for fp in group.members}
+    coverage = {fp: assess_trust(index.get(fp), index, stores, revocations,
+                                 coverage_view, max_depth=options.max_depth,
+                                 mode=options.mode).covered_stores()
+                for fp in members}
+
     verdicts: list[xsext.LintVerdict] = []
-    for group in result.xs_groups:
-        coverage = {fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
-                    for fp in group.members}
+    for group in xs_groups:
         verdicts.extend(xsext.lint_cross_sign(
             group, stores, extensions, revocations,
-            max_validity_days=max_validity_days,
-            lookup=result.index.records,
+            max_validity_days=options.max_validity_days,
+            lookup=index.records,
             coverage=coverage,
-            views=result.views,
+            views=view_list,
             explanations=explanations,
-            index=result.index,
+            index=index,
             operator_map=operator_map,
         ))
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))

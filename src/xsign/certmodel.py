@@ -395,6 +395,16 @@ def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
         return False
 
 
+# Keyed on both certificates' DER, signature included, so an edge is
+# verified once however many paths and groups reach it.
+@functools.lru_cache(maxsize=1 << 16)
+def _verify_cached(child_raw: bytes, issuer_raw: bytes) -> bool:
+    try:
+        return _verify_edge(_load_cached(child_raw), _load_cached(issuer_raw))
+    except UnsupportedAlgorithm:
+        return False
+
+
 def verify_signature(child: CertRecord, issuer_candidate: CertRecord) -> bool:
     """True iff child's signature verifies under the candidate's public key.
 
@@ -404,10 +414,7 @@ def verify_signature(child: CertRecord, issuer_candidate: CertRecord) -> bool:
     if child.raw is None or issuer_candidate.raw is None:
         raise CryptoUnavailable(
             "signature verification requires raw certificate bytes")
-    try:
-        return _verify_edge(_load_cached(child.raw), _load_cached(issuer_candidate.raw))
-    except UnsupportedAlgorithm:
-        return False
+    return _verify_cached(child.raw, issuer_candidate.raw)
 
 
 def dns_identities(record: CertRecord) -> list[str]:

@@ -7,6 +7,7 @@ Errors go to stderr as one JSON object per failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ from . import reports
 from .analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                        lint_corpus)
 from .certmodel import MalformedInput
-from .corpus import ScenarioSpec, UnknownScenario, generate
 from .pathengine import DEFAULT_MAX_DEPTH, select_stores
 from .revocation import RevocationRecord, RevocationView, all_sources_view
 from .truststore import UnknownStore
@@ -109,6 +109,7 @@ def _run_analysis(args, ws: Workspace):
 
 
 def cmd_scenario(args) -> int:
+    from .corpus import ScenarioSpec, UnknownScenario, generate
     params = {}
     for item in args.param or ():
         key, _, value = item.partition("=")
@@ -159,6 +160,7 @@ def cmd_analyze(args) -> int:
     if not cached:
         summary["findings"] = len(result.findings)
         summary["xs_groups"] = len(result.xs_groups)
+        summary["truncated"] = len(result.truncated_certs)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -167,16 +169,12 @@ def cmd_lint(args) -> int:
     ws = Workspace(Path(args.workspace))
     try:
         views, stores, revocations = _analysis_inputs(args, ws)
-        operator_map = ws.load_operator_map()
-        result = analyze_corpus(
-            ws.load_records(), stores=stores, revocations=revocations,
-            views=views, operator_map=operator_map,
-            options=_analysis_options(args))
         verdicts = lint_corpus(
-            result, stores, ws.load_extensions(), revocations,
-            max_validity_days=args.max_validity,
-            explanations=ws.load_explanations(),
-            operator_map=operator_map)
+            ws.load_records(), stores, revocations, ws.load_extensions(),
+            views=views, operator_map=ws.load_operator_map(),
+            options=dataclasses.replace(_analysis_options(args),
+                                        max_validity_days=args.max_validity),
+            explanations=ws.load_explanations())
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA

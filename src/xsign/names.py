@@ -6,6 +6,7 @@ order of relative components (RDNs). Attributes inside one RDN are a set.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -102,6 +103,14 @@ def from_rdns(rdns: Iterable[Iterable[tuple[str, str]]]) -> NormalizedName:
 
 
 def _split_unescaped(text: str, sep: str) -> list[str]:
+    if "\\" not in text:
+        return text.split(sep)
+    return _split_escaped(text, sep)
+
+
+def _split_escaped(text: str, sep: str) -> list[str]:
+    """Split on `sep` except where a backslash escapes it; escapes are
+    kept in the parts."""
     parts, buf, i = [], [], 0
     while i < len(text):
         ch = text[i]
@@ -120,9 +129,13 @@ def _split_unescaped(text: str, sep: str) -> list[str]:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     return re.sub(r"\\(.)", r"\1", text)
 
 
+# Names are immutable, so records parsed from the same DN text share one.
+@functools.lru_cache(maxsize=1 << 16)
 def _parse_dn_string(dn: str) -> NormalizedName:
     dn = dn.strip()
     if not dn:

@@ -223,6 +223,14 @@ def _make_path(records: Sequence[CertRecord], mode: str) -> Optional[TrustPath]:
     )
 
 
+def check_options(max_depth: int, mode: str) -> None:
+    """Reject a depth bound or validation mode that enumeration cannot use."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+
+
 def enumerate_paths(cert: CertRecord, index: CertIndex,
                     max_depth: int = DEFAULT_MAX_DEPTH,
                     mode: str = "structural",
@@ -235,10 +243,7 @@ def enumerate_paths(cert: CertRecord, index: CertIndex,
     with extensions left marks the enumeration truncated, which is data,
     not an error.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    check_options(max_depth, mode)
     if cert.fingerprint not in index:
         raise KeyError(f"certificate {cert.fingerprint} not in index")
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -68,12 +69,19 @@ class Workspace:
         return True
 
     def load_records(self) -> list[CertRecord]:
+        """Every ingested record, in file-name order. A record with raw
+        bytes is parsed from its `.der` alone; its `.json` is not read."""
+        names = set(os.listdir(self.certs_dir))
         records = []
-        for path in sorted(self.certs_dir.glob("*.json")):
-            record = record_from_json(json.loads(path.read_text()))
-            der = path.with_suffix(".der")
-            if der.exists():
-                record = parse_certificate(der.read_bytes())
+        for name in sorted(names):
+            if not name.endswith(".json"):
+                continue
+            der = name[:-len(".json")] + ".der"
+            if der in names:
+                record = parse_certificate((self.certs_dir / der).read_bytes())
+            else:
+                record = record_from_json(
+                    json.loads((self.certs_dir / name).read_text()))
             records.append(record)
         return records
 
@@ -278,8 +286,8 @@ class Workspace:
 
     def input_hash(self, options: dict) -> str:
         digest = hashlib.sha256()
-        for path in sorted(self.certs_dir.glob("*")):
-            digest.update(path.name.encode())
+        for name in sorted(os.listdir(self.certs_dir)):
+            digest.update(name.encode())
         for name in sorted(_CONFIG_FILES.values()):
             path = self.config_dir / name
             if path.exists():

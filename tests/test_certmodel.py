@@ -172,6 +172,62 @@ def test_legacy_v1_self_signed_is_ca_capable():
     assert record.is_ca
 
 
+def test_each_issuer_edge_is_verified_once(figure1_crypto, monkeypatch):
+    import hashlib
+    from collections import Counter
+    from cryptography.hazmat.primitives import serialization
+    from xsign import certmodel, pathengine, xsdetect
+    from xsign.analysis import AnalysisOptions, analyze_corpus, lint_corpus
+
+    def fingerprint(cert):
+        return hashlib.sha256(
+            cert.public_bytes(serialization.Encoding.DER)).hexdigest()
+
+    verified, requested = Counter(), Counter()
+    verify_edge = certmodel._verify_edge
+
+    def counting_edge(child, issuer):
+        verified[fingerprint(child), fingerprint(issuer)] += 1
+        return verify_edge(child, issuer)
+
+    def counting_request(child, issuer_candidate):
+        requested[child.fingerprint, issuer_candidate.fingerprint] += 1
+        return certmodel.verify_signature(child, issuer_candidate)
+
+    monkeypatch.setattr(certmodel, "_verify_edge", counting_edge)
+    for module in (pathengine, xsdetect):
+        monkeypatch.setattr(module, "verify_signature", counting_request)
+    certmodel._verify_cached.cache_clear()
+    b = figure1_crypto
+    options = AnalysisOptions(mode="cryptographic")
+    analyze_corpus(b.records, b.stores, b.revocations, b.views,
+                   b.operator_map, options)
+    lint_corpus(b.records, b.stores, b.revocations, b.extensions, b.views,
+                b.operator_map, options)
+    # Paths, groups and lint ask for the same edges many times over.
+    assert sum(requested.values()) > len(requested)
+    assert verified == Counter(dict.fromkeys(requested, 1))
+
+
+def test_verify_rejects_child_resigned_by_another_key(figure1_crypto):
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    child, issuer = figure1_crypto.record("L1"), figure1_crypto.record("I1")
+    assert verify_signature(child, issuer)  # the good edge is cached
+    # Same TBSCertificate, signed by a key that is not the issuer's.
+    (_, _, body), = _der_split(child.raw)
+    (_, tbs, _), (_, sig_alg, _), _ = _der_split(body)
+    signature = ec.generate_private_key(ec.SECP256R1()).sign(
+        tbs, ec.ECDSA(hashes.SHA256()))
+    forged = parse_certificate(
+        _der_tlv(0x30, tbs + sig_alg + _der_tlv(0x03, b"\x00" + signature)))
+    assert forged.issuer == child.issuer
+    assert forged.fingerprint != child.fingerprint
+    assert not verify_signature(forged, issuer)
+    assert verify_signature(child, issuer)
+
+
 def test_unknown_critical_extension_flagged_not_fatal():
     from cryptography import x509
     from cryptography.hazmat.primitives import hashes, serialization

@@ -1,9 +1,12 @@
 import random
+import re
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xsign.names import EMPTY_NAME, format_name, normalize_name
+from xsign.names import (EMPTY_NAME, _parse_dn_string, _split_escaped,
+                         _split_unescaped, format_name, from_rdns,
+                         normalize_name)
 
 value_text = st.text(
     alphabet=st.sampled_from("abcXYZ019 \t-._"), min_size=1, max_size=12
@@ -11,6 +14,10 @@ value_text = st.text(
 rdn = st.lists(st.tuples(st.sampled_from(["CN", "O", "OU", "C"]), value_text),
                min_size=1, max_size=2)
 name_parts = st.lists(rdn, min_size=0, max_size=4)
+dn_text = st.one_of(
+    st.text(alphabet=st.sampled_from("cnCO=x1 ,+"), max_size=30),
+    st.text(alphabet=st.sampled_from("cnCO=x1 ,+\\"), max_size=30),
+)
 
 
 def test_case_and_whitespace_insensitive():
@@ -82,3 +89,38 @@ def test_startswith_prefix_semantics():
     assert full.startswith(prefix)
     assert not full.startswith(other)
     assert not prefix.startswith(full)
+
+
+def _reference_parse(dn):
+    """The DN parser with the escape-aware loop and regex unescape applied
+    to every text, backslash or not."""
+    dn = dn.strip()
+    if not dn:
+        return EMPTY_NAME
+    rdns = []
+    for rdn_text in _split_escaped(dn, ","):
+        if not rdn_text.strip():
+            continue
+        pairs = []
+        for ava in _split_escaped(rdn_text, "+"):
+            if "=" not in ava:
+                raise ValueError(ava)
+            attr_type, _, value = ava.partition("=")
+            pairs.append((re.sub(r"\\(.)", r"\1", attr_type.strip()),
+                          re.sub(r"\\(.)", r"\1", value)))
+        rdns.append(pairs)
+    return from_rdns(rdns)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(dn_text)
+def test_dn_fast_path_matches_escape_aware_loop(text):
+    for sep in ",+":
+        assert _split_unescaped(text, sep) == _split_escaped(text, sep)
+    assert _outcome(_parse_dn_string, text) == _outcome(_reference_parse, text)

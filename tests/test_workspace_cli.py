@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from xsign import reports
+from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
 from xsign.cli import main
+from xsign.corpus import ScenarioSpec, generate
 from xsign.workspace import Workspace
+from xsign.xsext import ExpandingTrust, XsExtension, lint_cross_sign
 
 
 def _run(capsys, *argv):
@@ -189,6 +193,87 @@ def test_unknown_store_filter(tmp_path, capsys):
     code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
                         "--stores", "web1")
     assert code == 0
+
+
+def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    ws = Workspace(ws_dir)
+    cut = analyze_corpus(ws.load_records(), ws.load_stores(),
+                         ws.load_revocations(), ws.load_views(),
+                         ws.load_operator_map(), AnalysisOptions(max_depth=2))
+    assert cut.truncated_certs
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
+                        "--max-depth", "2")
+    assert code == 0
+    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0
+    assert json.loads(out)["truncated"] == 0
+
+
+def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
+    ws_dir = tmp_path / "ws"
+    single = tmp_path / "single.jsonl"
+    single.write_text(json.dumps({
+        "fingerprint": "77" * 32, "subject": "CN=new", "issuer": "CN=new",
+        "spki": "66" * 32, "serial": "1",
+        "not_before": "2015-01-01T00:00:00Z",
+        "not_after": "2020-01-01T00:00:00Z", "is_ca": True,
+        "self_signed": True}) + "\n")
+    code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir), str(single))
+    assert code == 0
+    for command in ("analyze", "lint"):
+        code, out, err = _run(capsys, command, "--ws", str(ws_dir),
+                              "--max-depth", "0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["detail"] == "max_depth must be >= 1"
+
+
+def _lint_from_full_analysis(ws: Workspace, options: AnalysisOptions):
+    """Lint verdicts fed from a complete `analyze_corpus` result: the
+    reference that the lint command's own, narrower build must match."""
+    stores, revocations = ws.load_stores(), ws.load_revocations()
+    operator_map, extensions = ws.load_operator_map(), ws.load_extensions()
+    result = analyze_corpus(ws.load_records(), stores, revocations,
+                            ws.load_views(), operator_map, options)
+    verdicts = []
+    for group in result.xs_groups:
+        verdicts.extend(lint_cross_sign(
+            group, stores, extensions, revocations,
+            lookup=result.index.records,
+            coverage={fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
+                      for fp in group.members},
+            views=result.views, explanations=ws.load_explanations(),
+            index=result.index, operator_map=operator_map))
+    verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
+    return reports.lint_jsonl(verdicts)
+
+
+def test_lint_honours_analysis_options(tmp_path, capsys):
+    printed = {}
+    for scenario, params in (("figure1", {}),
+                             ("random", {"n": 80, "revocation_rate": 0.2})):
+        bundle = generate(ScenarioSpec(scenario, seed=1, params=params))
+        # Every member claims to expand trust into every store, so the V4
+        # verdicts depend on each member's coverage.
+        store_ids = tuple(sorted(s.store_id for s in bundle.stores))
+        bundle.extensions = {r.fingerprint: XsExtension((ExpandingTrust(store_ids),))
+                             for r in bundle.records}
+        bundle.write(tmp_path / scenario)
+        ws_dir = tmp_path / f"ws-{scenario}"
+        code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir),
+                          "--format", "jsonl", str(tmp_path / scenario))
+        assert code == 0
+        for flags, options in (((), AnalysisOptions()),
+                               (("--max-depth", "2"), AnalysisOptions(max_depth=2)),
+                               (("--mode", "strict"), AnalysisOptions(mode="strict"))):
+            code, out, _ = _run(capsys, "lint", "--ws", str(ws_dir), *flags)
+            assert code == 0
+            expected = _lint_from_full_analysis(Workspace(ws_dir), options)
+            assert out.splitlines() == expected, (scenario, flags)
+            printed[scenario, flags] = out
+    v4 = {key for key, out in printed.items() if "V4_" in out}
+    assert ("figure1", ()) in v4 and ("figure1", ("--max-depth", "2")) not in v4
 
 
 def test_lint_rejects_unknown_store_like_analyze(tmp_path, capsys):
