@@ -1,23 +1,3 @@
 """Cross-sign analysis toolkit for X.509 certificate corpora."""
 
-from .certmodel import CertRecord, parse_certificate, verify_signature
-from .names import NormalizedName, normalize_name
-from .pathengine import CertIndex, TrustPath, assess_trust, build_index, enumerate_paths
-from .revocation import RevocationRecord, RevocationView, is_revoked
-from .truststore import DistrustRule, OperatorMap, RootStoreTimeline, active_roots
-from .xsdetect import XSCertGroup, classify_scope, classify_type, group_xs
-from .xsext import XsExtension, decode_xs_extension, encode_xs_extension, lint_cross_sign
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CertRecord", "parse_certificate", "verify_signature",
-    "NormalizedName", "normalize_name",
-    "CertIndex", "TrustPath", "build_index", "enumerate_paths", "assess_trust",
-    "RevocationRecord", "RevocationView", "is_revoked",
-    "RootStoreTimeline", "DistrustRule", "OperatorMap", "active_roots",
-    "XSCertGroup", "group_xs", "classify_type", "classify_scope",
-    "XsExtension", "encode_xs_extension", "decode_xs_extension",
-    "lint_cross_sign",
-    "__version__",
-]

@@ -13,15 +13,15 @@ import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Any, Iterable, Optional
-
-from cryptography import x509
-from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, padding, rsa
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .names import NormalizedName, normalize_name, normalize_value
 from .timeutil import format_rfc3339, parse_rfc3339, to_utc
+
+# `cryptography` is imported inside the functions that decode DER/PEM or
+# verify signatures, so that commands over interchange records never load it.
+if TYPE_CHECKING:
+    from cryptography import x509
 
 
 class MalformedInput(ValueError):
@@ -66,18 +66,21 @@ _SIG_OID_TO_ID = {
     "1.3.101.113": "ed448",
 }
 
+# Extensions that may be critical without setting `unknown_critical`: the
+# dotted strings of the cryptography.x509.ExtensionOID members named alongside
+# (a test checks them against that enum).
 _EXPECTED_EXTENSION_OIDS = {
-    x509.ExtensionOID.BASIC_CONSTRAINTS.dotted_string,
-    x509.ExtensionOID.KEY_USAGE.dotted_string,
-    x509.ExtensionOID.NAME_CONSTRAINTS.dotted_string,
-    x509.ExtensionOID.SUBJECT_ALTERNATIVE_NAME.dotted_string,
-    x509.ExtensionOID.SUBJECT_KEY_IDENTIFIER.dotted_string,
-    x509.ExtensionOID.AUTHORITY_KEY_IDENTIFIER.dotted_string,
-    x509.ExtensionOID.EXTENDED_KEY_USAGE.dotted_string,
-    x509.ExtensionOID.CERTIFICATE_POLICIES.dotted_string,
-    x509.ExtensionOID.CRL_DISTRIBUTION_POINTS.dotted_string,
-    x509.ExtensionOID.AUTHORITY_INFORMATION_ACCESS.dotted_string,
-    x509.ExtensionOID.PRECERT_SIGNED_CERTIFICATE_TIMESTAMPS.dotted_string,
+    "2.5.29.19",                # BASIC_CONSTRAINTS
+    "2.5.29.15",                # KEY_USAGE
+    "2.5.29.30",                # NAME_CONSTRAINTS
+    "2.5.29.17",                # SUBJECT_ALTERNATIVE_NAME
+    "2.5.29.14",                # SUBJECT_KEY_IDENTIFIER
+    "2.5.29.35",                # AUTHORITY_KEY_IDENTIFIER
+    "2.5.29.37",                # EXTENDED_KEY_USAGE
+    "2.5.29.32",                # CERTIFICATE_POLICIES
+    "2.5.29.31",                # CRL_DISTRIBUTION_POINTS
+    "1.3.6.1.5.5.7.1.1",        # AUTHORITY_INFORMATION_ACCESS
+    "1.3.6.1.4.1.11129.2.4.2",  # PRECERT_SIGNED_CERTIFICATE_TIMESTAMPS
 }
 
 
@@ -244,6 +247,7 @@ def _name_from_x509(name: x509.Name) -> NormalizedName:
 
 
 def _subtrees_from_general_names(items) -> tuple[Subtree, ...]:
+    from cryptography import x509
     out = []
     for gn in items or ():
         if isinstance(gn, x509.DNSName):
@@ -258,6 +262,7 @@ def _subtrees_from_general_names(items) -> tuple[Subtree, ...]:
 
 
 def _decode_x509(data: bytes) -> x509.Certificate:
+    from cryptography import x509
     try:
         if b"-----BEGIN" in data:
             return x509.load_pem_x509_certificate(data)
@@ -280,6 +285,9 @@ def parse_certificate(data) -> CertRecord:
     if not isinstance(data, (bytes, bytearray)):
         raise MalformedInput(f"unsupported input type {type(data).__name__}")
 
+    from cryptography import x509
+    from cryptography.exceptions import UnsupportedAlgorithm
+    from cryptography.hazmat.primitives import serialization
     cert = _decode_x509(bytes(data))
     der = cert.public_bytes(serialization.Encoding.DER)
     spki = cert.public_key().public_bytes(
@@ -376,6 +384,9 @@ def _load_cached(raw: bytes) -> x509.Certificate:
 
 
 def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import (dsa, ec, ed448, ed25519,
+                                                           padding, rsa)
     pub = issuer.public_key()
     data = child.tbs_certificate_bytes
     sig = child.signature
@@ -399,6 +410,7 @@ def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
 # verified once however many paths and groups reach it.
 @functools.lru_cache(maxsize=1 << 16)
 def _verify_cached(child_raw: bytes, issuer_raw: bytes) -> bool:
+    from cryptography.exceptions import UnsupportedAlgorithm
     try:
         return _verify_edge(_load_cached(child_raw), _load_cached(issuer_raw))
     except UnsupportedAlgorithm:

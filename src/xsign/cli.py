@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 analysis error, 2 usage error, 3 input schema error.
-Errors go to stderr as one JSON object per failure.
+Errors go to stderr as one JSON object per failure; a warning (a result cut
+short by `--max-depth`) goes there the same way and leaves the exit code as
+it is.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from . import reports
 from .analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                        lint_corpus)
 from .certmodel import MalformedInput
+from .findings import Finding
 from .pathengine import DEFAULT_MAX_DEPTH, select_stores
 from .revocation import RevocationRecord, RevocationView, all_sources_view
 from .truststore import UnknownStore
@@ -161,6 +164,9 @@ def cmd_analyze(args) -> int:
         summary["findings"] = len(result.findings)
         summary["xs_groups"] = len(result.xs_groups)
         summary["truncated"] = len(result.truncated_certs)
+        if result.truncated_certs:
+            _err({"warning": "truncated", "certs": len(result.truncated_certs),
+                  "max_depth": args.max_depth})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -215,17 +221,10 @@ def cmd_report(args) -> int:
             _err({"error": "usage",
                   "detail": "markdown rendering exists for findings only"})
             return EXIT_USAGE
-        from .findings import Finding
-        findings = [Finding(o["category"], o["severity"], o["subject"],
-                            o["spki"], tuple(o["members"]), o["evidence"])
-                    for o in objs]
-        out = reports.findings_markdown(findings)
+        out = reports.findings_markdown([Finding.from_json(o) for o in objs])
     else:  # csv
         if args.kind == "findings":
-            from .findings import Finding
-            out = reports.findings_csv([
-                Finding(o["category"], o["severity"], o["subject"], o["spki"],
-                        tuple(o["members"]), o["evidence"]) for o in objs])
+            out = reports.findings_csv([Finding.from_json(o) for o in objs])
         elif args.kind == "assessments":
             buf = []
             buf.append("fingerprint,view,store,from,to,paths")

@@ -75,6 +75,11 @@ class Finding:
             "evidence": self.evidence,
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "Finding":
+        return cls(obj["category"], obj["severity"], obj["subject"],
+                   obj["spki"], tuple(obj["members"]), obj["evidence"])
+
 
 def _finding(category: str, group: XSCertGroup, evidence: dict) -> Finding:
     return Finding(

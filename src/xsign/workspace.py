@@ -43,6 +43,27 @@ _CONFIG_FILES = {
 }
 
 
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Replace `path` with the concatenated `chunks`, whole or not at all.
+
+    The bytes go to a sibling temp file, whose name ends in neither `.json`
+    nor `.der`, and `os.replace` then renames it over `path`. A process
+    killed mid-write leaves `path` as it was. There is no fsync, so this
+    does not cover power loss."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _json_file(doc) -> list[bytes]:
+    return [(json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()]
+
+
 class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -61,11 +82,11 @@ class Workspace:
         path = self.certs_dir / f"{record.fingerprint}.json"
         der = self.certs_dir / f"{record.fingerprint}.der"
         if record.raw is not None and not der.exists():
-            der.write_bytes(record.raw)
+            _write_atomic(der, [record.raw])
         if path.exists():
             return False
-        path.write_text(json.dumps(record_to_json(record), sort_keys=True) + "\n",
-                        encoding="utf-8")
+        _write_atomic(path, [(json.dumps(record_to_json(record), sort_keys=True)
+                              + "\n").encode()])
         return True
 
     def load_records(self) -> list[CertRecord]:
@@ -145,21 +166,21 @@ class Workspace:
                     existing[store.store_id] = store
                 payload = {"stores": [existing[k].to_json()
                                       for k in sorted(existing)]}
-                (self.config_dir / _CONFIG_FILES["stores"]).write_text(
-                    json.dumps(payload, sort_keys=True, indent=1) + "\n")
+                _write_atomic(self.config_dir / _CONFIG_FILES["stores"],
+                              _json_file(payload))
                 summary["stores"] += len(stores)
             elif "operators" in doc or "ownership_events" in doc:
                 OperatorMap.from_json(doc)
-                (self.config_dir / _CONFIG_FILES["operators"]).write_text(
-                    json.dumps(doc, sort_keys=True, indent=1) + "\n")
+                _write_atomic(self.config_dir / _CONFIG_FILES["operators"],
+                              _json_file(doc))
                 summary["operators"] += 1
             elif "views" in doc:
                 for view in doc["views"]:
                     if "consumer_id" not in view:
                         raise SchemaError("view requires consumer_id",
                                           path=str(path))
-                (self.config_dir / _CONFIG_FILES["views"]).write_text(
-                    json.dumps(doc, sort_keys=True, indent=1) + "\n")
+                _write_atomic(self.config_dir / _CONFIG_FILES["views"],
+                              _json_file(doc))
                 summary["views"] += len(doc["views"])
             elif "scenario_id" in doc:
                 pass  # bundle metadata, nothing to ingest
@@ -213,16 +234,18 @@ class Workspace:
             summary["explanations"] += len(explanation_lines)
 
     def _append_jsonl(self, kind: str, lines: list[dict]):
+        """Add the lines not already present, rewriting the whole file so
+        that an interrupted write leaves the previous file intact."""
         path = self.config_dir / _CONFIG_FILES[kind]
-        seen = set()
-        if path.exists():
-            seen = {ln for ln in path.read_text().splitlines() if ln}
-        with open(path, "a", encoding="utf-8") as fh:
-            for obj in lines:
-                text = json.dumps(obj, sort_keys=True)
-                if text not in seen:
-                    fh.write(text + "\n")
-                    seen.add(text)
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        seen = {ln for ln in old.splitlines() if ln}
+        parts = [old]
+        for obj in lines:
+            text = json.dumps(obj, sort_keys=True)
+            if text not in seen:
+                parts.append(text + "\n")
+                seen.add(text)
+        _write_atomic(path, (part.encode() for part in parts))
 
     # -- config loading --
 
@@ -309,14 +332,12 @@ class Workspace:
         return all((self.reports_dir / name).exists() for name in names)
 
     def write_stamp(self, options: dict):
-        (self.reports_dir / "stamp.json").write_text(json.dumps(
-            {"input_hash": self.input_hash(options), "options": options},
-            sort_keys=True, indent=1) + "\n")
+        _write_atomic(self.reports_dir / "stamp.json", _json_file(
+            {"input_hash": self.input_hash(options), "options": options}))
 
     def write_report(self, name: str, lines: Iterable[str]):
-        with open(self.reports_dir / name, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        _write_atomic(self.reports_dir / name,
+                      (f"{line}\n".encode() for line in lines))
 
     def read_report(self, name: str) -> Optional[str]:
         path = self.reports_dir / name

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from xsign import certmodel
 from xsign.certmodel import (CryptoUnavailable, MalformedInput,
                              parse_certificate, record_from_json, record_to_json,
                              verify_signature)
@@ -250,3 +251,15 @@ def test_unknown_critical_extension_flagged_not_fatal():
     record = parse_certificate(cert.public_bytes(serialization.Encoding.DER))
     assert record.unknown_critical
     assert record.is_ca
+
+
+def test_expected_extension_oids_match_cryptography():
+    from cryptography.x509 import ExtensionOID
+    names = ("BASIC_CONSTRAINTS", "KEY_USAGE", "NAME_CONSTRAINTS",
+             "SUBJECT_ALTERNATIVE_NAME", "SUBJECT_KEY_IDENTIFIER",
+             "AUTHORITY_KEY_IDENTIFIER", "EXTENDED_KEY_USAGE",
+             "CERTIFICATE_POLICIES", "CRL_DISTRIBUTION_POINTS",
+             "AUTHORITY_INFORMATION_ACCESS",
+             "PRECERT_SIGNED_CERTIFICATE_TIMESTAMPS")
+    assert certmodel._EXPECTED_EXTENSION_OIDS == {
+        getattr(ExtensionOID, name).dotted_string for name in names}

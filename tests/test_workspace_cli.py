@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import xsign
 from xsign import reports
 from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
 from xsign.cli import main
 from xsign.corpus import ScenarioSpec, generate
+from xsign.findings import Finding
 from xsign.workspace import Workspace
 from xsign.xsext import ExpandingTrust, XsExtension, lint_cross_sign
 
@@ -182,6 +187,8 @@ def test_golden_certinomis_findings(tmp_path, capsys):
     got = (ws_dir / "reports" / "findings.jsonl").read_bytes()
     golden = Path(__file__).parent / "golden" / "certinomis_findings.jsonl"
     assert got == golden.read_bytes()
+    for line in got.decode().splitlines():
+        assert Finding.from_json(json.loads(line)).to_json() == json.loads(line)
 
 
 def test_unknown_store_filter(tmp_path, capsys):
@@ -202,13 +209,16 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
                          ws.load_revocations(), ws.load_views(),
                          ws.load_operator_map(), AnalysisOptions(max_depth=2))
     assert cut.truncated_certs
-    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
-                        "--max-depth", "2")
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                          "--max-depth", "2")
     assert code == 0
     assert json.loads(out)["truncated"] == len(cut.truncated_certs)
-    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
+                               "certs": len(cut.truncated_certs)}
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir))
     assert code == 0
     assert json.loads(out)["truncated"] == 0
+    assert err == ""
 
 
 def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
@@ -306,3 +316,70 @@ def test_raw_bytes_attach_to_existing_record(tmp_path, capsys):
     assert all(r.raw is not None for r in ws.load_records())
     code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
     assert not json.loads(out)["cached"]
+
+
+def test_interrupted_ingest_keeps_earlier_records(tmp_path, monkeypatch):
+    bundle = generate(ScenarioSpec("figure1", seed=1))
+    bundle.write(tmp_path / "bundle")
+    real_replace = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        # The process "dies" before the fifth record's rename.
+        if Path(dst).parent.name == "certs":
+            if len(renamed) == 4:
+                raise OSError("killed")
+            renamed.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    ws = Workspace(tmp_path / "ws")
+    with pytest.raises(OSError, match="killed"):
+        ws.ingest_paths([tmp_path / "bundle" / "certs.jsonl"], "jsonl")
+    monkeypatch.undo()
+    # No partial `<fp>.json` and no temp file is left behind.
+    assert sorted(os.listdir(ws.certs_dir)) == sorted(renamed)
+    earlier = sorted(r.fingerprint for r in bundle.records)[:4]
+    assert [r.fingerprint for r in ws.load_records()] == earlier
+
+
+_LOADED_CRYPTOGRAPHY = """
+import json, sys
+from xsign.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps("cryptography" in sys.modules))
+"""
+
+
+def _loads_cryptography(*commands) -> bool:
+    """Run the xsign commands in one fresh interpreter and report whether
+    they imported `cryptography`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(xsign.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_CRYPTOGRAPHY, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_structural_commands_do_not_load_cryptography(tmp_path):
+    generate(ScenarioSpec("figure1", seed=1)).write(tmp_path / "bundle")
+    ws = str(tmp_path / "ws")
+    assert not _loads_cryptography(
+        ["ingest", "--ws", ws, str(tmp_path / "bundle")],
+        ["analyze", "--ws", ws],
+        ["analyze", "--ws", ws],
+        ["lint", "--ws", ws],
+        ["report", "--ws", ws, "--kind", "assessments", "--format", "csv",
+         "--out", str(tmp_path / "assessments.csv")])
+
+
+def test_pem_ingest_loads_cryptography(tmp_path):
+    generate(ScenarioSpec("figure1", seed=1, mode="cryptographic")).write(
+        tmp_path / "bundle")
+    assert _loads_cryptography(
+        ["ingest", "--ws", str(tmp_path / "ws"), "--format", "pem",
+         str(tmp_path / "bundle" / "certs.pem")])
