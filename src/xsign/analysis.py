@@ -126,11 +126,10 @@ def lint_corpus(records: Sequence[CertRecord],
         verdicts.extend(xsext.lint_cross_sign(
             group, stores, extensions, revocations,
             max_validity_days=options.max_validity_days,
-            lookup=index.records,
+            index=index,
             coverage=coverage,
             views=view_list,
             explanations=explanations,
-            index=index,
             operator_map=operator_map,
         ))
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))

@@ -13,7 +13,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .names import NormalizedName, normalize_name, normalize_value
 from .timeutil import format_rfc3339, parse_rfc3339, to_utc
@@ -26,12 +26,6 @@ if TYPE_CHECKING:
 
 class MalformedInput(ValueError):
     """Input is not a decodable certificate / interchange record."""
-
-
-class UnsupportedFeature(Warning):
-    """Reserved for unknown critical extensions. Parsing never raises it:
-    the record is still produced with `unknown_critical` set, and strict
-    path evaluation rejects such certificates."""
 
 
 class CryptoUnavailable(RuntimeError):
@@ -163,10 +157,6 @@ class CertRecord:
 
     def __hash__(self):
         return hash(self.fingerprint)
-
-    @property
-    def has_raw(self) -> bool:
-        return self.raw is not None
 
     @property
     def ca_capable(self) -> bool:
@@ -443,6 +433,3 @@ def dns_identities(record: CertRecord) -> list[str]:
             out.append(label)
     return out
 
-
-def sort_records(records: Iterable[CertRecord]) -> list[CertRecord]:
-    return sorted(records, key=lambda r: r.fingerprint)

@@ -92,10 +92,14 @@ def _analysis_inputs(args, ws: Workspace):
 
 
 def _run_analysis(args, ws: Workspace):
+    """Materialize the reports unless the stamp says they are current.
+    Returns the analysis result (None on a cache hit) and the number of
+    certificates whose enumeration the depth bound cut short."""
     views, stores, revocations = _analysis_inputs(args, ws)
     options = _options_dict(args, views)
-    if ws.reports_current(options, REPORT_FILES):
-        return options, None
+    stamp = ws.current_stamp(options, REPORT_FILES)
+    if stamp is not None:
+        return None, stamp["truncated"]
     result = analyze_corpus(
         ws.load_records(), stores=stores, revocations=revocations,
         views=views, operator_map=ws.load_operator_map(),
@@ -107,8 +111,8 @@ def _run_analysis(args, ws: Workspace):
                if a.view_id != COVERAGE_VIEW_ID]
     ws.write_report("assessments.jsonl", reports.assessments_jsonl(visible))
     ws.write_report("findings.jsonl", reports.findings_jsonl(result.findings))
-    ws.write_stamp(options)
-    return options, result
+    ws.write_stamp(options, len(result.truncated_certs))
+    return result, len(result.truncated_certs)
 
 
 def cmd_scenario(args) -> int:
@@ -147,7 +151,7 @@ def cmd_ingest(args) -> int:
 def cmd_analyze(args) -> int:
     ws = Workspace(Path(args.workspace))
     try:
-        options, result = _run_analysis(args, ws)
+        result, truncated = _run_analysis(args, ws)
     except (SchemaError,) as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA
@@ -159,14 +163,14 @@ def cmd_analyze(args) -> int:
         "workspace": str(ws.root),
         "cached": cached,
         "reports": sorted(REPORT_FILES),
+        "truncated": truncated,
     }
     if not cached:
         summary["findings"] = len(result.findings)
         summary["xs_groups"] = len(result.xs_groups)
-        summary["truncated"] = len(result.truncated_certs)
-        if result.truncated_certs:
-            _err({"warning": "truncated", "certs": len(result.truncated_certs),
-                  "max_depth": args.max_depth})
+    if truncated:
+        _err({"warning": "truncated", "certs": truncated,
+              "max_depth": args.max_depth})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

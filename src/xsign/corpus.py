@@ -22,15 +22,10 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Optional
-
-from cryptography import x509
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, rsa
-from cryptography.x509.oid import ObjectIdentifier
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .certmodel import (CertRecord, NameConstraints, Subtree, parse_certificate,
-                        record_from_json, record_to_json)
+                        record_to_json)
 from .names import normalize_name
 from .revocation import (Fingerprint, IssuerSerial, RevocationRecord,
                          RevocationSource, RevocationView, SpkiDigest)
@@ -38,7 +33,12 @@ from .timeutil import utc
 from .truststore import (DistrustRule, OperatorMap, OperatorSpan,
                          OwnershipEvent, RootStoreTimeline, StoreSnapshot)
 from .xsext import (Bootstrapping, LogTimestamp, XsExtension,
-                    decode_xs_extension, encode_xs_extension)
+                    encode_xs_extension)
+
+# `cryptography` is imported inside the cryptographic builder, so that
+# generating a structural bundle never loads it.
+if TYPE_CHECKING:
+    from cryptography import x509
 
 
 class UnknownScenario(KeyError):
@@ -112,61 +112,6 @@ class Bundle:
                       fh, sort_keys=True, indent=1)
 
 
-def load_bundle(bundle_dir: Path) -> Bundle:
-    """Reload a written bundle (structural fields only; PEM raw bytes are
-    reattached when certs.pem is present)."""
-    base = Path(bundle_dir)
-    meta = json.loads((base / "scenario.json").read_text()) \
-        if (base / "scenario.json").exists() else {}
-    records = []
-    with open(base / "certs.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(record_from_json(json.loads(line)))
-    pem_path = base / "certs.pem"
-    if pem_path.exists():
-        from .certmodel import load_pem_bundle
-        by_fp = {r.fingerprint: r for r in load_pem_bundle(pem_path.read_bytes())}
-        records = [by_fp.get(r.fingerprint, r) for r in records]
-    stores = []
-    if (base / "stores.json").exists():
-        doc = json.loads((base / "stores.json").read_text())
-        stores = [RootStoreTimeline.from_json(s) for s in doc["stores"]]
-    revocations = []
-    if (base / "revocations.jsonl").exists():
-        with open(base / "revocations.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    revocations.append(RevocationRecord.from_json(json.loads(line)))
-    operator_map = None
-    if (base / "operators.json").exists():
-        operator_map = OperatorMap.from_json(
-            json.loads((base / "operators.json").read_text()))
-    views = []
-    if (base / "views.json").exists():
-        doc = json.loads((base / "views.json").read_text())
-        views = [RevocationView(v["consumer_id"], frozenset(v["accepted_sources"]))
-                 for v in doc["views"]]
-    extensions = {}
-    if (base / "extensions.jsonl").exists():
-        with open(base / "extensions.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    doc = json.loads(line)
-                    payload = json.dumps(doc["extension"], sort_keys=True,
-                                         separators=(",", ":"),
-                                         ensure_ascii=False).encode()
-                    extensions[doc["member"]] = decode_xs_extension(payload)
-    return Bundle(
-        scenario_id=meta.get("scenario_id", base.name),
-        seed=meta.get("seed", 0),
-        mode=meta.get("mode", "structural"),
-        records=records, stores=stores, revocations=revocations,
-        operator_map=operator_map, views=views, extensions=extensions,
-        labels={}, notes=meta.get("notes", {}),
-    )
-
-
 # --- builder -------------------------------------------------------------------
 
 _SIG_DEFAULT = "ecdsa-sha256"
@@ -180,10 +125,10 @@ _SIG_TO_KEYTYPE = {
 # Modern toolchains refuse SHA-1 signatures; cryptographic mode substitutes
 # SHA-256 and the parsed record reflects that.
 _SIG_TO_HASH = {
-    "sha1-rsa": hashes.SHA256, "sha256-rsa": hashes.SHA256,
-    "sha384-rsa": hashes.SHA384, "sha512-rsa": hashes.SHA512,
-    "ecdsa-sha1": hashes.SHA256, "ecdsa-sha256": hashes.SHA256,
-    "ecdsa-sha384": hashes.SHA384, "ecdsa-sha512": hashes.SHA512,
+    "sha1-rsa": "SHA256", "sha256-rsa": "SHA256",
+    "sha384-rsa": "SHA384", "sha512-rsa": "SHA512",
+    "ecdsa-sha1": "SHA256", "ecdsa-sha256": "SHA256",
+    "ecdsa-sha384": "SHA384", "ecdsa-sha512": "SHA512",
 }
 
 _NAME_OIDS = {"cn": "2.5.4.3", "o": "2.5.4.10", "ou": "2.5.4.11", "c": "2.5.4.6"}
@@ -282,6 +227,8 @@ class PkiBuilder:
 
     @staticmethod
     def _x509_name(subject: str) -> x509.Name:
+        from cryptography import x509
+        from cryptography.x509.oid import ObjectIdentifier
         attrs = []
         for part in subject.split(","):
             attr_type, _, value = part.strip().partition("=")
@@ -292,6 +239,7 @@ class PkiBuilder:
         return x509.Name(attrs)
 
     def _make_key(self, sig_alg: str):
+        from cryptography.hazmat.primitives.asymmetric import ec, rsa
         kind = _SIG_TO_KEYTYPE.get(sig_alg, "ec256")
         if kind == "rsa":
             return rsa.generate_private_key(65537, 2048)
@@ -300,6 +248,8 @@ class PkiBuilder:
         return ec.generate_private_key(ec.SECP256R1())
 
     def _cryptographic_records(self) -> dict[str, CertRecord]:
+        from cryptography import x509
+        from cryptography.hazmat.primitives import hashes, serialization
         keys: dict[str, object] = {}
         # A key must suit every signature algorithm requested of its owner
         # as an issuer; the first issuance (or the cert's own algorithm for
@@ -345,8 +295,8 @@ class PkiBuilder:
                     x509.NameConstraints(permitted_subtrees=permitted,
                                          excluded_subtrees=excluded),
                     critical=spec.name_constraints.critical)
-            cert = builder.sign(keys[issuer_spec.key_label],
-                                _SIG_TO_HASH.get(spec.sig_alg, hashes.SHA256)())
+            hash_cls = getattr(hashes, _SIG_TO_HASH.get(spec.sig_alg, "SHA256"))
+            cert = builder.sign(keys[issuer_spec.key_label], hash_cls())
             records[spec.label] = parse_certificate(
                 cert.public_bytes(serialization.Encoding.DER))
         return records
@@ -359,6 +309,7 @@ class PkiBuilder:
 
 
 def _subtree_to_general_name(subtree: Subtree):
+    from cryptography import x509
     if subtree.kind == "dns":
         return x509.DNSName(str(subtree.value))
     if subtree.kind == "dirname":

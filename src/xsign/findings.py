@@ -18,9 +18,10 @@ from . import intervals
 from .certmodel import CertRecord
 from .pathengine import CertIndex, PathEnumeration, TrustAssessment
 from .revocation import (IssuerSerial, RevocationRecord, RevocationView,
-                         matching_records, revocation_onset)
+                         all_sources_view, matching_records, revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
-from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
+from .truststore import (OperatorMap, RootStoreTimeline, combined_anchors,
+                         rule_blocks_path)
 from .xsdetect import XSCertGroup, overlap_days
 
 CATEGORIES = (
@@ -141,19 +142,18 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
     this (view, store): revocation onsets, matching distrust rules, and the
     member's own removal from the store."""
     events: list[dict] = []
-    onset = revocation_onset(member, view, revocations)
-    if onset is not None:
-        hits = matching_records(member, view, revocations)
+    hits = matching_records(member, view, revocations)
+    if hits:
         events.append({
             "kind": "revocation", "member": member.fingerprint,
-            "at": onset,
+            "at": hits[0].effective_date,
             "sources": sorted({r.source.name for r in hits}),
         })
     member_roots = {path.root for path in paths[member.fingerprint].paths}
     for rule in store.distrust_rules:
-        if member.not_before <= rule.issued_after:
-            continue
-        if not any(rule.matches_anchor(index.get(fp)) for fp in member_roots):
+        if not any(rule_blocks_path(rule, [member, index.get(root)],
+                                    rule.effective_from)
+                   for root in member_roots):
             continue
         events.append({
             "kind": "distrust_rule", "member": member.fingerprint,
@@ -482,7 +482,9 @@ def find_revocation_inconsistency(group: XSCertGroup,
     """Revoked-member sets differ across views, a revoked member has an
     unrevoked overlapping sibling, or siblings were revoked with a lag."""
     members = [index.get(fp) for fp in group.members]
-    relevant = [r for r in revocations if any(r.matches(m) for m in members)]
+    every_source = all_sources_view(revocations)
+    relevant = [r for m in members
+                for r in matching_records(m, every_source, revocations)]
     if not relevant:
         return []
 

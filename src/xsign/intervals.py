@@ -25,10 +25,6 @@ def normalize(items: list[Interval]) -> list[Interval]:
     return out
 
 
-def union(a: list[Interval], b: list[Interval]) -> list[Interval]:
-    return normalize(list(a) + list(b))
-
-
 def intersect(a: list[Interval], b: list[Interval]) -> list[Interval]:
     out: list[Interval] = []
     i = j = 0

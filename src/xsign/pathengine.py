@@ -40,7 +40,6 @@ class CertIndex:
     def __init__(self):
         self.records: dict[str, CertRecord] = {}
         self.by_subject: dict[NormalizedName, list[str]] = {}
-        self.by_issuer: dict[NormalizedName, list[str]] = {}
         self.by_spki: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
@@ -55,7 +54,6 @@ class CertIndex:
             return False
         self.records[record.fingerprint] = record
         self.by_subject.setdefault(record.subject, []).append(record.fingerprint)
-        self.by_issuer.setdefault(record.issuer, []).append(record.fingerprint)
         self.by_spki.setdefault(record.spki_digest, []).append(record.fingerprint)
         return True
 
@@ -86,7 +84,6 @@ class TrustPath:
 
     chain: tuple[str, ...]
     validity: Optional[tuple[datetime, datetime]]
-    structural_ok: bool
     crypto_ok: Optional[bool]
     constraints_ok: bool
     flags: frozenset[str] = frozenset()
@@ -104,8 +101,8 @@ class TrustPath:
 
     def usable(self) -> bool:
         """Valid for trust computation under the mode it was enumerated in."""
-        return (self.structural_ok and self.constraints_ok
-                and self.validity is not None and self.crypto_ok is not False)
+        return (self.constraints_ok and self.validity is not None
+                and self.crypto_ok is not False)
 
 
 @dataclass
@@ -216,7 +213,6 @@ def _make_path(records: Sequence[CertRecord], mode: str) -> Optional[TrustPath]:
     return TrustPath(
         chain=tuple(r.fingerprint for r in records),
         validity=validity,
-        structural_ok=True,
         crypto_ok=crypto_ok,
         constraints_ok=constraints_ok,
         flags=frozenset(flags),

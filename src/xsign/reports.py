@@ -78,15 +78,3 @@ def assessments_csv(assessments: Sequence[TrustAssessment]) -> str:
                                  item["from"], item["to"],
                                  ";".join(",".join(p) for p in item["paths"])])
     return buf.getvalue()
-
-
-def groups_csv(groups: Sequence[XSCertGroup]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subject", "spki", "type", "scope", "members", "pairs"])
-    for g in groups:
-        writer.writerow([str(g.subject), g.spki_digest, g.xs_type or "",
-                         g.scope or "", " ".join(g.members),
-                         " ".join(f"{p.a[:12]}~{p.b[:12]}:{p.overlap_days}"
-                                  for p in g.qualifying_pairs)])
-    return buf.getvalue()

@@ -130,18 +130,6 @@ def matching_records(cert: CertRecord, view: RevocationView,
     return hits
 
 
-def is_revoked(cert: CertRecord, view: RevocationView,
-               records: Iterable[RevocationRecord],
-               at: datetime) -> tuple[bool, list[RevocationRecord]]:
-    """Revoked iff an accepted record matches with effective_date <= at.
-
-    Returns the matching records as evidence (all accepted matches, so the
-    caller can see pending-but-not-yet-effective entries too).
-    """
-    hits = matching_records(cert, view, records)
-    return any(r.effective_date <= at for r in hits), hits
-
-
 def revocation_onset(cert: CertRecord, view: RevocationView,
                      records: Iterable[RevocationRecord]) -> Optional[datetime]:
     """Earliest instant from which the certificate counts as revoked in the

@@ -132,10 +132,6 @@ class RootStoreTimeline:
         )
 
 
-def active_roots(store: RootStoreTimeline, at: datetime) -> frozenset[str]:
-    return store.active_roots(at)
-
-
 def rule_blocks_path(rule: DistrustRule, path: Sequence[CertRecord],
                      at: datetime) -> bool:
     """Path is leaf first, root last. Blocks from effective_from onward when

@@ -319,21 +319,29 @@ class Workspace:
         digest.update(json.dumps(options, sort_keys=True).encode())
         return digest.hexdigest()
 
-    def reports_current(self, options: dict, names: Iterable[str]) -> bool:
+    def current_stamp(self, options: dict,
+                      names: Iterable[str]) -> Optional[dict]:
+        """The recorded stamp when the named reports are current for these
+        inputs and options, else None. A stamp that lacks the `truncated`
+        count is not current: the count cannot be told from the reports."""
         stamp = self.reports_dir / "stamp.json"
         if not stamp.exists():
-            return False
+            return None
         try:
             recorded = json.loads(stamp.read_text())
         except json.JSONDecodeError:
-            return False
-        if recorded.get("input_hash") != self.input_hash(options):
-            return False
-        return all((self.reports_dir / name).exists() for name in names)
+            return None
+        if (recorded.get("input_hash") != self.input_hash(options)
+                or "truncated" not in recorded):
+            return None
+        if not all((self.reports_dir / name).exists() for name in names):
+            return None
+        return recorded
 
-    def write_stamp(self, options: dict):
+    def write_stamp(self, options: dict, truncated: int):
         _write_atomic(self.reports_dir / "stamp.json", _json_file(
-            {"input_hash": self.input_hash(options), "options": options}))
+            {"input_hash": self.input_hash(options), "options": options,
+             "truncated": truncated}))
 
     def write_report(self, name: str, lines: Iterable[str]):
         _write_atomic(self.reports_dir / name,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .certmodel import CertRecord
+from .pathengine import CertIndex
 from .revocation import RevocationRecord, RevocationView
 from .timeutil import format_rfc3339, parse_rfc3339
 from .truststore import RootStoreTimeline
@@ -214,35 +214,30 @@ class LintVerdict:
                 "detail": self.detail}
 
 
-def _ordered_members(group: XSCertGroup,
-                     lookup: Mapping[str, CertRecord]) -> list[CertRecord]:
-    return sorted((lookup[fp] for fp in group.members if fp in lookup),
-                  key=lambda r: (r.not_before, r.fingerprint))
-
-
 def lint_cross_sign(group: XSCertGroup,
                     stores: Sequence[RootStoreTimeline],
                     exts: Mapping[str, XsExtension],
                     revocations: Sequence[RevocationRecord],
                     max_validity_days: int = DEFAULT_MAX_VALIDITY_DAYS,
                     *,
-                    lookup: Mapping[str, CertRecord],
+                    index: CertIndex,
                     coverage: Optional[Mapping[str, set[str]]] = None,
                     views: Sequence[RevocationView] = (),
                     explanations: Iterable[str] = (),
                     at: Optional[datetime] = None,
-                    index=None,
                     operator_map=None) -> list[LintVerdict]:
     """Operational lints V1..V7 for one cross-sign group.
 
-    `lookup` resolves fingerprints to records (extension path references may
-    point outside the group). `coverage` maps member fingerprints to the
-    store ids they provide valid paths to; `explanations` carries group keys
-    (subject|spki) or member fingerprints with published explanations for
-    revocation inconsistencies. `at` is the lint reference instant, default
-    the latest store snapshot."""
+    `index` holds the group's members and resolves the certificates that
+    extensions name (those references may point outside the group or the
+    corpus). `coverage` maps member fingerprints to the store ids they
+    provide valid paths to; `explanations` carries group keys (subject|spki)
+    or member fingerprints with published explanations for revocation
+    inconsistencies. `at` is the lint reference instant, default the latest
+    store snapshot."""
     verdicts: list[LintVerdict] = []
-    members = _ordered_members(group, lookup)
+    members = sorted((index.get(fp) for fp in group.members),
+                     key=lambda r: (r.not_before, r.fingerprint))
     if not members:
         return []
     if at is None:
@@ -311,12 +306,10 @@ def lint_cross_sign(group: XSCertGroup,
                                 f"{other.fingerprint[:16]}"))
                             break
             elif isinstance(m, MultipleAlgorithms):
-                allowed = set(m.algorithm_set)
                 chain = [member.fingerprint, *m.path_certs]
-                outside = sorted({
-                    lookup[fp].signature_algorithm for fp in chain
-                    if fp in lookup
-                    and lookup[fp].signature_algorithm not in allowed})
+                outside = sorted({index.get(fp).signature_algorithm
+                                  for fp in chain if fp in index}
+                                 - set(m.algorithm_set))
                 if outside:
                     verdicts.append(LintVerdict(
                         "V5", member.fingerprint,
@@ -332,18 +325,15 @@ def lint_cross_sign(group: XSCertGroup,
                 "V6", with_logs[-1][0].fingerprint,
                 "group members report to disjoint CT logs"))
 
-    if index is not None:
-        inconsistent = _findings.find_revocation_inconsistency(
-            group, revocations, list(views), index)
-        if inconsistent:
-            keys = set(explanations)
-            group_key = f"{group.subject}|{group.spki_digest}"
-            explained = group_key in keys or any(
-                fp in keys for fp in group.members)
-            if not explained:
-                verdicts.append(LintVerdict(
-                    "V7", members[-1].fingerprint,
-                    "revocation inconsistency without a published explanation"))
+    if _findings.find_revocation_inconsistency(group, revocations, list(views),
+                                               index):
+        keys = set(explanations)
+        group_key = f"{group.subject}|{group.spki_digest}"
+        explained = group_key in keys or any(fp in keys for fp in group.members)
+        if not explained:
+            verdicts.append(LintVerdict(
+                "V7", members[-1].fingerprint,
+                "revocation inconsistency without a published explanation"))
 
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
     return verdicts

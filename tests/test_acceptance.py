@@ -371,9 +371,9 @@ def test_criterion_11_extension_and_lints():
         verdicts = lint_cross_sign(
             group, stores if stores is not None else bundle.stores, exts,
             list(revocations), max_validity_days=max_validity_days,
-            lookup=index.records,
+            index=index,
             coverage=coverage if coverage is not None else full_cov,
-            views=list(views), explanations=explanations, at=at, index=index)
+            views=list(views), explanations=explanations, at=at)
         return {v.code for v in verdicts}
 
     base_ext = {m2: XsExtension((ExpandingTrust(("web2",)),))}

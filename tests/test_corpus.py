@@ -3,9 +3,9 @@ import json
 import pytest
 
 from xsign.certmodel import verify_signature
-from xsign.corpus import (SCENARIOS, ScenarioSpec, UnknownScenario, generate,
-                          load_bundle)
+from xsign.corpus import SCENARIOS, ScenarioSpec, UnknownScenario, generate
 from xsign.pathengine import build_index
+from xsign.workspace import Workspace
 
 
 def _bundle_bytes(tmp_path, name, spec):
@@ -69,7 +69,12 @@ def test_unknown_scenario():
         generate(ScenarioSpec("does-not-exist", 1, "structural"))
 
 
+def _by_fingerprint(records):
+    return sorted(records, key=lambda r: r.fingerprint)
+
+
 def test_every_scenario_generates_and_reloads(tmp_path):
+    # The route the CLI takes: `scenario` writes the bundle, `ingest` reads it.
     for scenario_id in sorted(SCENARIOS):
         params = {"n": 40} if scenario_id == "random" else {}
         bundle = generate(ScenarioSpec(scenario_id, 3, "structural",
@@ -77,23 +82,29 @@ def test_every_scenario_generates_and_reloads(tmp_path):
         assert bundle.records
         out = tmp_path / scenario_id
         bundle.write(out)
-        again = load_bundle(out)
-        assert {r.fingerprint for r in again.records} == {
-            r.fingerprint for r in bundle.records}
-        assert len(again.stores) == len(bundle.stores)
-        assert len(again.revocations) == len(bundle.revocations)
-        assert {v.consumer_id for v in again.views} == {
-            v.consumer_id for v in bundle.views}
-        assert set(again.extensions) == set(bundle.extensions)
+        ws = Workspace(tmp_path / f"{scenario_id}-ws")
+        ws.ingest_paths([out], "jsonl")
+        assert _by_fingerprint(ws.load_records()) == _by_fingerprint(bundle.records)
+        assert {s.store_id: s for s in ws.load_stores()} == {
+            s.store_id: s for s in bundle.stores}
+        assert ws.load_revocations() == bundle.revocations
+        assert ws.load_views() == bundle.views
+        assert ws.load_extensions() == bundle.extensions
+        if bundle.operator_map is not None:
+            assert ws.load_operator_map().to_json() == bundle.operator_map.to_json()
 
 
 def test_cryptographic_bundle_reload_keeps_raw(tmp_path, figure1_crypto):
     out = tmp_path / "fig1c"
     figure1_crypto.write(out)
-    again = load_bundle(out)
-    assert all(r.raw is not None for r in again.records)
-    assert {r.fingerprint for r in again.records} == {
-        r.fingerprint for r in figure1_crypto.records}
+    ws = Workspace(tmp_path / "ws")
+    ws.ingest_paths([p for p in sorted(out.iterdir()) if p.name != "certs.jsonl"],
+                    "pem")
+    again = ws.load_records()
+    assert all(r.raw is not None for r in again)
+    assert _by_fingerprint(again) == _by_fingerprint(figure1_crypto.records)
+    assert sorted(r.raw for r in again) == sorted(
+        r.raw for r in figure1_crypto.records)
 
 
 def test_scenario_notes_document_date_conventions(certinomis, diginotar):

@@ -5,8 +5,14 @@ from xsign.corpus import ScenarioSpec, generate
 from xsign.pathengine import build_index
 from xsign.revocation import (Fingerprint, IssuerSerial, RevocationRecord,
                               RevocationSource, RevocationView, SpkiDigest,
-                              is_revoked, revocation_onset)
+                              matching_records, revocation_onset)
 from xsign.timeutil import utc
+
+
+def _revoked_at(cert, view, records, at):
+    """Revoked iff an accepted record matches with effective_date <= at."""
+    onset = revocation_onset(cert, view, records)
+    return onset is not None and onset <= at
 
 
 def test_empty_record_set():
@@ -16,9 +22,9 @@ def test_empty_record_set():
         "spki": "cd" * 32, "serial": "1",
         "not_before": "2015-01-01T00:00:00Z", "not_after": "2020-01-01T00:00:00Z",
         "is_ca": False})
-    revoked, hits = is_revoked(cert, RevocationView("v", frozenset(["onecrl"])),
-                               [], utc(2016))
-    assert not revoked and hits == []
+    view = RevocationView("v", frozenset(["onecrl"]))
+    assert matching_records(cert, view, []) == []
+    assert revocation_onset(cert, view, []) is None
 
 
 def test_actalis_per_view_divergence(actalis):
@@ -27,13 +33,11 @@ def test_actalis_per_view_divergence(actalis):
     crlset_view = next(v for v in b.views if v.consumer_id == "google")
     g2_xs = b.record("g2_xs")
     at = utc(2017, 1, 1)
-    revoked_onecrl, _ = is_revoked(g2_xs, onecrl_view, b.revocations, at)
-    revoked_crlset, _ = is_revoked(g2_xs, crlset_view, b.revocations, at)
-    assert revoked_onecrl
-    assert not revoked_crlset
+    assert _revoked_at(g2_xs, onecrl_view, b.revocations, at)
+    assert not _revoked_at(g2_xs, crlset_view, b.revocations, at)
     g2 = b.record("g2")
-    assert is_revoked(g2, onecrl_view, b.revocations, at)[0]
-    assert is_revoked(g2, crlset_view, b.revocations, at)[0]
+    assert _revoked_at(g2, onecrl_view, b.revocations, at)
+    assert _revoked_at(g2, crlset_view, b.revocations, at)
 
 
 def test_revocation_is_monotone(actalis):
@@ -42,9 +46,9 @@ def test_revocation_is_monotone(actalis):
     g2 = b.record("g2")
     onset = revocation_onset(g2, view, b.revocations)
     assert onset == utc(2016, 11, 1)
-    assert not is_revoked(g2, view, b.revocations, onset - timedelta(seconds=1))[0]
+    assert not _revoked_at(g2, view, b.revocations, onset - timedelta(seconds=1))
     for days in (0, 1, 100, 5000):
-        assert is_revoked(g2, view, b.revocations, onset + timedelta(days=days))[0]
+        assert _revoked_at(g2, view, b.revocations, onset + timedelta(days=days))
 
 
 def test_spki_selector_covers_shared_key_members():
@@ -61,13 +65,13 @@ def test_spki_selector_covers_shared_key_members():
         # Oracle: per-certificate scan over the whole corpus.
         expected = {r.fingerprint for r in bundle.records if r.spki_digest == spki}
         got = {r.fingerprint for r in bundle.records
-               if is_revoked(r, view, [record], utc(2030))[0]}
+               if _revoked_at(r, view, [record], utc(2030))}
         assert got == expected
         # Members issued after the record's effective date are still caught.
         for fp in expected:
             cert = index.get(fp)
             if cert.not_before > record.effective_date:
-                assert is_revoked(cert, view, [record], cert.not_before)[0]
+                assert _revoked_at(cert, view, [record], cert.not_before)
 
 
 def test_spki_matches_superset_of_fingerprint_selector(figure1):
@@ -95,7 +99,8 @@ def test_sources_gate_acceptance(actalis):
     b = actalis
     g2_xs = b.record("g2_xs")
     nothing = RevocationView("isolated", frozenset())
-    assert not is_revoked(g2_xs, nothing, b.revocations, utc(2030))[0]
+    assert not _revoked_at(g2_xs, nothing, b.revocations, utc(2030))
+    assert matching_records(g2_xs, nothing, b.revocations) == []
     everything = RevocationView("omni", frozenset(
         r.source.name for r in b.revocations))
-    assert is_revoked(g2_xs, everything, b.revocations, utc(2030))[0]
+    assert _revoked_at(g2_xs, everything, b.revocations, utc(2030))

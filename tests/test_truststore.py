@@ -9,7 +9,7 @@ from xsign.pathengine import build_index
 from xsign.timeutil import utc
 from xsign.truststore import (AmbiguousOperator, DistrustRule, OperatorMap,
                               OperatorSpan, OwnershipEvent, RootStoreTimeline,
-                              StoreSnapshot, active_roots, rule_blocks_path)
+                              StoreSnapshot, rule_blocks_path)
 from xsign.names import normalize_name
 
 
@@ -20,8 +20,8 @@ def _store(snaps):
 
 def test_empty_before_first_snapshot():
     store = _store([(utc(2015), ["a"])])
-    assert active_roots(store, utc(2014, 12, 31)) == frozenset()
-    assert active_roots(store, utc(2015)) == {"a"}
+    assert store.active_roots(utc(2014, 12, 31)) == frozenset()
+    assert store.active_roots(utc(2015)) == {"a"}
 
 
 def test_certinomis_store_membership(certinomis):

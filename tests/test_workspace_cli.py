@@ -215,6 +215,22 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     assert json.loads(out)["truncated"] == len(cut.truncated_certs)
     assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
                                "certs": len(cut.truncated_certs)}
+    # A cache hit reports the same truncation as the run that filled it.
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                          "--max-depth", "2")
+    assert code == 0 and json.loads(out)["cached"] is True
+    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
+    assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
+                               "certs": len(cut.truncated_certs)}
+    # A stamp that lacks the count is not current: the run recomputes.
+    stamp = ws.reports_dir / "stamp.json"
+    recorded = json.loads(stamp.read_text())
+    del recorded["truncated"]
+    stamp.write_text(json.dumps(recorded))
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                          "--max-depth", "2")
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir))
     assert code == 0
     assert json.loads(out)["truncated"] == 0
@@ -250,11 +266,11 @@ def _lint_from_full_analysis(ws: Workspace, options: AnalysisOptions):
     for group in result.xs_groups:
         verdicts.extend(lint_cross_sign(
             group, stores, extensions, revocations,
-            lookup=result.index.records,
+            index=result.index,
             coverage={fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
                       for fp in group.members},
             views=result.views, explanations=ws.load_explanations(),
-            index=result.index, operator_map=operator_map))
+            operator_map=operator_map))
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
     return reports.lint_jsonl(verdicts)
 
@@ -366,10 +382,10 @@ def _loads_cryptography(*commands) -> bool:
 
 
 def test_structural_commands_do_not_load_cryptography(tmp_path):
-    generate(ScenarioSpec("figure1", seed=1)).write(tmp_path / "bundle")
-    ws = str(tmp_path / "ws")
+    bundle, ws = str(tmp_path / "bundle"), str(tmp_path / "ws")
     assert not _loads_cryptography(
-        ["ingest", "--ws", ws, str(tmp_path / "bundle")],
+        ["scenario", "figure1", "--out", bundle],
+        ["ingest", "--ws", ws, bundle],
         ["analyze", "--ws", ws],
         ["analyze", "--ws", ws],
         ["lint", "--ws", ws],

@@ -140,8 +140,8 @@ def _lint(bundle, exts, *, stores=None, coverage=None, revocations=(),
     return group, lint_cross_sign(
         group, stores if stores is not None else bundle.stores,
         exts, list(revocations) or bundle.revocations,
-        lookup=index.records, coverage=coverage, views=list(views) or bundle.views,
-        explanations=explanations, at=at, index=index)
+        index=index, coverage=coverage, views=list(views) or bundle.views,
+        explanations=explanations, at=at)
 
 
 def _codes(verdicts):
@@ -167,7 +167,7 @@ def test_v1_monotone_in_limit():
     for limit in (3000, 398, 100, 4):
         verdicts = lint_cross_sign(
             group, bundle.stores, exts, [], max_validity_days=limit,
-            lookup=index.records, coverage={}, index=index)
+            index=index, coverage={})
         v1_members = {v.member for v in verdicts if v.code == "V1"}
         wide_members = {v.member for v in wide if v.code == "V1"}
         assert wide_members <= v1_members
@@ -270,13 +270,13 @@ def test_v7_unexplained_inconsistency():
     exts = {bundle.fp("ev_xs"): _ext(ExpandingTrust(("mozilla",)))}
     verdicts = lint_cross_sign(
         ev_group, bundle.stores, exts, bundle.revocations,
-        lookup=index.records, coverage={}, views=bundle.views, index=index)
+        index=index, coverage={}, views=bundle.views)
     assert "V7" in _codes(verdicts)
     group_key = f"{ev_group.subject}|{ev_group.spki_digest}"
     verdicts = lint_cross_sign(
         ev_group, bundle.stores, exts, bundle.revocations,
-        lookup=index.records, coverage={}, views=bundle.views,
-        explanations=[group_key], index=index)
+        index=index, coverage={}, views=bundle.views,
+        explanations=[group_key])
     assert "V7" not in _codes(verdicts)
 
 
