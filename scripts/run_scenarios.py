@@ -39,9 +39,9 @@ def main() -> int:
         result = analyze_corpus(bundle.records, bundle.stores,
                                 bundle.revocations, bundle.views,
                                 bundle.operator_map)
-        verdicts = lint_corpus(bundle.records, bundle.stores,
-                               bundle.revocations, bundle.extensions,
-                               bundle.views, bundle.operator_map)
+        verdicts, _ = lint_corpus(bundle.records, bundle.stores,
+                                  bundle.revocations, bundle.extensions,
+                                  bundle.views, bundle.operator_map)
         counts = {}
         for f in result.findings:
             counts[f.category] = counts.get(f.category, 0) + 1

@@ -1,20 +1,21 @@
 """End-to-end corpus analysis: index, group, assess per view, run the
 finding analyzers, and lint. One deterministic entry point shared by the
-CLI, the scenario scripts, and the test suites."""
+CLI, the scenario scripts, and the test suites. Both entry points group,
+enumerate paths and assess member coverage through the same helpers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import findings as findings_mod
 from . import xsext
 from .certmodel import CertRecord
-from .findings import AssessmentSet, Finding
-from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, assess_paths,
-                         assess_trust, build_index, check_options,
-                         enumerate_paths)
-from .revocation import RevocationRecord, RevocationView, all_sources_view
+from .findings import AssessmentSet, Finding, Paths
+from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, PathEnumeration,
+                         TrustAssessment, assess_paths, build_index,
+                         check_options, enumerate_paths)
+from .revocation import RevocationRecord, RevocationView
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
 
@@ -22,6 +23,7 @@ from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, gr
 # its appearances in finding evidence are self-explanatory. It never shows
 # up in assessment reports.
 COVERAGE_VIEW_ID = "no-revocations"
+COVERAGE_VIEW = RevocationView(COVERAGE_VIEW_ID, frozenset())
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class AnalysisOptions:
     overlap_min: int = DEFAULT_OVERLAP_MIN_DAYS
     mode: str = "structural"
     max_validity_days: int = xsext.DEFAULT_MAX_VALIDITY_DAYS
-    backdating_slack_days: int = findings_mod.DEFAULT_BACKDATING_SLACK_DAYS
 
     def __post_init__(self):
         # Checked here, not at the first enumeration, so that a run that
@@ -50,52 +51,67 @@ class AnalysisResult:
     truncated_certs: list[str] = field(default_factory=list)
 
 
-def _group_corpus(index: CertIndex,
+def _group_corpus(records: Sequence[CertRecord],
                   stores: Sequence[RootStoreTimeline],
                   operator_map: Optional[OperatorMap],
-                  options: AnalysisOptions) -> tuple[list[XSCertGroup],
-                                                     list[XSCertGroup]]:
-    """The classified cross-sign groups and the reissuance groups."""
+                  options: AnalysisOptions):
+    """The index, the classified cross-sign groups and the reissuance
+    groups."""
+    index = build_index(records)
     xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
                                      mode=options.mode)
-    return classify_groups(xs_groups, stores, operator_map, index), reissuance
+    return (index, classify_groups(xs_groups, stores, operator_map, index),
+            reissuance)
+
+
+def _path_table(certs: Iterable[CertRecord], index: CertIndex,
+                stores: Sequence[RootStoreTimeline],
+                options: AnalysisOptions) -> dict[str, PathEnumeration]:
+    """Each certificate's paths under the options' depth bound and mode."""
+    anchors = combined_anchors(stores)
+    return {cert.fingerprint: enumerate_paths(
+                cert, index, max_depth=options.max_depth, mode=options.mode,
+                anchors=anchors)
+            for cert in certs}
+
+
+def _member_coverage(xs_groups: Sequence[XSCertGroup], paths: Paths,
+                     index: CertIndex, stores: Sequence[RootStoreTimeline],
+                     revocations: Sequence[RevocationRecord]
+                     ) -> list[TrustAssessment]:
+    """Each cross-sign member's trust under the coverage view: a
+    cross-sign's intended reach, not its fate. Only the trust-delta and
+    barrier-breach analyzers and lint V4 read it, and only for members."""
+    return [assess_paths(index.get(fp), paths[fp], index, stores,
+                         revocations, COVERAGE_VIEW)
+            for group in xs_groups for fp in group.members]
 
 
 def analyze_corpus(records: Sequence[CertRecord],
                    stores: Sequence[RootStoreTimeline],
                    revocations: Sequence[RevocationRecord],
-                   views: Sequence[RevocationView] = (),
+                   views: Sequence[RevocationView],
                    operator_map: Optional[OperatorMap] = None,
                    options: AnalysisOptions = AnalysisOptions()) -> AnalysisResult:
-    index = build_index(records)
-    xs_groups, reissuance = _group_corpus(index, stores, operator_map, options)
-
-    view_list = list(views) or [all_sources_view(revocations)]
-    # Revocation-free view backs coverage-style analyzers (trust deltas,
-    # barrier breaches): a cross-sign's intended reach, not its fate.
-    coverage_view = RevocationView(COVERAGE_VIEW_ID, frozenset())
-
+    index, xs_groups, reissuance = _group_corpus(records, stores,
+                                                 operator_map, options)
     stores = sorted(stores, key=lambda s: s.store_id)
     # Each certificate's paths are enumerated once and shared by the
     # assessments of every view and by the finding analyzers.
-    anchors = combined_anchors(stores)
-    paths = {record.fingerprint: enumerate_paths(
-                 record, index, max_depth=options.max_depth,
-                 mode=options.mode, anchors=anchors)
-             for record in index.sorted_records()}
-    assessments = AssessmentSet(
-        assess_paths(record, paths[record.fingerprint], index, stores,
-                     revocations, view)
-        for record in index.sorted_records()
-        for view in [*view_list, coverage_view])
+    paths = _path_table(index.sorted_records(), index, stores, options)
+    assessments = AssessmentSet(_member_coverage(xs_groups, paths, index,
+                                                 stores, revocations))
+    for record in index.sorted_records():
+        for view in views:
+            assessments.add(assess_paths(record, paths[record.fingerprint],
+                                         index, stores, revocations, view))
 
     all_findings = findings_mod.run_all(
-        xs_groups, index, stores, revocations, view_list, assessments, paths,
-        coverage_view_id=COVERAGE_VIEW_ID, operator_map=operator_map,
-        slack_days=options.backdating_slack_days)
+        xs_groups, index, stores, revocations, views, assessments, paths,
+        coverage_view_id=COVERAGE_VIEW_ID, operator_map=operator_map)
     return AnalysisResult(
         index=index, xs_groups=xs_groups, reissuance_groups=reissuance,
-        assessments=assessments, findings=all_findings, views=view_list,
+        assessments=assessments, findings=all_findings, views=list(views),
         truncated_certs=[fp for fp, enumeration in paths.items()
                          if enumeration.truncated])
 
@@ -104,33 +120,27 @@ def lint_corpus(records: Sequence[CertRecord],
                 stores: Sequence[RootStoreTimeline],
                 revocations: Sequence[RevocationRecord],
                 extensions: dict[str, xsext.XsExtension],
-                views: Sequence[RevocationView] = (),
+                views: Sequence[RevocationView],
                 operator_map: Optional[OperatorMap] = None,
                 options: AnalysisOptions = AnalysisOptions(),
-                explanations: Sequence[str] = ()) -> list[xsext.LintVerdict]:
+                explanations: Sequence[str] = ()
+                ) -> tuple[list[xsext.LintVerdict], list[str]]:
     """Lint every cross-sign group. Builds only what the lints read: the
-    groups, and the coverage-view stores of each group member under the
-    options' depth bound and mode; the rest of `analyze_corpus` is skipped."""
-    index = build_index(records)
-    xs_groups, _ = _group_corpus(index, stores, operator_map, options)
-    view_list = list(views) or [all_sources_view(revocations)]
-    coverage_view = RevocationView(COVERAGE_VIEW_ID, frozenset())
-    members = {fp for group in xs_groups for fp in group.members}
-    coverage = {fp: assess_trust(index.get(fp), index, stores, revocations,
-                                 coverage_view, max_depth=options.max_depth,
-                                 mode=options.mode).covered_stores()
-                for fp in members}
+    groups and the coverage of their members. Returns the verdicts and the
+    members whose enumeration the depth bound cut short."""
+    index, xs_groups, _ = _group_corpus(records, stores, operator_map, options)
+    paths = _path_table((index.get(fp) for group in xs_groups
+                         for fp in group.members), index, stores, options)
+    coverage = {a.fingerprint: a.covered_stores()
+                for a in _member_coverage(xs_groups, paths, index, stores,
+                                          revocations)}
 
-    verdicts: list[xsext.LintVerdict] = []
-    for group in xs_groups:
-        verdicts.extend(xsext.lint_cross_sign(
-            group, stores, extensions, revocations,
-            max_validity_days=options.max_validity_days,
-            index=index,
-            coverage=coverage,
-            views=view_list,
-            explanations=explanations,
-            operator_map=operator_map,
-        ))
+    verdicts = [verdict for group in xs_groups
+                for verdict in xsext.lint_cross_sign(
+                    group, stores, extensions, revocations,
+                    max_validity_days=options.max_validity_days, index=index,
+                    coverage=coverage, views=views, explanations=explanations,
+                    operator_map=operator_map)]
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
-    return verdicts
+    return verdicts, [fp for fp, enumeration in paths.items()
+                      if enumeration.truncated]

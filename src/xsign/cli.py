@@ -9,7 +9,6 @@ it is.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -60,11 +59,9 @@ def _parse_views(spec: str,
 
 
 def _analysis_options(args) -> AnalysisOptions:
-    return AnalysisOptions(
-        max_depth=args.max_depth,
-        overlap_min=args.overlap_min,
-        mode=args.mode,
-    )
+    return AnalysisOptions(max_depth=args.max_depth,
+                           overlap_min=args.overlap_min, mode=args.mode,
+                           max_validity_days=args.max_validity)
 
 
 def _options_dict(args, views) -> dict:
@@ -80,39 +77,62 @@ def _options_dict(args, views) -> dict:
 
 def _analysis_inputs(args, ws: Workspace):
     """The views, selected stores and revocations an analysis runs on, each
-    loaded once."""
+    loaded once. With no view given by `--views` or `views.json`, the run
+    uses one view that accepts every source."""
     revocations = ws.load_revocations()
-    if args.views:
-        views = _parse_views(args.views, revocations)
-    else:
-        views = ws.load_views() or [all_sources_view(revocations)]
+    views = (_parse_views(args.views, revocations) if args.views
+             else ws.load_views()) or [all_sources_view(revocations)]
     store_ids = args.stores.split(",") if args.stores else None
     stores = select_stores(ws.load_stores(), store_ids)
     return views, stores, revocations
 
 
+def _warn_truncated(count: int, max_depth: int):
+    if count:
+        _err({"warning": "truncated", "certs": count, "max_depth": max_depth})
+
+
 def _run_analysis(args, ws: Workspace):
-    """Materialize the reports unless the stamp says they are current.
-    Returns the analysis result (None on a cache hit) and the number of
-    certificates whose enumeration the depth bound cut short."""
+    """Materialize the reports unless the stamp says they are current, and
+    warn when the depth bound cut enumeration short. Returns the analysis
+    result (None on a cache hit) and the number of certificates whose
+    enumeration was cut short."""
     views, stores, revocations = _analysis_inputs(args, ws)
     options = _options_dict(args, views)
     stamp = ws.current_stamp(options, REPORT_FILES)
     if stamp is not None:
-        return None, stamp["truncated"]
-    result = analyze_corpus(
-        ws.load_records(), stores=stores, revocations=revocations,
-        views=views, operator_map=ws.load_operator_map(),
-        options=_analysis_options(args))
-    ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
-    ws.write_report("reissuance.jsonl",
-                    reports.groups_jsonl(result.reissuance_groups))
-    visible = [a for a in result.assessments.all()
-               if a.view_id != COVERAGE_VIEW_ID]
-    ws.write_report("assessments.jsonl", reports.assessments_jsonl(visible))
-    ws.write_report("findings.jsonl", reports.findings_jsonl(result.findings))
-    ws.write_stamp(options, len(result.truncated_certs))
-    return result, len(result.truncated_certs)
+        result, truncated = None, stamp["truncated"]
+    else:
+        result = analyze_corpus(
+            ws.load_records(), stores=stores, revocations=revocations,
+            views=views, operator_map=ws.load_operator_map(),
+            options=_analysis_options(args))
+        ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
+        ws.write_report("reissuance.jsonl",
+                        reports.groups_jsonl(result.reissuance_groups))
+        visible = [a for a in result.assessments.all()
+                   if a.view_id != COVERAGE_VIEW_ID]
+        ws.write_report("assessments.jsonl", reports.assessments_jsonl(visible))
+        ws.write_report("findings.jsonl",
+                        reports.findings_jsonl(result.findings))
+        truncated = len(result.truncated_certs)
+        ws.write_stamp(options, truncated)
+    _warn_truncated(truncated, args.max_depth)
+    return result, truncated
+
+
+def _run_lint(args, ws: Workspace) -> list[str]:
+    """Lint the workspace, write `lint.jsonl`, warn when the depth bound
+    cut a member's enumeration short, and return the verdict lines."""
+    views, stores, revocations = _analysis_inputs(args, ws)
+    verdicts, truncated = lint_corpus(
+        ws.load_records(), stores, revocations, ws.load_extensions(),
+        views, operator_map=ws.load_operator_map(),
+        options=_analysis_options(args), explanations=ws.load_explanations())
+    lines = reports.lint_jsonl(verdicts)
+    ws.write_report("lint.jsonl", lines)
+    _warn_truncated(len(truncated), args.max_depth)
+    return lines
 
 
 def cmd_scenario(args) -> int:
@@ -136,87 +156,39 @@ def cmd_scenario(args) -> int:
 
 def cmd_ingest(args) -> int:
     ws = Workspace(Path(args.workspace))
-    try:
-        summary = ws.ingest_paths([Path(p) for p in args.paths], args.format)
-    except SchemaError as exc:
-        _err(exc.to_json())
-        return EXIT_SCHEMA
-    except MalformedInput as exc:
-        _err({"error": "malformed", "detail": str(exc)})
-        return EXIT_SCHEMA
+    summary = ws.ingest_paths([Path(p) for p in args.paths], args.format)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     ws = Workspace(Path(args.workspace))
-    try:
-        result, truncated = _run_analysis(args, ws)
-    except (SchemaError,) as exc:
-        _err(exc.to_json())
-        return EXIT_SCHEMA
-    except (UnknownStore, MalformedInput, ValueError) as exc:
-        _err({"error": "analysis", "detail": str(exc)})
-        return EXIT_ANALYSIS
-    cached = result is None
-    summary = {
-        "workspace": str(ws.root),
-        "cached": cached,
-        "reports": sorted(REPORT_FILES),
-        "truncated": truncated,
-    }
-    if not cached:
+    result, truncated = _run_analysis(args, ws)
+    summary = {"workspace": str(ws.root), "cached": result is None,
+               "reports": sorted(REPORT_FILES), "truncated": truncated}
+    if result is not None:
         summary["findings"] = len(result.findings)
         summary["xs_groups"] = len(result.xs_groups)
-    if truncated:
-        _err({"warning": "truncated", "certs": truncated,
-              "max_depth": args.max_depth})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_lint(args) -> int:
-    ws = Workspace(Path(args.workspace))
-    try:
-        views, stores, revocations = _analysis_inputs(args, ws)
-        verdicts = lint_corpus(
-            ws.load_records(), stores, revocations, ws.load_extensions(),
-            views=views, operator_map=ws.load_operator_map(),
-            options=dataclasses.replace(_analysis_options(args),
-                                        max_validity_days=args.max_validity),
-            explanations=ws.load_explanations())
-    except SchemaError as exc:
-        _err(exc.to_json())
-        return EXIT_SCHEMA
-    except (UnknownStore, MalformedInput, ValueError) as exc:
-        _err({"error": "analysis", "detail": str(exc)})
-        return EXIT_ANALYSIS
-    lines = reports.lint_jsonl(verdicts)
-    ws.write_report("lint.jsonl", lines)
-    for line in lines:
+    for line in _run_lint(args, Workspace(Path(args.workspace))):
         print(line)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     ws = Workspace(Path(args.workspace))
-    try:
+    if args.kind == "lint":
+        # Lint has no stamp of its own: re-lint rather than trust a
+        # `lint.jsonl` that other inputs or options may have left behind.
+        lines = _run_lint(args, ws)
+    else:
         _run_analysis(args, ws)
-    except SchemaError as exc:
-        _err(exc.to_json())
-        return EXIT_SCHEMA
-    except (UnknownStore, MalformedInput, ValueError) as exc:
-        _err({"error": "analysis", "detail": str(exc)})
-        return EXIT_ANALYSIS
-    name = {"findings": "findings.jsonl", "groups": "groups.jsonl",
-            "assessments": "assessments.jsonl", "lint": "lint.jsonl"}[args.kind]
-    text = ws.read_report(name)
-    if text is None:
-        _err({"error": "analysis",
-              "detail": f"report {name} not materialized; run lint first"
-              if args.kind == "lint" else f"report {name} missing"})
-        return EXIT_ANALYSIS
-    objs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        lines = ws.read_report(f"{args.kind}.jsonl").splitlines()
+    objs = [json.loads(line) for line in lines if line.strip()]
     if args.format == "json":
         out = "\n".join(json.dumps(o, sort_keys=True) for o in objs)
         out = out + "\n" if out else ""
@@ -230,8 +202,7 @@ def cmd_report(args) -> int:
         if args.kind == "findings":
             out = reports.findings_csv([Finding.from_json(o) for o in objs])
         elif args.kind == "assessments":
-            buf = []
-            buf.append("fingerprint,view,store,from,to,paths")
+            buf = ["fingerprint,view,store,from,to,paths"]
             for o in objs:
                 for store_id, items in o["stores"].items():
                     for item in items:
@@ -264,6 +235,8 @@ def _add_analysis_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--stores", default=None,
                         help="comma list of store ids to assess "
                              "(default: all configured)")
+    # Only `lint` has `--max-validity`; `report --kind lint` lints at this.
+    parser.set_defaults(max_validity=DEFAULT_MAX_VALIDITY_DAYS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,9 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SchemaError as exc:
+        _err(exc.to_json())
+        return EXIT_SCHEMA
+    except (UnknownStore, MalformedInput, ValueError) as exc:
+        _err({"error": "analysis", "detail": str(exc)})
+        return EXIT_ANALYSIS
 
 
 if __name__ == "__main__":

@@ -96,10 +96,8 @@ class Bundle:
             with open(out / "operators.json", "w", encoding="utf-8") as fh:
                 json.dump(self.operator_map.to_json(), fh, sort_keys=True, indent=1)
         with open(out / "views.json", "w", encoding="utf-8") as fh:
-            json.dump({"views": [
-                {"consumer_id": v.consumer_id,
-                 "accepted_sources": sorted(v.accepted_sources)}
-                for v in self.views]}, fh, sort_keys=True, indent=1)
+            json.dump({"views": [v.to_json() for v in self.views]},
+                      fh, sort_keys=True, indent=1)
         if self.extensions:
             with open(out / "extensions.jsonl", "w", encoding="utf-8") as fh:
                 for member in sorted(self.extensions):

@@ -568,8 +568,7 @@ def run_all(groups: Sequence[XSCertGroup],
             assessments: AssessmentSet,
             paths: Paths,
             coverage_view_id: str,
-            operator_map: Optional[OperatorMap] = None,
-            slack_days: int = DEFAULT_BACKDATING_SLACK_DAYS) -> list[Finding]:
+            operator_map: Optional[OperatorMap] = None) -> list[Finding]:
     """Run every analyzer; deterministic order (category, then group key).
 
     `paths` holds every certificate's enumerated paths, the ones the
@@ -586,7 +585,7 @@ def run_all(groups: Sequence[XSCertGroup],
             operator_map))
         findings.extend(find_multi_algorithm(group, index, paths))
         findings.extend(find_ownership_span(group, operator_map, index))
-        findings.extend(find_backdating(group, index, slack_days))
+        findings.extend(find_backdating(group, index))
         findings.extend(find_revocation_inconsistency(
             group, revocations, views, index))
     findings.extend(find_barrier_breach(

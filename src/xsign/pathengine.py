@@ -291,7 +291,6 @@ class TrustAssessment:
     fingerprint: str
     view_id: str
     stores: dict[str, list[TrustInterval]] = field(default_factory=dict)
-    truncated: bool = False
 
     def intervals_for(self, store_id: str) -> list[intervals.Interval]:
         return [(ti.start, ti.end) for ti in self.stores.get(store_id, [])]
@@ -360,8 +359,7 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
     makes `cert` trusted: path validity covers the instant, the path root is
     in the store, no member is revoked in the view, and no distrust rule
     blocks the path."""
-    assessment = TrustAssessment(cert.fingerprint, view.consumer_id,
-                                 truncated=enumeration.truncated)
+    assessment = TrustAssessment(cert.fingerprint, view.consumer_id)
 
     usable = enumeration.usable_paths()
     for store in stores:

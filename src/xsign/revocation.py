@@ -113,6 +113,18 @@ class RevocationView:
     def accepts(self, record: RevocationRecord) -> bool:
         return record.source.name in self.accepted_sources
 
+    def to_json(self) -> dict:
+        return {"consumer_id": self.consumer_id,
+                "accepted_sources": sorted(self.accepted_sources)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "RevocationView":
+        sources = obj["accepted_sources"]
+        if not (isinstance(sources, list)
+                and all(isinstance(s, str) for s in sources)):
+            raise ValueError("accepted_sources must be a list of strings")
+        return cls(str(obj["consumer_id"]), frozenset(sources))
+
 
 VIEW_ALL_ID = "all"
 

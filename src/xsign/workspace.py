@@ -64,6 +64,21 @@ def _json_file(doc) -> list[bytes]:
     return [(json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()]
 
 
+# Ingest checks each extension and explanation line with the function that
+# loads it, so that a line the loader would reject never gets in.
+def _extension_entry(obj: dict) -> tuple[str, XsExtension]:
+    payload = json.dumps(obj["extension"], sort_keys=True,
+                         separators=(",", ":"), ensure_ascii=False).encode()
+    return obj["member"], decode_xs_extension(payload)
+
+
+def _explanation(obj: dict) -> str:
+    explained = obj["explained"]
+    if not isinstance(explained, str):
+        raise ValueError("explained must be a string")
+    return explained
+
+
 class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -175,13 +190,10 @@ class Workspace:
                               _json_file(doc))
                 summary["operators"] += 1
             elif "views" in doc:
-                for view in doc["views"]:
-                    if "consumer_id" not in view:
-                        raise SchemaError("view requires consumer_id",
-                                          path=str(path))
+                views = [RevocationView.from_json(v) for v in doc["views"]]
                 _write_atomic(self.config_dir / _CONFIG_FILES["views"],
-                              _json_file(doc))
-                summary["views"] += len(doc["views"])
+                              _json_file({"views": [v.to_json() for v in views]}))
+                summary["views"] += len(views)
             elif "scenario_id" in doc:
                 pass  # bundle metadata, nothing to ingest
             else:
@@ -211,8 +223,10 @@ class Workspace:
                         RevocationRecord.from_json(obj)
                         revocation_lines.append(obj)
                     elif "extension" in obj:
+                        _extension_entry(obj)
                         extension_lines.append(obj)
                     elif "explained" in obj:
+                        _explanation(obj)
                         explanation_lines.append(obj)
                     elif "fingerprint" in obj:
                         records.append(record_from_json(obj))
@@ -277,33 +291,21 @@ class Workspace:
         if not path.exists():
             return []
         doc = json.loads(path.read_text())
-        return [RevocationView(v["consumer_id"], frozenset(v["accepted_sources"]))
-                for v in doc["views"]]
+        return [RevocationView.from_json(v) for v in doc["views"]]
 
     def load_extensions(self) -> dict[str, XsExtension]:
         path = self.config_dir / _CONFIG_FILES["extensions"]
         if not path.exists():
             return {}
-        out = {}
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            payload = json.dumps(obj["extension"], sort_keys=True,
-                                 separators=(",", ":"),
-                                 ensure_ascii=False).encode()
-            out[obj["member"]] = decode_xs_extension(payload)
-        return out
+        return dict(_extension_entry(json.loads(line))
+                    for line in path.read_text().splitlines() if line.strip())
 
     def load_explanations(self) -> list[str]:
         path = self.config_dir / _CONFIG_FILES["explanations"]
         if not path.exists():
             return []
-        out = []
-        for line in path.read_text().splitlines():
-            if line.strip():
-                out.append(json.loads(line)["explained"])
-        return out
+        return [_explanation(json.loads(line))
+                for line in path.read_text().splitlines() if line.strip()]
 
     # -- caching --
 
@@ -347,6 +349,5 @@ class Workspace:
         _write_atomic(self.reports_dir / name,
                       (f"{line}\n".encode() for line in lines))
 
-    def read_report(self, name: str) -> Optional[str]:
-        path = self.reports_dir / name
-        return path.read_text(encoding="utf-8") if path.exists() else None
+    def read_report(self, name: str) -> str:
+        return (self.reports_dir / name).read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .certmodel import CertRecord, CryptoUnavailable, verify_signature
 from .names import NormalizedName
 from .pathengine import CertIndex
-from .truststore import OperatorMap, RootStoreTimeline
+from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 
 DEFAULT_OVERLAP_MIN_DAYS = 121
 
@@ -144,9 +144,7 @@ def classify_type(group: XSCertGroup, stores: Sequence[RootStoreTimeline],
     records = [index.get(fp) for fp in group.members]
     ca_flags = [r.ca_capable for r in records]
     if all(ca_flags):
-        ever = set()
-        for store in stores:
-            ever |= store.ever_roots()
+        ever = combined_anchors(stores)
         if any(r.fingerprint in ever for r in records):
             return "root"
         return "intermediate"

@@ -221,7 +221,7 @@ def lint_cross_sign(group: XSCertGroup,
                     max_validity_days: int = DEFAULT_MAX_VALIDITY_DAYS,
                     *,
                     index: CertIndex,
-                    coverage: Optional[Mapping[str, set[str]]] = None,
+                    coverage: Mapping[str, set[str]],
                     views: Sequence[RevocationView] = (),
                     explanations: Iterable[str] = (),
                     at: Optional[datetime] = None,
@@ -288,7 +288,7 @@ def lint_cross_sign(group: XSCertGroup,
                         "V3", member.fingerprint,
                         f"bootstrapped cert {m.bootstrapped_cert[:16]} now in all "
                         f"target stores; cross-sign must not be renewed"))
-            elif isinstance(m, ExpandingTrust) and coverage is not None:
+            elif isinstance(m, ExpandingTrust):
                 earlier = [o for o in members
                            if (o.not_before, o.fingerprint)
                            < (member.not_before, member.fingerprint)]

@@ -3,7 +3,8 @@ from datetime import timedelta
 
 import xsign.analysis
 import xsign.pathengine
-from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
+from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
+                            lint_corpus)
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
@@ -256,10 +257,21 @@ def test_analysis_enumerates_each_certificate_once(figure1, monkeypatch):
         calls.append(cert.fingerprint)
         return original(cert, *args, **kwargs)
 
+    # Only the analysis module's binding is patched: analyze and lint both
+    # enumerate through its one path-table helper.
     monkeypatch.setattr(xsign.analysis, "enumerate_paths", counting)
-    monkeypatch.setattr(xsign.pathengine, "enumerate_paths", counting)
-    _analyzed(figure1)
+    result = _analyzed(figure1)
     assert sorted(calls) == sorted(r.fingerprint for r in figure1.records)
+    members = sorted(fp for group in result.xs_groups for fp in group.members)
+    assert 0 < len(members) < len(figure1.records)
+    # Coverage is assessed for the cross-sign members only.
+    assert sorted(a.fingerprint for a in result.assessments.all()
+                  if a.view_id == COVERAGE_VIEW_ID) == members
+
+    calls.clear()
+    lint_corpus(figure1.records, figure1.stores, figure1.revocations,
+                figure1.extensions, figure1.views, figure1.operator_map)
+    assert sorted(calls) == members
 
 
 # --- multiple algorithms -------------------------------------------------------

@@ -30,9 +30,9 @@ def scenario_digests(scenario_id: str) -> dict[str, str]:
                                    params=params))
     result = analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
                             bundle.views, bundle.operator_map)
-    verdicts = lint_corpus(bundle.records, bundle.stores, bundle.revocations,
-                           bundle.extensions, bundle.views,
-                           bundle.operator_map)
+    verdicts, _ = lint_corpus(bundle.records, bundle.stores,
+                              bundle.revocations, bundle.extensions,
+                              bundle.views, bundle.operator_map)
     visible = [a for a in result.assessments.all()
                if a.view_id != COVERAGE_VIEW_ID]
     return {

@@ -66,6 +66,32 @@ def test_schema_error_carries_line_number(tmp_path, capsys):
     assert payload["line"] == 1
 
 
+_EXPANDING = {"motivations": [{"kind": "expanding_trust",
+                                "target_stores": ["web1"]}]}
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("views.json", {"views": [{"consumer_id": "v"}]}, None),
+    ("views.json", {"views": [{"consumer_id": "v",
+                               "accepted_sources": "onecrl"}]}, None),
+    ("ext.jsonl", {"extension": _EXPANDING}, 1),
+    ("ext.jsonl", {"member": "ab" * 32, "extension": {"motivations": []}}, 1),
+    ("explanations.jsonl", {"explained": 5}, 1),
+])
+def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
+                                                        name, text, line):
+    # Ingested, each of these would break every later command.
+    path = tmp_path / name
+    path.write_text(json.dumps(text) + "\n")
+    ws_dir = tmp_path / "ws"
+    code, out, err = _run(capsys, "ingest", "--ws", str(ws_dir), str(path))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(path)
+    assert payload.get("line") == line
+    assert not any((ws_dir / "config").iterdir())
+
+
 def test_unknown_scenario_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "scenario", "nope", "--out",
                         str(tmp_path / "x"))
@@ -235,6 +261,56 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["truncated"] == 0
     assert err == ""
+
+
+def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    ws = Workspace(ws_dir)
+    cut = analyze_corpus(ws.load_records(), ws.load_stores(),
+                         ws.load_revocations(), ws.load_views(),
+                         ws.load_operator_map(), AnalysisOptions(max_depth=2))
+    # Lint enumerates the cross-sign members only.
+    members = {fp for group in cut.xs_groups for fp in group.members}
+    cut_members = [fp for fp in cut.truncated_certs if fp in members]
+    assert 0 < len(cut_members) < len(cut.truncated_certs)
+    code, out, err = _run(capsys, "lint", "--ws", str(ws_dir),
+                          "--max-depth", "2")
+    assert code == 0
+    assert out == (ws_dir / "reports" / "lint.jsonl").read_text()
+    assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
+                               "certs": len(cut_members)}
+    # The first report materializes the reports, the second reads them
+    # from the cache; both warn with the count kept in the stamp.
+    stamps = []
+    for _ in range(2):
+        code, out, err = _run(capsys, "report", "--ws", str(ws_dir),
+                              "--kind", "groups", "--max-depth", "2")
+        assert code == 0 and out
+        assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
+                                   "certs": len(cut.truncated_certs)}
+        stamps.append((ws.reports_dir / "stamp.json").stat().st_mtime_ns)
+    assert stamps[0] == stamps[1]
+    code, out, err = _run(capsys, "report", "--ws", str(ws_dir),
+                          "--kind", "groups")
+    assert code == 0 and err == ""
+
+
+def test_report_lint_relints_after_new_input(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, before, _ = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0
+    bundle_dir = tmp_path / "bundle-random"
+    code, _, _ = _run(capsys, "scenario", "random", "--param", "n=300",
+                      "--out", str(bundle_dir))
+    assert code == 0
+    code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir), str(bundle_dir))
+    assert code == 0
+    code, reported, _ = _run(capsys, "report", "--ws", str(ws_dir),
+                             "--kind", "lint")
+    assert code == 0
+    code, linted, _ = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0
+    assert reported == linted != before
 
 
 def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
