@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from xsign.analysis import analyze_corpus, lint_corpus
+from xsign.analysis import analyze_corpus
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 from xsign.findings import CATEGORIES
 
@@ -38,16 +38,14 @@ def main() -> int:
             bundle.write(Path(args.out) / scenario_id)
         result = analyze_corpus(bundle.records, bundle.stores,
                                 bundle.revocations, bundle.views,
-                                bundle.operator_map)
-        verdicts, _ = lint_corpus(bundle.records, bundle.stores,
-                                  bundle.revocations, bundle.extensions,
-                                  bundle.views, bundle.operator_map)
+                                bundle.operator_map,
+                                extensions=bundle.extensions)
         counts = {}
         for f in result.findings:
             counts[f.category] = counts.get(f.category, 0) + 1
         cats = ", ".join(f"{short[c]}x{n}" for c, n in sorted(counts.items()))
         print(f"{scenario_id:<14} {len(bundle.records):>5} "
-              f"{len(result.xs_groups):>6} {len(verdicts):>5}  {cats}")
+              f"{len(result.xs_groups):>6} {len(result.verdicts):>5}  {cats}")
     return 0
 
 

@@ -1,12 +1,14 @@
 """End-to-end corpus analysis: index, group, assess per view, run the
 finding analyzers, and lint. One deterministic entry point shared by the
 CLI, the scenario scripts, and the test suites. Both entry points group,
-enumerate paths and assess member coverage through the same helpers."""
+enumerate paths, assess member coverage and lint through the same helpers,
+and look revocations up in one index built per run."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import findings as findings_mod
 from . import xsext
@@ -15,7 +17,7 @@ from .findings import AssessmentSet, Finding, Paths
 from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, PathEnumeration,
                          TrustAssessment, assess_paths, build_index,
                          check_options, enumerate_paths)
-from .revocation import RevocationRecord, RevocationView
+from .revocation import RevocationIndex, RevocationRecord, RevocationView
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
 
@@ -24,6 +26,7 @@ from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, gr
 # up in assessment reports.
 COVERAGE_VIEW_ID = "no-revocations"
 COVERAGE_VIEW = RevocationView(COVERAGE_VIEW_ID, frozenset())
+_NO_EXTENSIONS: Mapping[str, xsext.XsExtension] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,9 @@ class AnalysisResult:
     assessments: AssessmentSet
     findings: list[Finding]
     views: list[RevocationView]
-    truncated_certs: list[str] = field(default_factory=list)
+    verdicts: list[xsext.LintVerdict]
+    truncated_certs: list[str]
+    truncated_members: list[str]
 
 
 def _group_corpus(records: Sequence[CertRecord],
@@ -77,8 +82,7 @@ def _path_table(certs: Iterable[CertRecord], index: CertIndex,
 
 def _member_coverage(xs_groups: Sequence[XSCertGroup], paths: Paths,
                      index: CertIndex, stores: Sequence[RootStoreTimeline],
-                     revocations: Sequence[RevocationRecord]
-                     ) -> list[TrustAssessment]:
+                     revocations: RevocationIndex) -> list[TrustAssessment]:
     """Each cross-sign member's trust under the coverage view: a
     cross-sign's intended reach, not its fate. Only the trust-delta and
     barrier-breach analyzers and lint V4 read it, and only for members."""
@@ -87,20 +91,57 @@ def _member_coverage(xs_groups: Sequence[XSCertGroup], paths: Paths,
             for group in xs_groups for fp in group.members]
 
 
+def _truncated_members(xs_groups: Sequence[XSCertGroup],
+                       paths: Paths) -> list[str]:
+    """The cross-sign members whose enumeration the depth bound cut short,
+    each once, in group order."""
+    members = dict.fromkeys(fp for group in xs_groups for fp in group.members)
+    return [fp for fp in members if paths[fp].truncated]
+
+
+def _lint_groups(xs_groups: Sequence[XSCertGroup], index: CertIndex,
+                 stores: Sequence[RootStoreTimeline],
+                 revocations: RevocationIndex,
+                 extensions: Mapping[str, xsext.XsExtension],
+                 views: Sequence[RevocationView],
+                 operator_map: Optional[OperatorMap],
+                 options: AnalysisOptions, explanations: Sequence[str],
+                 coverage: Sequence[TrustAssessment]
+                 ) -> list[xsext.LintVerdict]:
+    """Every cross-sign group's lint verdicts, given the members' coverage
+    assessments, in report order."""
+    covered = {a.fingerprint: a.covered_stores() for a in coverage}
+    verdicts = [verdict for group in xs_groups
+                for verdict in xsext.lint_cross_sign(
+                    group, stores, extensions, revocations,
+                    max_validity_days=options.max_validity_days, index=index,
+                    coverage=covered, views=views, explanations=explanations,
+                    operator_map=operator_map)]
+    verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
+    return verdicts
+
+
 def analyze_corpus(records: Sequence[CertRecord],
                    stores: Sequence[RootStoreTimeline],
                    revocations: Sequence[RevocationRecord],
                    views: Sequence[RevocationView],
                    operator_map: Optional[OperatorMap] = None,
-                   options: AnalysisOptions = AnalysisOptions()) -> AnalysisResult:
+                   options: AnalysisOptions = AnalysisOptions(),
+                   extensions: Mapping[str,
+                                       xsext.XsExtension] = _NO_EXTENSIONS,
+                   explanations: Sequence[str] = ()) -> AnalysisResult:
+    """Group, assess every certificate under every view, run the finding
+    analyzers and lint the cross-sign groups, at the options'
+    `max_validity_days`."""
     index, xs_groups, reissuance = _group_corpus(records, stores,
                                                  operator_map, options)
+    revocations = RevocationIndex(revocations)
     stores = sorted(stores, key=lambda s: s.store_id)
     # Each certificate's paths are enumerated once and shared by the
-    # assessments of every view and by the finding analyzers.
+    # assessments of every view, the finding analyzers and the lints.
     paths = _path_table(index.sorted_records(), index, stores, options)
-    assessments = AssessmentSet(_member_coverage(xs_groups, paths, index,
-                                                 stores, revocations))
+    coverage = _member_coverage(xs_groups, paths, index, stores, revocations)
+    assessments = AssessmentSet(coverage)
     for record in index.sorted_records():
         for view in views:
             assessments.add(assess_paths(record, paths[record.fingerprint],
@@ -109,17 +150,22 @@ def analyze_corpus(records: Sequence[CertRecord],
     all_findings = findings_mod.run_all(
         xs_groups, index, stores, revocations, views, assessments, paths,
         coverage_view_id=COVERAGE_VIEW_ID, operator_map=operator_map)
+    verdicts = _lint_groups(xs_groups, index, stores, revocations, extensions,
+                            views, operator_map, options, explanations,
+                            coverage)
     return AnalysisResult(
         index=index, xs_groups=xs_groups, reissuance_groups=reissuance,
         assessments=assessments, findings=all_findings, views=list(views),
+        verdicts=verdicts,
         truncated_certs=[fp for fp, enumeration in paths.items()
-                         if enumeration.truncated])
+                         if enumeration.truncated],
+        truncated_members=_truncated_members(xs_groups, paths))
 
 
 def lint_corpus(records: Sequence[CertRecord],
                 stores: Sequence[RootStoreTimeline],
                 revocations: Sequence[RevocationRecord],
-                extensions: dict[str, xsext.XsExtension],
+                extensions: Mapping[str, xsext.XsExtension],
                 views: Sequence[RevocationView],
                 operator_map: Optional[OperatorMap] = None,
                 options: AnalysisOptions = AnalysisOptions(),
@@ -129,18 +175,10 @@ def lint_corpus(records: Sequence[CertRecord],
     groups and the coverage of their members. Returns the verdicts and the
     members whose enumeration the depth bound cut short."""
     index, xs_groups, _ = _group_corpus(records, stores, operator_map, options)
+    revocations = RevocationIndex(revocations)
     paths = _path_table((index.get(fp) for group in xs_groups
                          for fp in group.members), index, stores, options)
-    coverage = {a.fingerprint: a.covered_stores()
-                for a in _member_coverage(xs_groups, paths, index, stores,
-                                          revocations)}
-
-    verdicts = [verdict for group in xs_groups
-                for verdict in xsext.lint_cross_sign(
-                    group, stores, extensions, revocations,
-                    max_validity_days=options.max_validity_days, index=index,
-                    coverage=coverage, views=views, explanations=explanations,
-                    operator_map=operator_map)]
-    verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
-    return verdicts, [fp for fp, enumeration in paths.items()
-                      if enumeration.truncated]
+    coverage = _member_coverage(xs_groups, paths, index, stores, revocations)
+    return (_lint_groups(xs_groups, index, stores, revocations, extensions,
+                         views, operator_map, options, explanations, coverage),
+            _truncated_members(xs_groups, paths))

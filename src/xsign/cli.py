@@ -32,6 +32,7 @@ EXIT_SCHEMA = 3
 
 REPORT_FILES = ("groups.jsonl", "reissuance.jsonl", "assessments.jsonl",
                 "findings.jsonl")
+LINT_REPORT = "lint.jsonl"
 
 
 def _err(payload: dict):
@@ -92,21 +93,27 @@ def _warn_truncated(count: int, max_depth: int):
         _err({"warning": "truncated", "certs": count, "max_depth": max_depth})
 
 
+def _lint_options(args, views) -> dict:
+    return {**_options_dict(args, views), "max_validity": args.max_validity}
+
+
 def _run_analysis(args, ws: Workspace):
-    """Materialize the reports unless the stamp says they are current, and
-    warn when the depth bound cut enumeration short. Returns the analysis
-    result (None on a cache hit) and the number of certificates whose
-    enumeration was cut short."""
+    """Materialize the reports, `lint.jsonl` among them, unless the stamp
+    says they are current, and warn when the depth bound cut enumeration
+    short. Returns the analysis result (None on a cache hit) and the number
+    of certificates whose enumeration was cut short."""
     views, stores, revocations = _analysis_inputs(args, ws)
     options = _options_dict(args, views)
-    stamp = ws.current_stamp(options, REPORT_FILES)
+    stamp = ws.current_stamp("analysis", options, REPORT_FILES)
     if stamp is not None:
         result, truncated = None, stamp["truncated"]
     else:
         result = analyze_corpus(
             ws.load_records(), stores=stores, revocations=revocations,
             views=views, operator_map=ws.load_operator_map(),
-            options=_analysis_options(args))
+            options=_analysis_options(args), extensions=ws.load_extensions(),
+            explanations=ws.load_explanations())
+        ws.drop_stamp("analysis", "lint")
         ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
         ws.write_report("reissuance.jsonl",
                         reports.groups_jsonl(result.reissuance_groups))
@@ -115,23 +122,37 @@ def _run_analysis(args, ws: Workspace):
         ws.write_report("assessments.jsonl", reports.assessments_jsonl(visible))
         ws.write_report("findings.jsonl",
                         reports.findings_jsonl(result.findings))
+        ws.write_report(LINT_REPORT, reports.lint_jsonl(result.verdicts))
         truncated = len(result.truncated_certs)
-        ws.write_stamp(options, truncated)
+        ws.write_stamp(analysis=(options, truncated),
+                       lint=(_lint_options(args, views),
+                             len(result.truncated_members)))
     _warn_truncated(truncated, args.max_depth)
     return result, truncated
 
 
 def _run_lint(args, ws: Workspace) -> list[str]:
-    """Lint the workspace, write `lint.jsonl`, warn when the depth bound
-    cut a member's enumeration short, and return the verdict lines."""
+    """The verdict lines of `lint.jsonl`, linting anew and rewriting it
+    unless its stamp entry is current; warns when the depth bound cut a
+    member's enumeration short."""
     views, stores, revocations = _analysis_inputs(args, ws)
-    verdicts, truncated = lint_corpus(
-        ws.load_records(), stores, revocations, ws.load_extensions(),
-        views, operator_map=ws.load_operator_map(),
-        options=_analysis_options(args), explanations=ws.load_explanations())
-    lines = reports.lint_jsonl(verdicts)
-    ws.write_report("lint.jsonl", lines)
-    _warn_truncated(len(truncated), args.max_depth)
+    options = _lint_options(args, views)
+    stamp = ws.current_stamp("lint", options, [LINT_REPORT])
+    if stamp is not None:
+        lines = ws.read_report(LINT_REPORT).splitlines()
+        truncated = stamp["truncated"]
+    else:
+        verdicts, members = lint_corpus(
+            ws.load_records(), stores, revocations, ws.load_extensions(),
+            views, operator_map=ws.load_operator_map(),
+            options=_analysis_options(args),
+            explanations=ws.load_explanations())
+        lines = reports.lint_jsonl(verdicts)
+        ws.drop_stamp("lint")
+        ws.write_report(LINT_REPORT, lines)
+        truncated = len(members)
+        ws.write_stamp(lint=(options, truncated))
+    _warn_truncated(truncated, args.max_depth)
     return lines
 
 
@@ -165,7 +186,8 @@ def cmd_analyze(args) -> int:
     ws = Workspace(Path(args.workspace))
     result, truncated = _run_analysis(args, ws)
     summary = {"workspace": str(ws.root), "cached": result is None,
-               "reports": sorted(REPORT_FILES), "truncated": truncated}
+               "reports": sorted((*REPORT_FILES, LINT_REPORT)),
+               "truncated": truncated}
     if result is not None:
         summary["findings"] = len(result.findings)
         summary["xs_groups"] = len(result.xs_groups)
@@ -182,8 +204,6 @@ def cmd_lint(args) -> int:
 def cmd_report(args) -> int:
     ws = Workspace(Path(args.workspace))
     if args.kind == "lint":
-        # Lint has no stamp of its own: re-lint rather than trust a
-        # `lint.jsonl` that other inputs or options may have left behind.
         lines = _run_lint(args, ws)
     else:
         _run_analysis(args, ws)

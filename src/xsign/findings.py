@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import intervals
 from .certmodel import CertRecord
 from .pathengine import CertIndex, PathEnumeration, TrustAssessment
-from .revocation import (IssuerSerial, RevocationRecord, RevocationView,
+from .revocation import (IssuerSerial, RevocationIndex, RevocationView,
                          all_sources_view, matching_records, revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
 from .truststore import (OperatorMap, RootStoreTimeline, combined_anchors,
@@ -134,7 +134,7 @@ def _iv_json(items: list[intervals.Interval]) -> list[dict]:
 # --- valid after revocation -------------------------------------------------
 
 def _member_blocking_events(member: CertRecord, view: RevocationView,
-                            revocations: Sequence[RevocationRecord],
+                            revocations: RevocationIndex,
                             store: RootStoreTimeline,
                             index: CertIndex,
                             paths: Paths) -> list[dict]:
@@ -171,7 +171,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
 
 def find_valid_after_revocation(group: XSCertGroup,
                                 assessments: AssessmentSet,
-                                revocations: Sequence[RevocationRecord],
+                                revocations: RevocationIndex,
                                 views: Sequence[RevocationView],
                                 stores: Sequence[RootStoreTimeline],
                                 index: CertIndex,
@@ -460,12 +460,12 @@ def find_backdating(group: XSCertGroup, index: CertIndex,
 # --- revocation inconsistencies ----------------------------------------------
 
 def _source_can_cover(source_name: str, kind: str, member: CertRecord,
-                      records: Sequence[RevocationRecord]) -> bool:
+                      revocations: RevocationIndex) -> bool:
     # A CA CRL can only list certificates of issuers it speaks for; vendor
     # lists can cover anything.
     if kind != "ca_crl":
         return True
-    for rec in records:
+    for rec in revocations:
         if rec.source.name != source_name:
             continue
         if not isinstance(rec.selector, IssuerSerial):
@@ -476,7 +476,7 @@ def _source_can_cover(source_name: str, kind: str, member: CertRecord,
 
 
 def find_revocation_inconsistency(group: XSCertGroup,
-                                  revocations: Sequence[RevocationRecord],
+                                  revocations: RevocationIndex,
                                   views: Sequence[RevocationView],
                                   index: CertIndex) -> list[Finding]:
     """Revoked-member sets differ across views, a revoked member has an
@@ -520,8 +520,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
                     for src in ca_sources)
             elif label.startswith("source:"):
                 src = label.split(":", 1)[1]
-                src_kind = next((r.source.kind for r in revocations
-                                 if r.source.name == src), "vendor")
+                src_kind = revocations.source_kinds.get(src, "vendor")
                 coverable = _source_can_cover(src, src_kind, member, revocations)
             else:
                 coverable = True
@@ -563,7 +562,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
 def run_all(groups: Sequence[XSCertGroup],
             index: CertIndex,
             stores: Sequence[RootStoreTimeline],
-            revocations: Sequence[RevocationRecord],
+            revocations: RevocationIndex,
             views: Sequence[RevocationView],
             assessments: AssessmentSet,
             paths: Paths,

@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 from . import intervals
 from .certmodel import CertRecord, CryptoUnavailable, dns_identities, verify_signature
 from .names import NormalizedName
-from .revocation import RevocationRecord, RevocationView, matching_records
+from .revocation import (RevocationIndex, RevocationRecord, RevocationView,
+                         matching_records)
 from .timeutil import DT_MAX, format_rfc3339
 from .truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
                          rule_blocks_path)
@@ -309,7 +310,7 @@ class TrustAssessment:
 
 def _boundary_events(path_records: Sequence[CertRecord],
                      store: RootStoreTimeline,
-                     revocations: Sequence[RevocationRecord],
+                     revocations: RevocationIndex,
                      view: RevocationView) -> list[tuple[datetime, dict]]:
     """Instants at which this path's trust can change, with their causes."""
     events: list[tuple[datetime, dict]] = []
@@ -347,13 +348,14 @@ def assess_trust(cert: CertRecord, index: CertIndex,
     """Enumerate `cert`'s paths into every store's roots, then assess them."""
     enumeration = enumerate_paths(cert, index, max_depth=max_depth, mode=mode,
                                   anchors=combined_anchors(stores))
-    return assess_paths(cert, enumeration, index, stores, revocations, view)
+    return assess_paths(cert, enumeration, index, stores,
+                        RevocationIndex(revocations), view)
 
 
 def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
                  index: CertIndex,
                  stores: Sequence[RootStoreTimeline],
-                 revocations: Sequence[RevocationRecord],
+                 revocations: RevocationIndex,
                  view: RevocationView) -> TrustAssessment:
     """Per store, the maximal intervals during which some enumerated path
     makes `cert` trusted: path validity covers the instant, the path root is

@@ -36,6 +36,10 @@ class IssuerSerial:
     def matches(self, cert: CertRecord) -> bool:
         return cert.issuer == self.issuer and cert.serial == self.serial
 
+    @property
+    def key(self) -> tuple:
+        return ("issuer_serial", self.issuer, self.serial)
+
 
 @dataclass(frozen=True)
 class SpkiDigest:
@@ -44,6 +48,10 @@ class SpkiDigest:
     def matches(self, cert: CertRecord) -> bool:
         return cert.spki_digest == self.digest
 
+    @property
+    def key(self) -> tuple:
+        return ("spki", self.digest)
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -51,6 +59,10 @@ class Fingerprint:
 
     def matches(self, cert: CertRecord) -> bool:
         return cert.fingerprint == self.digest
+
+    @property
+    def key(self) -> tuple:
+        return ("fingerprint", self.digest)
 
 
 @dataclass(frozen=True)
@@ -134,17 +146,52 @@ def all_sources_view(records: Iterable[RevocationRecord]) -> RevocationView:
                           frozenset(r.source.name for r in records))
 
 
+class RevocationIndex:
+    """The revocations of one run, keyed by what their selectors name: a
+    certificate's fingerprint, its SPKI digest, or its (issuer, serial).
+    Iterates over the records in load order. Built once per run, so that a
+    lookup costs three dict probes instead of a scan of every record."""
+
+    def __init__(self, records: Iterable[RevocationRecord]):
+        self._records = list(records)
+        self._by_key: dict[tuple, list[tuple[int, RevocationRecord]]] = {}
+        # Source name -> kind of its first record.
+        self.source_kinds: dict[str, str] = {}
+        for position, record in enumerate(self._records):
+            self._by_key.setdefault(record.selector.key, []).append(
+                (position, record))
+            self.source_kinds.setdefault(record.source.name, record.source.kind)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def candidates(self, cert: CertRecord) -> list[RevocationRecord]:
+        """The records whose selector key is one of the certificate's (the
+        keys `IssuerSerial`, `SpkiDigest` and `Fingerprint` give), in load
+        order; `matching_records` applies the selectors."""
+        found = [hit for key in (("fingerprint", cert.fingerprint),
+                                 ("spki", cert.spki_digest),
+                                 ("issuer_serial", cert.issuer, cert.serial))
+                 for hit in self._by_key.get(key, ())]
+        found.sort(key=lambda hit: hit[0])
+        return [record for _, record in found]
+
+
 def matching_records(cert: CertRecord, view: RevocationView,
-                     records: Iterable[RevocationRecord]) -> list[RevocationRecord]:
+                     revocations: RevocationIndex) -> list[RevocationRecord]:
     """Accepted records matching the certificate, regardless of date."""
-    hits = [r for r in records if view.accepts(r) and r.matches(cert)]
+    hits = [r for r in revocations.candidates(cert)
+            if view.accepts(r) and r.matches(cert)]
     hits.sort(key=lambda r: (r.effective_date, r.source.name))
     return hits
 
 
 def revocation_onset(cert: CertRecord, view: RevocationView,
-                     records: Iterable[RevocationRecord]) -> Optional[datetime]:
+                     revocations: RevocationIndex) -> Optional[datetime]:
     """Earliest instant from which the certificate counts as revoked in the
     view, or None if never."""
-    hits = matching_records(cert, view, records)
+    hits = matching_records(cert, view, revocations)
     return hits[0].effective_date if hits else None

@@ -113,11 +113,15 @@ class Workspace:
             if not name.endswith(".json"):
                 continue
             der = name[:-len(".json")] + ".der"
-            if der in names:
-                record = parse_certificate((self.certs_dir / der).read_bytes())
-            else:
-                record = record_from_json(
-                    json.loads((self.certs_dir / name).read_text()))
+            path = self.certs_dir / (der if der in names else name)
+            try:
+                if der in names:
+                    record = parse_certificate(path.read_bytes())
+                else:
+                    record = record_from_json(json.loads(path.read_text()))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad certificate: {exc}",
+                                  path=str(path)) from exc
             records.append(record)
         return records
 
@@ -263,49 +267,56 @@ class Workspace:
 
     # -- config loading --
 
-    def load_stores(self) -> list[RootStoreTimeline]:
-        path = self.config_dir / _CONFIG_FILES["stores"]
+    def _load_config(self, kind: str, parse, default):
+        """`parse` applied to the config document of `kind`, or `default`
+        when there is none. A document `parse` cannot read (edited by hand,
+        or ingested by an earlier version with fewer checks) is a
+        SchemaError naming the file."""
+        path = self.config_dir / _CONFIG_FILES[kind]
         if not path.exists():
-            return []
-        doc = json.loads(path.read_text())
-        return [RootStoreTimeline.from_json(s) for s in doc["stores"]]
+            return default
+        try:
+            return parse(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad config: {exc}", path=str(path)) from exc
 
-    def load_revocations(self) -> list[RevocationRecord]:
-        path = self.config_dir / _CONFIG_FILES["revocations"]
+    def _load_config_lines(self, kind: str, parse) -> list:
+        """`parse` applied to each line of the JSONL config of `kind`; a line
+        it cannot read is a SchemaError naming the file and the line."""
+        path = self.config_dir / _CONFIG_FILES[kind]
         if not path.exists():
             return []
         out = []
-        for line in path.read_text().splitlines():
-            if line.strip():
-                out.append(RevocationRecord.from_json(json.loads(line)))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad record: {exc}", path=str(path),
+                                  line=lineno) from exc
         return out
 
+    def load_stores(self) -> list[RootStoreTimeline]:
+        return self._load_config("stores", lambda doc: [
+            RootStoreTimeline.from_json(s) for s in doc["stores"]], [])
+
+    def load_revocations(self) -> list[RevocationRecord]:
+        return self._load_config_lines("revocations",
+                                       RevocationRecord.from_json)
+
     def load_operator_map(self) -> Optional[OperatorMap]:
-        path = self.config_dir / _CONFIG_FILES["operators"]
-        if not path.exists():
-            return None
-        return OperatorMap.from_json(json.loads(path.read_text()))
+        return self._load_config("operators", OperatorMap.from_json, None)
 
     def load_views(self) -> list[RevocationView]:
-        path = self.config_dir / _CONFIG_FILES["views"]
-        if not path.exists():
-            return []
-        doc = json.loads(path.read_text())
-        return [RevocationView.from_json(v) for v in doc["views"]]
+        return self._load_config("views", lambda doc: [
+            RevocationView.from_json(v) for v in doc["views"]], [])
 
     def load_extensions(self) -> dict[str, XsExtension]:
-        path = self.config_dir / _CONFIG_FILES["extensions"]
-        if not path.exists():
-            return {}
-        return dict(_extension_entry(json.loads(line))
-                    for line in path.read_text().splitlines() if line.strip())
+        return dict(self._load_config_lines("extensions", _extension_entry))
 
     def load_explanations(self) -> list[str]:
-        path = self.config_dir / _CONFIG_FILES["explanations"]
-        if not path.exists():
-            return []
-        return [_explanation(json.loads(line))
-                for line in path.read_text().splitlines() if line.strip()]
+        return self._load_config_lines("explanations", _explanation)
 
     # -- caching --
 
@@ -321,29 +332,50 @@ class Workspace:
         digest.update(json.dumps(options, sort_keys=True).encode())
         return digest.hexdigest()
 
-    def current_stamp(self, options: dict,
-                      names: Iterable[str]) -> Optional[dict]:
-        """The recorded stamp when the named reports are current for these
-        inputs and options, else None. A stamp that lacks the `truncated`
-        count is not current: the count cannot be told from the reports."""
-        stamp = self.reports_dir / "stamp.json"
-        if not stamp.exists():
-            return None
+    def _stamp_entries(self) -> dict:
+        """The recorded stamp entries, one per report set (`analysis`,
+        `lint`). A stamp that cannot be read, or one in the older
+        single-entry shape, has none."""
         try:
-            recorded = json.loads(stamp.read_text())
-        except json.JSONDecodeError:
-            return None
-        if (recorded.get("input_hash") != self.input_hash(options)
-                or "truncated" not in recorded):
+            recorded = json.loads((self.reports_dir / "stamp.json").read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            return {}
+        if not isinstance(recorded, dict):
+            return {}
+        return {name: entry for name, entry in recorded.items()
+                if isinstance(entry, dict) and "input_hash" in entry}
+
+    def current_stamp(self, entry: str, options: dict,
+                      names: Iterable[str]) -> Optional[dict]:
+        """The stamp entry `entry` when the named reports are current for
+        these inputs and options, else None. An entry that lacks the
+        `truncated` count is not current: the count cannot be told from the
+        reports."""
+        recorded = self._stamp_entries().get(entry)
+        if (recorded is None or "truncated" not in recorded
+                or recorded["input_hash"] != self.input_hash(options)):
             return None
         if not all((self.reports_dir / name).exists() for name in names):
             return None
         return recorded
 
-    def write_stamp(self, options: dict, truncated: int):
-        _write_atomic(self.reports_dir / "stamp.json", _json_file(
-            {"input_hash": self.input_hash(options), "options": options,
-             "truncated": truncated}))
+    def drop_stamp(self, *entries: str):
+        """Forget the named entries, before their reports are rewritten: a
+        run killed mid-write then leaves those reports not current."""
+        recorded = self._stamp_entries()
+        if any(entry in recorded for entry in entries):
+            _write_atomic(self.reports_dir / "stamp.json", _json_file(
+                {k: v for k, v in recorded.items() if k not in entries}))
+
+    def write_stamp(self, **entries: tuple[dict, int]):
+        """Record each entry given as `name=(options, truncated)`: the
+        inputs and options its reports were made from and how many
+        certificates the depth bound cut short. Other entries are kept."""
+        recorded = self._stamp_entries()
+        for name, (options, truncated) in entries.items():
+            recorded[name] = {"input_hash": self.input_hash(options),
+                              "options": options, "truncated": truncated}
+        _write_atomic(self.reports_dir / "stamp.json", _json_file(recorded))
 
     def write_report(self, name: str, lines: Iterable[str]):
         _write_atomic(self.reports_dir / name,

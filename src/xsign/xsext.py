@@ -15,7 +15,7 @@ from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .pathengine import CertIndex
-from .revocation import RevocationRecord, RevocationView
+from .revocation import RevocationIndex, RevocationView
 from .timeutil import format_rfc3339, parse_rfc3339
 from .truststore import RootStoreTimeline
 from .xsdetect import XSCertGroup
@@ -217,7 +217,7 @@ class LintVerdict:
 def lint_cross_sign(group: XSCertGroup,
                     stores: Sequence[RootStoreTimeline],
                     exts: Mapping[str, XsExtension],
-                    revocations: Sequence[RevocationRecord],
+                    revocations: RevocationIndex,
                     max_validity_days: int = DEFAULT_MAX_VALIDITY_DAYS,
                     *,
                     index: CertIndex,

@@ -12,7 +12,7 @@ from datetime import timedelta
 from xsign.analysis import analyze_corpus
 from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
 from xsign.pathengine import assess_trust, build_index, enumerate_paths
-from xsign.revocation import RevocationView, revocation_onset
+from xsign.revocation import RevocationIndex, RevocationView, revocation_onset
 from xsign.timeutil import utc
 from xsign.truststore import combined_anchors
 from xsign.xsdetect import classify_type, group_xs
@@ -91,9 +91,10 @@ def test_criterion_03_actalis_two_year_window():
     crlset = next(v for v in bundle.views if v.consumer_id == "google")
     g2, g2_xs = bundle.record("g2"), bundle.record("g2_xs")
 
-    onset = revocation_onset(g2, onecrl, bundle.revocations)
+    revocations = RevocationIndex(bundle.revocations)
+    onset = revocation_onset(g2, onecrl, revocations)
     assert onset == utc(2016, 11, 1)
-    assert revocation_onset(g2_xs, onecrl, bundle.revocations) == onset
+    assert revocation_onset(g2_xs, onecrl, revocations) == onset
 
     # In the OneCRL view nothing survives the revocation.
     a = assess_trust(g2_xs, index, bundle.stores, bundle.revocations, onecrl)
@@ -370,7 +371,7 @@ def test_criterion_11_extension_and_lints():
              explanations=(), at=None, max_validity_days=398):
         verdicts = lint_cross_sign(
             group, stores if stores is not None else bundle.stores, exts,
-            list(revocations), max_validity_days=max_validity_days,
+            RevocationIndex(revocations), max_validity_days=max_validity_days,
             index=index,
             coverage=coverage if coverage is not None else full_cov,
             views=list(views), explanations=explanations, at=at)

@@ -9,6 +9,7 @@ from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
 from xsign.pathengine import build_index
+from xsign.revocation import RevocationIndex
 from xsign.timeutil import parse_rfc3339, utc
 from xsign.truststore import combined_anchors
 from xsign.xsdetect import group_xs
@@ -450,8 +451,8 @@ def test_uniformly_revoked_group_no_inconsistency():
     bundle = d.realize(ScenarioSpec("uniform"))
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
-    findings = find_revocation_inconsistency(xs[0], bundle.revocations,
-                                             bundle.views, index)
+    findings = find_revocation_inconsistency(
+        xs[0], RevocationIndex(bundle.revocations), bundle.views, index)
     assert not findings
 
 

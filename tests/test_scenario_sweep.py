@@ -2,9 +2,11 @@
 
 The digests in golden/scenario_sweep.json cover groups, reissuance,
 assessments, findings and lint JSONL at default analysis options, with the
-scenario parameters of scripts/run_scenarios.py. A refactor that keeps them
-equal keeps every report byte-identical. Regenerate (only for an intended
-output change) with: PYTHONPATH=src python tests/test_scenario_sweep.py
+scenario parameters of scripts/run_scenarios.py. Lint is pinned on both of
+its routes: the verdicts `analyze_corpus` returns and `lint_corpus`. A
+refactor that keeps them equal keeps every report byte-identical.
+Regenerate (only for an intended output change) with:
+PYTHONPATH=src python tests/test_scenario_sweep.py
 """
 
 import hashlib
@@ -23,16 +25,19 @@ def _digest(lines: list[str]) -> str:
                           .encode("utf-8")).hexdigest()
 
 
-def scenario_digests(scenario_id: str) -> dict[str, str]:
+def _bundle(scenario_id: str):
     params = {"n": 80, "revocation_rate": 0.2} \
         if scenario_id == "random" else {}
-    bundle = generate(ScenarioSpec(scenario_id, seed=1, mode="structural",
-                                   params=params))
+    return generate(ScenarioSpec(scenario_id, seed=1, mode="structural",
+                                 params=params))
+
+
+def scenario_digests(scenario_id: str) -> dict[str, str]:
+    """Every report's digest, lint included, from one `analyze_corpus`."""
+    bundle = _bundle(scenario_id)
     result = analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
-                            bundle.views, bundle.operator_map)
-    verdicts, _ = lint_corpus(bundle.records, bundle.stores,
-                              bundle.revocations, bundle.extensions,
-                              bundle.views, bundle.operator_map)
+                            bundle.views, bundle.operator_map,
+                            extensions=bundle.extensions)
     visible = [a for a in result.assessments.all()
                if a.view_id != COVERAGE_VIEW_ID]
     return {
@@ -40,8 +45,17 @@ def scenario_digests(scenario_id: str) -> dict[str, str]:
         "reissuance": _digest(reports.groups_jsonl(result.reissuance_groups)),
         "assessments": _digest(reports.assessments_jsonl(visible)),
         "findings": _digest(reports.findings_jsonl(result.findings)),
-        "lint": _digest(reports.lint_jsonl(verdicts)),
+        "lint": _digest(reports.lint_jsonl(result.verdicts)),
     }
+
+
+def cold_lint_digest(scenario_id: str) -> str:
+    """The lint report's digest from `lint_corpus`, the cold-lint route."""
+    bundle = _bundle(scenario_id)
+    verdicts, _ = lint_corpus(bundle.records, bundle.stores,
+                              bundle.revocations, bundle.extensions,
+                              bundle.views, bundle.operator_map)
+    return _digest(reports.lint_jsonl(verdicts))
 
 
 def test_scenario_reports_match_golden_digests():
@@ -49,6 +63,8 @@ def test_scenario_reports_match_golden_digests():
     assert sorted(golden) == sorted(SCENARIOS)
     for scenario_id in sorted(SCENARIOS):
         assert scenario_digests(scenario_id) == golden[scenario_id], scenario_id
+        assert cold_lint_digest(scenario_id) == golden[scenario_id]["lint"], \
+            scenario_id
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
 from xsign.cli import main
 from xsign.corpus import ScenarioSpec, generate
 from xsign.findings import Finding
+from xsign.revocation import RevocationIndex
 from xsign.workspace import Workspace
 from xsign.xsext import ExpandingTrust, XsExtension, lint_cross_sign
 
@@ -251,7 +252,7 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     # A stamp that lacks the count is not current: the run recomputes.
     stamp = ws.reports_dir / "stamp.json"
     recorded = json.loads(stamp.read_text())
-    del recorded["truncated"]
+    del recorded["analysis"]["truncated"]
     stamp.write_text(json.dumps(recorded))
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
                           "--max-depth", "2")
@@ -263,7 +264,8 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     assert err == ""
 
 
-def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys):
+def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys,
+                                                    monkeypatch):
     ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
     ws = Workspace(ws_dir)
     cut = analyze_corpus(ws.load_records(), ws.load_stores(),
@@ -273,10 +275,10 @@ def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys):
     members = {fp for group in cut.xs_groups for fp in group.members}
     cut_members = [fp for fp in cut.truncated_certs if fp in members]
     assert 0 < len(cut_members) < len(cut.truncated_certs)
-    code, out, err = _run(capsys, "lint", "--ws", str(ws_dir),
-                          "--max-depth", "2")
+    code, linted, err = _run(capsys, "lint", "--ws", str(ws_dir),
+                             "--max-depth", "2")
     assert code == 0
-    assert out == (ws_dir / "reports" / "lint.jsonl").read_text()
+    assert linted == (ws_dir / "reports" / "lint.jsonl").read_text()
     assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
                                "certs": len(cut_members)}
     # The first report materializes the reports, the second reads them
@@ -290,6 +292,14 @@ def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys):
                                    "certs": len(cut.truncated_certs)}
         stamps.append((ws.reports_dir / "stamp.json").stat().st_mtime_ns)
     assert stamps[0] == stamps[1]
+    # The analysis linted too: lint now serves its result, and warns with
+    # the member count the stamp keeps.
+    calls = _count_loads(monkeypatch)
+    code, served, err = _run(capsys, "lint", "--ws", str(ws_dir),
+                             "--max-depth", "2")
+    assert code == 0 and calls == [] and served == linted
+    assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
+                               "certs": len(cut_members)}
     code, out, err = _run(capsys, "report", "--ws", str(ws_dir),
                           "--kind", "groups")
     assert code == 0 and err == ""
@@ -311,6 +321,121 @@ def test_report_lint_relints_after_new_input(tmp_path, capsys):
     code, linted, _ = _run(capsys, "lint", "--ws", str(ws_dir))
     assert code == 0
     assert reported == linted != before
+
+
+def _count_loads(monkeypatch) -> list:
+    """Record each `Workspace.load_records` call, which only a command that
+    builds results makes."""
+    calls = []
+    real = Workspace.load_records
+
+    def load_records(self):
+        calls.append(self.root)
+        return real(self)
+
+    monkeypatch.setattr(Workspace, "load_records", load_records)
+    return calls
+
+
+def test_lint_after_analyze_serves_lint_jsonl(tmp_path, capsys, monkeypatch):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0 and "lint.jsonl" in json.loads(out)["reports"]
+
+    def no_load(self):
+        raise AssertionError("lint loaded the records")
+
+    monkeypatch.setattr(Workspace, "load_records", no_load)
+    code, served, err = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0 and served and err == ""
+    code, reported, _ = _run(capsys, "report", "--ws", str(ws_dir),
+                             "--kind", "lint")
+    assert code == 0 and reported == served
+    monkeypatch.undo()
+    # A cold lint of the same bundle in a fresh workspace prints the same.
+    cold_dir = tmp_path / "ws-cold"
+    _run(capsys, "ingest", "--ws", str(cold_dir), str(tmp_path / "bundle-figure1"))
+    code, cold, _ = _run(capsys, "lint", "--ws", str(cold_dir))
+    assert code == 0 and cold == served
+    assert (cold_dir / "reports" / "lint.jsonl").read_text() == served
+
+
+def test_lint_relints_when_its_options_change(tmp_path, capsys, monkeypatch):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0
+    calls = _count_loads(monkeypatch)
+    code, default, _ = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0 and calls == []
+    code, wide, _ = _run(capsys, "lint", "--ws", str(ws_dir),
+                         "--max-validity", "400")
+    assert code == 0 and len(calls) == 1
+    code, again, _ = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0 and len(calls) == 2 and again == default
+    code, _, _ = _run(capsys, "lint", "--ws", str(ws_dir))
+    assert code == 0 and len(calls) == 2
+
+
+def test_one_entry_stamp_is_not_current(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0
+    ws = Workspace(ws_dir)
+    stamp = ws.reports_dir / "stamp.json"
+    # The shape earlier versions wrote: one entry, for the analysis.
+    options = json.loads(stamp.read_text())["analysis"]["options"]
+    stamp.write_text(json.dumps({"input_hash": ws.input_hash(options),
+                                 "options": options, "truncated": 0}))
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert sorted(json.loads(stamp.read_text())) == ["analysis", "lint"]
+
+
+def test_reports_interrupted_before_their_stamp_are_not_served(
+        tmp_path, capsys, monkeypatch):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0
+    reports_dir = ws_dir / "reports"
+    first = {p.name: p.read_bytes() for p in reports_dir.glob("*.jsonl")}
+
+    def killed(self, **entries):
+        raise KeyboardInterrupt
+
+    # Each killed run "dies" after rewriting its reports, before its stamp;
+    # the run after it must not serve what the killed run left.
+    for killed_argv, argv in ((("analyze", "--max-depth", "2"), ("analyze",)),
+                              (("lint", "--max-validity", "30"), ("lint",))):
+        monkeypatch.setattr(Workspace, "write_stamp", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main([killed_argv[0], "--ws", str(ws_dir), *killed_argv[1:]])
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes()
+                for p in reports_dir.glob("*.jsonl")} != first
+        code, out, _ = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 0
+        assert {p.name: p.read_bytes()
+                for p in reports_dir.glob("*.jsonl")} == first
+    assert out == first["lint.jsonl"].decode()
+
+
+@pytest.mark.parametrize("name, line, command", [
+    ("config/views.json", '{"views": [{"consumer_id": "v"}]}', "analyze"),
+    ("config/extensions.jsonl", '{"member": "ab"}', "lint"),
+    ("config/revocations.jsonl", '{"selector": {"type": "spki"}}', "analyze"),
+    ("certs/*.json", '{"fingerprint": "ab"}', "lint"),
+])
+def test_commands_reject_workspace_files_the_loaders_cannot_read(
+        tmp_path, capsys, name, line, command):
+    # Written past ingest's checks: by hand or by an earlier version.
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    path = min(ws_dir.glob(name), default=ws_dir / name)
+    path.write_text(line + "\n")
+    code, out, err = _run(capsys, command, "--ws", str(ws_dir))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(path)
+    assert payload.get("line") == (1 if name.endswith(".jsonl") else None)
 
 
 def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
@@ -341,7 +466,7 @@ def _lint_from_full_analysis(ws: Workspace, options: AnalysisOptions):
     verdicts = []
     for group in result.xs_groups:
         verdicts.extend(lint_cross_sign(
-            group, stores, extensions, revocations,
+            group, stores, extensions, RevocationIndex(revocations),
             index=result.index,
             coverage={fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
                       for fp in group.members},

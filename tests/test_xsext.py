@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
 from xsign.pathengine import build_index
+from xsign.revocation import RevocationIndex
 from xsign.timeutil import utc
 from xsign.truststore import RootStoreTimeline, StoreSnapshot
 from xsign.xsdetect import group_xs
@@ -139,7 +140,7 @@ def _lint(bundle, exts, *, stores=None, coverage=None, revocations=(),
         coverage = {fp: {"web1", "web2"} for fp in group.members}
     return group, lint_cross_sign(
         group, stores if stores is not None else bundle.stores,
-        exts, list(revocations) or bundle.revocations,
+        exts, RevocationIndex(list(revocations) or bundle.revocations),
         index=index, coverage=coverage, views=list(views) or bundle.views,
         explanations=explanations, at=at)
 
@@ -166,7 +167,8 @@ def test_v1_monotone_in_limit():
     group = xs[0]
     for limit in (3000, 398, 100, 4):
         verdicts = lint_cross_sign(
-            group, bundle.stores, exts, [], max_validity_days=limit,
+            group, bundle.stores, exts, RevocationIndex([]),
+            max_validity_days=limit,
             index=index, coverage={})
         v1_members = {v.member for v in verdicts if v.code == "V1"}
         wide_members = {v.member for v in wide if v.code == "V1"}
@@ -269,12 +271,12 @@ def test_v7_unexplained_inconsistency():
                     if g.spki_digest == bundle.record("ev").spki_digest)
     exts = {bundle.fp("ev_xs"): _ext(ExpandingTrust(("mozilla",)))}
     verdicts = lint_cross_sign(
-        ev_group, bundle.stores, exts, bundle.revocations,
+        ev_group, bundle.stores, exts, RevocationIndex(bundle.revocations),
         index=index, coverage={}, views=bundle.views)
     assert "V7" in _codes(verdicts)
     group_key = f"{ev_group.subject}|{ev_group.spki_digest}"
     verdicts = lint_cross_sign(
-        ev_group, bundle.stores, exts, bundle.revocations,
+        ev_group, bundle.stores, exts, RevocationIndex(bundle.revocations),
         index=index, coverage={}, views=bundle.views,
         explanations=[group_key])
     assert "V7" not in _codes(verdicts)
