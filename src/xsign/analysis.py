@@ -2,13 +2,16 @@
 finding analyzers, and lint. One deterministic entry point shared by the
 CLI, the scenario scripts, and the test suites. Both entry points group,
 enumerate paths, assess member coverage and lint through the same helpers,
-and look revocations up in one index built per run."""
+and look revocations up in one index built per run. The analyzers and the
+lints read paths and assessments of cross-sign members only, so those are
+all an analysis keeps; every other certificate is enumerated and assessed
+when its assessment rows are read, and dropped after them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import findings as findings_mod
 from . import xsext
@@ -17,14 +20,13 @@ from .findings import AssessmentSet, Finding, Paths
 from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, PathEnumeration,
                          TrustAssessment, assess_paths, build_index,
                          check_options, enumerate_paths)
-from .revocation import RevocationIndex, RevocationRecord, RevocationView
+from .revocation import (COVERAGE_VIEW_ID, RevocationIndex, RevocationRecord,
+                         RevocationView, check_view_ids)
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
 
-# Synthetic revocation-free view backing coverage-style analyzers; named so
-# its appearances in finding evidence are self-explanatory. It never shows
-# up in assessment reports.
-COVERAGE_VIEW_ID = "no-revocations"
+# Synthetic revocation-free view backing coverage-style analyzers. It never
+# shows up in assessment reports.
 COVERAGE_VIEW = RevocationView(COVERAGE_VIEW_ID, frozenset())
 _NO_EXTENSIONS: Mapping[str, xsext.XsExtension] = MappingProxyType({})
 
@@ -43,16 +45,63 @@ class AnalysisOptions:
         check_options(self.max_depth, self.mode)
 
 
+class AssessmentRows:
+    """The assessment report's rows: every certificate under every view
+    but the coverage view, by fingerprint and then view id. They can be
+    read once. A cross-sign member's rows come from the analysis; any other
+    certificate is enumerated and assessed when its rows are reached, and
+    dropped after them, so each certificate is still enumerated once per
+    run. `truncated` lists, in fingerprint order, the certificates whose
+    enumeration the depth bound cut short; it is complete once the rows
+    have been read."""
+
+    def __init__(self, index: CertIndex, stores: Sequence[RootStoreTimeline],
+                 revocations: RevocationIndex,
+                 views: Sequence[RevocationView], options: AnalysisOptions,
+                 paths: Paths, assessments: AssessmentSet):
+        self._run = (index, stores, revocations,
+                     sorted(views, key=lambda v: v.consumer_id), options,
+                     paths, assessments)
+        self.truncated: list[str] = []
+
+    def __iter__(self) -> Iterator[TrustAssessment]:
+        run, self._run = self._run, None
+        if run is None:
+            raise RuntimeError("the assessment rows can be read once")
+        return self._stream(*run)
+
+    def _stream(self, index, stores, revocations, views, options, paths,
+                assessments) -> Iterator[TrustAssessment]:
+        anchors = combined_anchors(stores)
+        for record in index.sorted_records():
+            fp = record.fingerprint
+            enumeration = paths.get(fp)
+            if enumeration is None:
+                enumeration = enumerate_paths(
+                    record, index, max_depth=options.max_depth,
+                    mode=options.mode, anchors=anchors)
+                rows = (assess_paths(record, enumeration, index, stores,
+                                     revocations, view) for view in views)
+            else:
+                rows = (assessments.get(fp, view.consumer_id)
+                        for view in views)
+            if enumeration.truncated:
+                self.truncated.append(fp)
+            yield from rows
+
+
 @dataclass
 class AnalysisResult:
+    """`assessments` holds the cross-sign members' assessments only, under
+    every view and the coverage view; `rows` yields every certificate's."""
     index: CertIndex
     xs_groups: list[XSCertGroup]
     reissuance_groups: list[XSCertGroup]
     assessments: AssessmentSet
+    rows: AssessmentRows
     findings: list[Finding]
     views: list[RevocationView]
     verdicts: list[xsext.LintVerdict]
-    truncated_certs: list[str]
     truncated_members: list[str]
 
 
@@ -130,19 +179,22 @@ def analyze_corpus(records: Sequence[CertRecord],
                    extensions: Mapping[str,
                                        xsext.XsExtension] = _NO_EXTENSIONS,
                    explanations: Sequence[str] = ()) -> AnalysisResult:
-    """Group, assess every certificate under every view, run the finding
-    analyzers and lint the cross-sign groups, at the options'
-    `max_validity_days`."""
+    """Group, assess the cross-sign members under every view, run the
+    finding analyzers and lint the cross-sign groups, at the options'
+    `max_validity_days`. The other certificates are assessed as
+    `result.rows` is read."""
+    check_view_ids(views)
     index, xs_groups, reissuance = _group_corpus(records, stores,
                                                  operator_map, options)
     revocations = RevocationIndex(revocations)
     stores = sorted(stores, key=lambda s: s.store_id)
-    # Each certificate's paths are enumerated once and shared by the
-    # assessments of every view, the finding analyzers and the lints.
-    paths = _path_table(index.sorted_records(), index, stores, options)
+    # Each member's paths are enumerated once and shared by the assessments
+    # of every view, the finding analyzers, the lints and the rows.
+    members = [index.get(fp) for group in xs_groups for fp in group.members]
+    paths = _path_table(members, index, stores, options)
     coverage = _member_coverage(xs_groups, paths, index, stores, revocations)
     assessments = AssessmentSet(coverage)
-    for record in index.sorted_records():
+    for record in members:
         for view in views:
             assessments.add(assess_paths(record, paths[record.fingerprint],
                                          index, stores, revocations, view))
@@ -155,10 +207,10 @@ def analyze_corpus(records: Sequence[CertRecord],
                             coverage)
     return AnalysisResult(
         index=index, xs_groups=xs_groups, reissuance_groups=reissuance,
-        assessments=assessments, findings=all_findings, views=list(views),
-        verdicts=verdicts,
-        truncated_certs=[fp for fp, enumeration in paths.items()
-                         if enumeration.truncated],
+        assessments=assessments,
+        rows=AssessmentRows(index, stores, revocations, views, options, paths,
+                            assessments),
+        findings=all_findings, views=list(views), verdicts=verdicts,
         truncated_members=_truncated_members(xs_groups, paths))
 
 

@@ -12,16 +12,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import reports
-from .analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
-                       lint_corpus)
+from .analysis import AnalysisOptions, analyze_corpus, lint_corpus
 from .certmodel import MalformedInput
 from .findings import Finding
 from .pathengine import DEFAULT_MAX_DEPTH, select_stores
-from .revocation import RevocationRecord, RevocationView, all_sources_view
+from .revocation import (RevocationRecord, RevocationView, all_sources_view,
+                         check_view_ids)
 from .truststore import UnknownStore
-from .workspace import SchemaError, Workspace
+from .workspace import SchemaError, Workspace, _write_atomic
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS
 from .xsext import DEFAULT_MAX_VALIDITY_DAYS
 
@@ -79,10 +80,12 @@ def _options_dict(args, views) -> dict:
 def _analysis_inputs(args, ws: Workspace):
     """The views, selected stores and revocations an analysis runs on, each
     loaded once. With no view given by `--views` or `views.json`, the run
-    uses one view that accepts every source."""
+    uses one view that accepts every source. A view id given twice, or
+    equal to the coverage view's, is an analysis error."""
     revocations = ws.load_revocations()
     views = (_parse_views(args.views, revocations) if args.views
              else ws.load_views()) or [all_sources_view(revocations)]
+    check_view_ids(views)
     store_ids = args.stores.split(",") if args.stores else None
     stores = select_stores(ws.load_stores(), store_ids)
     return views, stores, revocations
@@ -117,13 +120,14 @@ def _run_analysis(args, ws: Workspace):
         ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
         ws.write_report("reissuance.jsonl",
                         reports.groups_jsonl(result.reissuance_groups))
-        visible = [a for a in result.assessments.all()
-                   if a.view_id != COVERAGE_VIEW_ID]
-        ws.write_report("assessments.jsonl", reports.assessments_jsonl(visible))
+        # Assesses every certificate that is not a cross-sign member as
+        # its rows are written, and completes `rows.truncated`.
+        ws.write_report("assessments.jsonl",
+                        reports.assessments_jsonl(result.rows))
         ws.write_report("findings.jsonl",
                         reports.findings_jsonl(result.findings))
         ws.write_report(LINT_REPORT, reports.lint_jsonl(result.verdicts))
-        truncated = len(result.truncated_certs)
+        truncated = len(result.rows.truncated)
         ws.write_stamp(analysis=(options, truncated),
                        lint=(_lint_options(args, views),
                              len(result.truncated_members)))
@@ -131,7 +135,7 @@ def _run_analysis(args, ws: Workspace):
     return result, truncated
 
 
-def _run_lint(args, ws: Workspace) -> list[str]:
+def _run_lint(args, ws: Workspace) -> Iterable[str]:
     """The verdict lines of `lint.jsonl`, linting anew and rewriting it
     unless its stamp entry is current; warns when the depth bound cut a
     member's enumeration short."""
@@ -139,7 +143,7 @@ def _run_lint(args, ws: Workspace) -> list[str]:
     options = _lint_options(args, views)
     stamp = ws.current_stamp("lint", options, [LINT_REPORT])
     if stamp is not None:
-        lines = ws.read_report(LINT_REPORT).splitlines()
+        lines = ws.report_lines(LINT_REPORT)
         truncated = stamp["truncated"]
     else:
         verdicts, members = lint_corpus(
@@ -201,43 +205,46 @@ def cmd_lint(args) -> int:
     return EXIT_OK
 
 
+def _assessments_csv(objs: Iterable[dict]) -> Iterator[str]:
+    yield "fingerprint,view,store,from,to,paths\n"
+    for o in objs:
+        for store_id, items in o["stores"].items():
+            for item in items:
+                paths = ";".join(",".join(p) for p in item["paths"])
+                yield (f"{o['fingerprint']},{o['view']},{store_id},"
+                       f"{item['from']},{item['to']},{paths}\n")
+
+
 def cmd_report(args) -> int:
+    """Render a report as its lines are read; only the findings renderings
+    need every finding at once."""
+    if args.format == "md" and args.kind != "findings":
+        _err({"error": "usage",
+              "detail": "markdown rendering exists for findings only"})
+        return EXIT_USAGE
+    if args.format == "csv" and args.kind not in ("findings", "assessments"):
+        _err({"error": "usage",
+              "detail": f"csv rendering not available for {args.kind}"})
+        return EXIT_USAGE
     ws = Workspace(Path(args.workspace))
     if args.kind == "lint":
         lines = _run_lint(args, ws)
     else:
         _run_analysis(args, ws)
-        lines = ws.read_report(f"{args.kind}.jsonl").splitlines()
-    objs = [json.loads(line) for line in lines if line.strip()]
+        lines = ws.report_lines(f"{args.kind}.jsonl")
+    objs = (json.loads(line) for line in lines if line.strip())
     if args.format == "json":
-        out = "\n".join(json.dumps(o, sort_keys=True) for o in objs)
-        out = out + "\n" if out else ""
+        out = (json.dumps(o, sort_keys=True) + "\n" for o in objs)
     elif args.format == "md":
-        if args.kind != "findings":
-            _err({"error": "usage",
-                  "detail": "markdown rendering exists for findings only"})
-            return EXIT_USAGE
-        out = reports.findings_markdown([Finding.from_json(o) for o in objs])
-    else:  # csv
-        if args.kind == "findings":
-            out = reports.findings_csv([Finding.from_json(o) for o in objs])
-        elif args.kind == "assessments":
-            buf = ["fingerprint,view,store,from,to,paths"]
-            for o in objs:
-                for store_id, items in o["stores"].items():
-                    for item in items:
-                        paths = ";".join(",".join(p) for p in item["paths"])
-                        buf.append(f"{o['fingerprint']},{o['view']},{store_id},"
-                                   f"{item['from']},{item['to']},{paths}")
-            out = "\n".join(buf) + "\n"
-        else:
-            _err({"error": "usage",
-                  "detail": f"csv rendering not available for {args.kind}"})
-            return EXIT_USAGE
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        out = [reports.findings_markdown([Finding.from_json(o) for o in objs])]
+    elif args.kind == "findings":
+        out = [reports.findings_csv([Finding.from_json(o) for o in objs])]
     else:
-        sys.stdout.write(out)
+        out = _assessments_csv(objs)
+    if args.out:
+        _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
+    else:
+        sys.stdout.writelines(out)
     return EXIT_OK
 
 

@@ -245,30 +245,36 @@ def enumerate_paths(cert: CertRecord, index: CertIndex,
         raise KeyError(f"certificate {cert.fingerprint} not in index")
 
     result = PathEnumeration(paths=[])
-
-    def walk(records: list[CertRecord], spkis: set[str]):
-        current = records[-1]
-        if current.self_signed or current.fingerprint in anchors:
-            path = _make_path(records, mode)
-            if path is not None:
-                result.paths.append(path)
-        parents = [p for p in index.issuers_of(current)
-                   if p.spki_digest not in spkis]
-        if not parents:
-            return
-        if len(records) >= max_depth:
-            result.truncated = True
-            return
-        for parent in parents:
-            spkis.add(parent.spki_digest)
-            records.append(parent)
-            walk(records, spkis)
-            records.pop()
-            spkis.discard(parent.spki_digest)
-
-    walk([cert], {cert.spki_digest})
+    _walk([cert], {cert.spki_digest}, index, anchors, max_depth, mode, result)
     result.paths.sort(key=lambda p: (len(p.chain), p.chain))
     return result
+
+
+def _walk(records: list[CertRecord], spkis: set[str], index: CertIndex,
+          anchors: frozenset[str], max_depth: int, mode: str,
+          result: PathEnumeration):
+    """Extend the chain `records` (leaf first) depth first, adding each
+    terminated chain to `result`. A module-level function, not a closure:
+    a recursive closure is a reference cycle that would keep `result`
+    alive until the next garbage collection."""
+    current = records[-1]
+    if current.self_signed or current.fingerprint in anchors:
+        path = _make_path(records, mode)
+        if path is not None:
+            result.paths.append(path)
+    parents = [p for p in index.issuers_of(current)
+               if p.spki_digest not in spkis]
+    if not parents:
+        return
+    if len(records) >= max_depth:
+        result.truncated = True
+        return
+    for parent in parents:
+        spkis.add(parent.spki_digest)
+        records.append(parent)
+        _walk(records, spkis, index, anchors, max_depth, mode, result)
+        records.pop()
+        spkis.discard(parent.spki_digest)
 
 
 @dataclass

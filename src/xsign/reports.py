@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .findings import CATEGORIES, SEVERITY, Finding
 from .pathengine import TrustAssessment
@@ -14,6 +14,7 @@ from .xsdetect import XSCertGroup
 from .xsext import LintVerdict
 
 _SIGNAL = {"bad": "!!", "warn": "!", "info": "."}
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def jsonl(objs: Sequence[dict]) -> list[str]:
@@ -28,8 +29,10 @@ def groups_jsonl(groups: Sequence[XSCertGroup]) -> list[str]:
     return jsonl([g.to_json() for g in groups])
 
 
-def assessments_jsonl(assessments: Sequence[TrustAssessment]) -> list[str]:
-    return jsonl([a.to_json() for a in assessments])
+def assessments_jsonl(assessments: Iterable[TrustAssessment]) -> Iterator[str]:
+    """One line per assessment, encoded as the lines are taken, so that a
+    streamed assessment is dropped once its line is written."""
+    return (_ENCODER.encode(a.to_json()) for a in assessments)
 
 
 def lint_jsonl(verdicts: Sequence[LintVerdict]) -> list[str]:

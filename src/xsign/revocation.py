@@ -139,6 +139,23 @@ class RevocationView:
 
 
 VIEW_ALL_ID = "all"
+# The id of the analysis's own revocation-free view, which backs the
+# coverage-style analyzers; named so that its appearances in finding
+# evidence are self-explanatory.
+COVERAGE_VIEW_ID = "no-revocations"
+
+
+def check_view_ids(views: Iterable[RevocationView]) -> None:
+    """Raise ValueError on a view id given twice or equal to the coverage
+    view's: the assessment report has one row per (certificate, view id),
+    and the coverage view is the analysis's own."""
+    seen: set[str] = set()
+    for view in views:
+        if view.consumer_id == COVERAGE_VIEW_ID:
+            raise ValueError(f"view id {COVERAGE_VIEW_ID!r} is reserved")
+        if view.consumer_id in seen:
+            raise ValueError(f"duplicate view id {view.consumer_id!r}")
+        seen.add(view.consumer_id)
 
 
 def all_sources_view(records: Iterable[RevocationRecord]) -> RevocationView:

@@ -8,11 +8,11 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .certmodel import (CertRecord, MalformedInput, load_pem_bundle,
                         parse_certificate, record_from_json, record_to_json)
-from .revocation import RevocationRecord, RevocationView
+from .revocation import RevocationRecord, RevocationView, check_view_ids
 from .truststore import OperatorMap, RootStoreTimeline
 from .xsext import XsExtension, decode_xs_extension
 
@@ -79,6 +79,12 @@ def _explanation(obj: dict) -> str:
     return explained
 
 
+def _views(doc: dict) -> list[RevocationView]:
+    views = [RevocationView.from_json(v) for v in doc["views"]]
+    check_view_ids(views)
+    return views
+
+
 class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -87,6 +93,12 @@ class Workspace:
         self.reports_dir = self.root / "reports"
         for d in (self.certs_dir, self.config_dir, self.reports_dir):
             d.mkdir(parents=True, exist_ok=True)
+        self._inputs = None  # the digest of certs/ and config/, once taken
+
+    def _write_input(self, path: Path, chunks: Iterable[bytes]):
+        """Write a file under certs/ or config/; the inputs have changed."""
+        self._inputs = None
+        _write_atomic(path, chunks)
 
     # -- certificates --
 
@@ -97,31 +109,35 @@ class Workspace:
         path = self.certs_dir / f"{record.fingerprint}.json"
         der = self.certs_dir / f"{record.fingerprint}.der"
         if record.raw is not None and not der.exists():
-            _write_atomic(der, [record.raw])
+            self._write_input(der, [record.raw])
         if path.exists():
             return False
-        _write_atomic(path, [(json.dumps(record_to_json(record), sort_keys=True)
-                              + "\n").encode()])
+        self._write_input(path, [(json.dumps(record_to_json(record),
+                                             sort_keys=True) + "\n").encode()])
         return True
 
     def load_records(self) -> list[CertRecord]:
         """Every ingested record, in file-name order. A record with raw
-        bytes is parsed from its `.der` alone; its `.json` is not read."""
-        names = set(os.listdir(self.certs_dir))
+        bytes is parsed from its `.der` alone; its `.json` is not read.
+        Paths are plain strings: pathlib would intern every file name."""
+        certs_dir = os.fspath(self.certs_dir)
+        names = set(os.listdir(certs_dir))
         records = []
         for name in sorted(names):
             if not name.endswith(".json"):
                 continue
             der = name[:-len(".json")] + ".der"
-            path = self.certs_dir / (der if der in names else name)
+            path = os.path.join(certs_dir, der if der in names else name)
             try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
                 if der in names:
-                    record = parse_certificate(path.read_bytes())
+                    record = parse_certificate(data)
                 else:
-                    record = record_from_json(json.loads(path.read_text()))
+                    record = record_from_json(json.loads(data))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad certificate: {exc}",
-                                  path=str(path)) from exc
+                                  path=path) from exc
             records.append(record)
         return records
 
@@ -185,18 +201,19 @@ class Workspace:
                     existing[store.store_id] = store
                 payload = {"stores": [existing[k].to_json()
                                       for k in sorted(existing)]}
-                _write_atomic(self.config_dir / _CONFIG_FILES["stores"],
-                              _json_file(payload))
+                self._write_input(self.config_dir / _CONFIG_FILES["stores"],
+                                  _json_file(payload))
                 summary["stores"] += len(stores)
             elif "operators" in doc or "ownership_events" in doc:
                 OperatorMap.from_json(doc)
-                _write_atomic(self.config_dir / _CONFIG_FILES["operators"],
-                              _json_file(doc))
+                self._write_input(self.config_dir / _CONFIG_FILES["operators"],
+                                  _json_file(doc))
                 summary["operators"] += 1
             elif "views" in doc:
-                views = [RevocationView.from_json(v) for v in doc["views"]]
-                _write_atomic(self.config_dir / _CONFIG_FILES["views"],
-                              _json_file({"views": [v.to_json() for v in views]}))
+                views = _views(doc)
+                self._write_input(
+                    self.config_dir / _CONFIG_FILES["views"],
+                    _json_file({"views": [v.to_json() for v in views]}))
                 summary["views"] += len(views)
             elif "scenario_id" in doc:
                 pass  # bundle metadata, nothing to ingest
@@ -263,7 +280,7 @@ class Workspace:
             if text not in seen:
                 parts.append(text + "\n")
                 seen.add(text)
-        _write_atomic(path, (part.encode() for part in parts))
+        self._write_input(path, (part.encode() for part in parts))
 
     # -- config loading --
 
@@ -309,8 +326,7 @@ class Workspace:
         return self._load_config("operators", OperatorMap.from_json, None)
 
     def load_views(self) -> list[RevocationView]:
-        return self._load_config("views", lambda doc: [
-            RevocationView.from_json(v) for v in doc["views"]], [])
+        return self._load_config("views", _views, [])
 
     def load_extensions(self) -> dict[str, XsExtension]:
         return dict(self._load_config_lines("extensions", _extension_entry))
@@ -321,14 +337,22 @@ class Workspace:
     # -- caching --
 
     def input_hash(self, options: dict) -> str:
-        digest = hashlib.sha256()
-        for name in sorted(os.listdir(self.certs_dir)):
-            digest.update(name.encode())
-        for name in sorted(_CONFIG_FILES.values()):
-            path = self.config_dir / name
-            if path.exists():
+        """The digest a stamp entry records: SHA-256 over the certificate
+        file names, every config file, then `options`. The files are
+        digested once per Workspace object (a command makes one, and its
+        own writes to certs/ and config/ start over); each call adds its
+        options to a copy of that digest."""
+        if self._inputs is None:
+            digest = hashlib.sha256()
+            for name in sorted(os.listdir(self.certs_dir)):
                 digest.update(name.encode())
-                digest.update(path.read_bytes())
+            for name in sorted(_CONFIG_FILES.values()):
+                path = self.config_dir / name
+                if path.exists():
+                    digest.update(name.encode())
+                    digest.update(path.read_bytes())
+            self._inputs = digest
+        digest = self._inputs.copy()
         digest.update(json.dumps(options, sort_keys=True).encode())
         return digest.hexdigest()
 
@@ -381,5 +405,8 @@ class Workspace:
         _write_atomic(self.reports_dir / name,
                       (f"{line}\n".encode() for line in lines))
 
-    def read_report(self, name: str) -> str:
-        return (self.reports_dir / name).read_text(encoding="utf-8")
+    def report_lines(self, name: str) -> Iterator[str]:
+        """The lines of a report, read as they are taken."""
+        with open(self.reports_dir / name, encoding="utf-8") as fh:
+            for line in fh:
+                yield line.rstrip("\n")

@@ -1,0 +1,69 @@
+"""What an analysis keeps alive. The finding analyzers and the lints read
+paths and assessments of cross-sign members only; every other
+certificate's are built as the assessment rows are read, and dropped."""
+
+import weakref
+
+import pytest
+
+from xsign import analysis
+from xsign.analysis import COVERAGE_VIEW_ID, analyze_corpus
+from xsign.corpus import ScenarioSpec, generate
+from xsign.revocation import RevocationView
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate(ScenarioSpec("random", seed=5, mode="structural",
+                                 params={"n": 120, "revocation_rate": 0.2}))
+
+
+def _analyze(bundle, views=None):
+    return analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
+                          bundle.views if views is None else views,
+                          bundle.operator_map, extensions=bundle.extensions)
+
+
+def test_only_one_non_member_is_alive_at_a_time(corpus, monkeypatch):
+    built = []  # (fingerprint, weak reference) per enumeration and assessment
+
+    def tracked(build):
+        def wrapper(cert, *args, **kwargs):
+            result = build(cert, *args, **kwargs)
+            built.append((cert.fingerprint, weakref.ref(result)))
+            return result
+        return wrapper
+
+    for name in ("enumerate_paths", "assess_paths"):
+        monkeypatch.setattr(analysis, name, tracked(getattr(analysis, name)))
+
+    def alive() -> set[str]:
+        return {fp for fp, ref in built if ref() is not None}
+
+    result = _analyze(corpus)
+    members = {fp for group in result.xs_groups for fp in group.members}
+    assert 0 < len(members) < len(corpus.records)
+    assert alive() == members
+    streamed = set()
+    rows = 0
+    for row in result.rows:
+        rows += 1
+        others = alive() - members
+        assert len(others) <= 1 and others <= {row.fingerprint}
+        streamed.update(others)
+    assert streamed == {r.fingerprint for r in corpus.records} - members
+    assert rows == len(corpus.records) * len(corpus.views)
+    assert alive() - members <= {row.fingerprint}
+
+
+def test_rows_can_be_read_once(corpus):
+    rows = _analyze(corpus).rows
+    assert all(row.view_id != COVERAGE_VIEW_ID for row in rows)
+    with pytest.raises(RuntimeError):
+        iter(rows)
+
+
+@pytest.mark.parametrize("ids", [["v", "v"], [COVERAGE_VIEW_ID]])
+def test_analyze_corpus_rejects_repeated_and_reserved_view_ids(corpus, ids):
+    with pytest.raises(ValueError):
+        _analyze(corpus, [RevocationView(i, frozenset()) for i in ids])

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from xsign import reports
-from xsign.analysis import COVERAGE_VIEW_ID, analyze_corpus, lint_corpus
+from xsign.analysis import analyze_corpus, lint_corpus
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden" / "scenario_sweep.json"
@@ -38,12 +38,10 @@ def scenario_digests(scenario_id: str) -> dict[str, str]:
     result = analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
                             bundle.views, bundle.operator_map,
                             extensions=bundle.extensions)
-    visible = [a for a in result.assessments.all()
-               if a.view_id != COVERAGE_VIEW_ID]
     return {
         "groups": _digest(reports.groups_jsonl(result.xs_groups)),
         "reissuance": _digest(reports.groups_jsonl(result.reissuance_groups)),
-        "assessments": _digest(reports.assessments_jsonl(visible)),
+        "assessments": _digest(reports.assessments_jsonl(result.rows)),
         "findings": _digest(reports.findings_jsonl(result.findings)),
         "lint": _digest(reports.lint_jsonl(result.verdicts)),
     }

@@ -2,25 +2,68 @@
 
 `perfbench/trace_launch.py` reports a hooked function that no longer exists
 as absent, and only the minutes-long `perfbench/selftest.py` fails on that.
-This check catches a deleted or renamed hooked function in the ordinary
-test run. It reads `HOOKS` and changes nothing in `perfbench/`."""
+These checks catch a deleted or renamed hooked function, a hooked module
+that `import xsign.cli` no longer loads (the tracer wraps only the modules
+loaded at that point), and a moved parameter that an observer reads, in the
+ordinary test run. They read `HOOKS` and `OBSERVERS` and change nothing in
+`perfbench/`."""
 
 import importlib
 import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import xsign
 
 TRACE_LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_launch.py"
 
+# The parameters the observers read by position (and by this name when
+# passed by keyword), with the names the library gives them.
+OBSERVED_PARAMETERS = {
+    "pathengine.enumerate_paths": {0: "cert", 2: "max_depth", 3: "mode",
+                                   4: "anchors"},
+    "revocation.matching_records": {2: "revocations"},
+    "certmodel.verify_signature": {0: "child", 1: "issuer_candidate"},
+}
 
-def _hooks() -> list:
+# Run in a fresh interpreter: import the CLI and nothing else, then resolve
+# each hook (given as JSON in argv[1]) in the modules that import loaded.
+_RESOLVE_AFTER_CLI_IMPORT = """
+import sys
+import xsign.cli
+import json
+missing = []
+for prefix, module_name, attr, _ in json.loads(sys.argv[1]):
+    owner = sys.modules.get(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    if not callable(owner):
+        missing.append(prefix)
+print(json.dumps(missing))
+"""
+
+
+def _trace_launch():
     spec = importlib.util.spec_from_file_location("trace_launch", TRACE_LAUNCH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.HOOKS
+    return module
+
+
+def _hooked(hooks: list, prefix: str):
+    [(module_name, attr)] = [(m, a) for p, m, a, _ in hooks if p == prefix]
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
 
 
 def test_every_hooked_function_exists():
-    hooks = _hooks()
+    hooks = _trace_launch().HOOKS
     assert hooks
     missing = []
     for prefix, module_name, attr, _ in hooks:
@@ -30,3 +73,27 @@ def test_every_hooked_function_exists():
         if not module_name.startswith("xsign.") or not callable(owner):
             missing.append(f"{prefix} ({module_name}.{attr})")
     assert not missing, f"hooked but not found: {', '.join(missing)}"
+
+
+def test_importing_the_cli_loads_every_hooked_function():
+    src = str(Path(xsign.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESOLVE_AFTER_CLI_IMPORT,
+         json.dumps(_trace_launch().HOOKS)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    missing = json.loads(proc.stdout)
+    assert not missing, ("not loaded by `import xsign.cli`: "
+                         f"{', '.join(missing)}")
+
+
+def test_observed_parameters_keep_their_names_and_positions():
+    trace_launch = _trace_launch()
+    assert OBSERVED_PARAMETERS.keys() <= trace_launch.OBSERVERS.keys()
+    for prefix, expected in OBSERVED_PARAMETERS.items():
+        names = list(inspect.signature(
+            _hooked(trace_launch.HOOKS, prefix)).parameters)
+        assert {pos: names[pos] for pos in expected if pos < len(names)} \
+            == expected, prefix

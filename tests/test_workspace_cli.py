@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import xsign
+import xsign.workspace
 from xsign import reports
 from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
 from xsign.cli import main
@@ -69,6 +72,13 @@ def test_schema_error_carries_line_number(tmp_path, capsys):
 
 _EXPANDING = {"motivations": [{"kind": "expanding_trust",
                                 "target_stores": ["web1"]}]}
+# A view id given twice, and the coverage view's id: either would drop a
+# view from a report with one row per (certificate, view id).
+_BAD_VIEW_IDS = [
+    [{"consumer_id": "v", "accepted_sources": ["crl"]},
+     {"consumer_id": "v", "accepted_sources": []}],
+    [{"consumer_id": COVERAGE_VIEW_ID, "accepted_sources": ["crl"]}],
+]
 
 
 @pytest.mark.parametrize("name, text, line", [
@@ -78,6 +88,7 @@ _EXPANDING = {"motivations": [{"kind": "expanding_trust",
     ("ext.jsonl", {"extension": _EXPANDING}, 1),
     ("ext.jsonl", {"member": "ab" * 32, "extension": {"motivations": []}}, 1),
     ("explanations.jsonl", {"explained": 5}, 1),
+    *[("views.json", {"views": views}, None) for views in _BAD_VIEW_IDS],
 ])
 def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
                                                         name, text, line):
@@ -235,20 +246,21 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     cut = analyze_corpus(ws.load_records(), ws.load_stores(),
                          ws.load_revocations(), ws.load_views(),
                          ws.load_operator_map(), AnalysisOptions(max_depth=2))
-    assert cut.truncated_certs
+    list(cut.rows)
+    assert cut.rows.truncated
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
                           "--max-depth", "2")
     assert code == 0
-    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
+    assert json.loads(out)["truncated"] == len(cut.rows.truncated)
     assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
-                               "certs": len(cut.truncated_certs)}
+                               "certs": len(cut.rows.truncated)}
     # A cache hit reports the same truncation as the run that filled it.
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
                           "--max-depth", "2")
     assert code == 0 and json.loads(out)["cached"] is True
-    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
+    assert json.loads(out)["truncated"] == len(cut.rows.truncated)
     assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
-                               "certs": len(cut.truncated_certs)}
+                               "certs": len(cut.rows.truncated)}
     # A stamp that lacks the count is not current: the run recomputes.
     stamp = ws.reports_dir / "stamp.json"
     recorded = json.loads(stamp.read_text())
@@ -257,7 +269,7 @@ def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
                           "--max-depth", "2")
     assert code == 0 and json.loads(out)["cached"] is False
-    assert json.loads(out)["truncated"] == len(cut.truncated_certs)
+    assert json.loads(out)["truncated"] == len(cut.rows.truncated)
     code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir))
     assert code == 0
     assert json.loads(out)["truncated"] == 0
@@ -271,10 +283,11 @@ def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys,
     cut = analyze_corpus(ws.load_records(), ws.load_stores(),
                          ws.load_revocations(), ws.load_views(),
                          ws.load_operator_map(), AnalysisOptions(max_depth=2))
+    list(cut.rows)
     # Lint enumerates the cross-sign members only.
     members = {fp for group in cut.xs_groups for fp in group.members}
-    cut_members = [fp for fp in cut.truncated_certs if fp in members]
-    assert 0 < len(cut_members) < len(cut.truncated_certs)
+    cut_members = [fp for fp in cut.rows.truncated if fp in members]
+    assert 0 < len(cut_members) < len(cut.rows.truncated)
     code, linted, err = _run(capsys, "lint", "--ws", str(ws_dir),
                              "--max-depth", "2")
     assert code == 0
@@ -289,7 +302,7 @@ def test_lint_and_report_warn_when_depth_cuts_short(tmp_path, capsys,
                               "--kind", "groups", "--max-depth", "2")
         assert code == 0 and out
         assert json.loads(err) == {"warning": "truncated", "max_depth": 2,
-                                   "certs": len(cut.truncated_certs)}
+                                   "certs": len(cut.rows.truncated)}
         stamps.append((ws.reports_dir / "stamp.json").stat().st_mtime_ns)
     assert stamps[0] == stamps[1]
     # The analysis linted too: lint now serves its result, and warns with
@@ -600,3 +613,87 @@ def test_pem_ingest_loads_cryptography(tmp_path):
     assert _loads_cryptography(
         ["ingest", "--ws", str(tmp_path / "ws"), "--format", "pem",
          str(tmp_path / "bundle" / "certs.pem")])
+
+
+@pytest.mark.parametrize("views", ["no-revocations=crl,all", "v=crl,v="])
+def test_analysis_rejects_repeated_and_reserved_view_ids(tmp_path, capsys,
+                                                         views):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    for command in ("analyze", "lint"):
+        code, out, err = _run(capsys, command, "--ws", str(ws_dir),
+                              "--views", views)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "analysis"
+    assert not any((ws_dir / "reports").iterdir())
+
+
+@pytest.mark.parametrize("views", _BAD_VIEW_IDS)
+def test_commands_reject_a_views_file_with_repeated_or_reserved_ids(
+        tmp_path, capsys, views):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    path = ws_dir / "config" / "views.json"
+    path.write_text(json.dumps({"views": views}))
+    for command in ("analyze", "lint"):
+        code, out, err = _run(capsys, command, "--ws", str(ws_dir))
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "schema" and payload["path"] == str(path)
+
+
+def test_inputs_are_hashed_once_per_command(tmp_path, capsys, monkeypatch):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    hashes = []
+
+    def counting(*args):
+        hashes.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(xsign.workspace, "hashlib",
+                        types.SimpleNamespace(sha256=counting))
+    # A cold analyze checks its stamp and writes two entries; a cold lint
+    # checks and writes one; a cached analyze only checks.
+    for argv in (("analyze",), ("analyze",), ("lint", "--max-validity", "30")):
+        hashes.clear()
+        code, _, _ = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 0 and len(hashes) == 1, argv
+    monkeypatch.undo()
+    # Each entry's digest is the one earlier versions recorded: the file
+    # names in certs/, each config file's name and bytes, then the options.
+    for entry in json.loads((ws_dir / "reports" / "stamp.json")
+                            .read_text()).values():
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(ws_dir / "certs")):
+            digest.update(name.encode())
+        for name in sorted(os.listdir(ws_dir / "config")):
+            digest.update(name.encode())
+            digest.update((ws_dir / "config" / name).read_bytes())
+        digest.update(json.dumps(entry["options"], sort_keys=True).encode())
+        assert entry["input_hash"] == digest.hexdigest()
+
+
+def test_report_rejects_a_rendering_before_analysing(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    for kind, fmt in (("groups", "csv"), ("lint", "csv"),
+                      ("assessments", "md")):
+        code, out, err = _run(capsys, "report", "--ws", str(ws_dir),
+                              "--kind", kind, "--format", fmt)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "usage"
+    assert not any((ws_dir / "reports").iterdir())
+
+
+def test_report_streams_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    for kind, fmt in (("assessments", "json"), ("assessments", "csv"),
+                      ("findings", "csv"), ("findings", "md"),
+                      ("lint", "json")):
+        out_path = tmp_path / f"{kind}.{fmt}"
+        code, printed, _ = _run(capsys, "report", "--ws", str(ws_dir),
+                                "--kind", kind, "--format", fmt)
+        assert code == 0 and printed
+        code, _, _ = _run(capsys, "report", "--ws", str(ws_dir), "--kind",
+                          kind, "--format", fmt, "--out", str(out_path))
+        assert code == 0 and out_path.read_text(encoding="utf-8") == printed
+    # The JSON rendering of a report is the report itself.
+    assert (tmp_path / "assessments.json").read_bytes() == (
+        ws_dir / "reports" / "assessments.jsonl").read_bytes()
