@@ -1,17 +1,24 @@
 """End-to-end corpus analysis: index, group, assess per view, run the
 finding analyzers, and lint. One deterministic entry point shared by the
-CLI, the scenario scripts, and the test suites. Both entry points group,
-enumerate paths, assess member coverage and lint through the same helpers,
-and look revocations up in one index built per run. The analyzers and the
-lints read paths and assessments of cross-sign members only, so those are
-all an analysis keeps; every other certificate is enumerated and assessed
-when its assessment rows are read, and dropped after them."""
+CLI, the scenario scripts, and the test suites.
+
+Both entry points start from one `Run`, built by `build_run`: the index,
+the stores sorted by id, their anchor union, the revocation index, the
+all-sources view, the CA-CRL source names, the views in the order given,
+the operator map, the options, the extensions and the explanations. Each
+is built once per run, and every helper, analyzer and lint reads it from
+there. The analyzers and the lints read paths and assessments of
+cross-sign members only, so those are all an analysis keeps; every other
+certificate is enumerated and assessed when its assessment rows are read,
+and dropped after them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import datetime
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Container, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from . import findings as findings_mod
 from . import xsext
@@ -21,7 +28,7 @@ from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, PathEnumeration,
                          TrustAssessment, assess_paths, build_index,
                          check_options, enumerate_paths)
 from .revocation import (COVERAGE_VIEW_ID, RevocationIndex, RevocationRecord,
-                         RevocationView, check_view_ids)
+                         RevocationView, all_sources_view, check_view_ids)
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
 
@@ -45,6 +52,53 @@ class AnalysisOptions:
         check_options(self.max_depth, self.mode)
 
 
+@dataclass(frozen=True)
+class Run:
+    """The facts of one run that depend only on its inputs, each built once
+    by `build_run` and read by every helper, analyzer and lint."""
+    index: CertIndex
+    stores: tuple[RootStoreTimeline, ...]    # sorted by store id
+    anchors: frozenset[str]                  # every root ever in a store
+    revocations: RevocationIndex
+    every_source: RevocationView             # accepts every source
+    ca_sources: tuple[str, ...]              # the CA-CRL sources, sorted
+    views: tuple[RevocationView, ...]        # in the order given
+    operator_map: Optional[OperatorMap]
+    options: AnalysisOptions
+    extensions: Mapping[str, xsext.XsExtension]
+    explanations: frozenset[str]
+    lint_at: Optional[datetime]              # lint instant: latest snapshot
+
+
+def build_run(records: Sequence[CertRecord],
+              stores: Sequence[RootStoreTimeline],
+              revocations: Sequence[RevocationRecord],
+              views: Sequence[RevocationView],
+              operator_map: Optional[OperatorMap] = None,
+              options: AnalysisOptions = AnalysisOptions(),
+              extensions: Mapping[str, xsext.XsExtension] = _NO_EXTENSIONS,
+              explanations: Sequence[str] = ()
+              ) -> tuple[Run, list[XSCertGroup], list[XSCertGroup]]:
+    """The run, its classified cross-sign groups and its reissuance
+    groups."""
+    index = build_index(records)
+    stores = tuple(sorted(stores, key=lambda s: s.store_id))
+    revocations = RevocationIndex(revocations)
+    run = Run(
+        index=index, stores=stores, anchors=combined_anchors(stores),
+        revocations=revocations, every_source=all_sources_view(revocations),
+        ca_sources=tuple(sorted({r.source.name for r in revocations
+                                 if r.source.kind == "ca_crl"})),
+        views=tuple(views), operator_map=operator_map, options=options,
+        extensions=extensions, explanations=frozenset(explanations),
+        lint_at=max((snapshot.effective_date for store in stores
+                     for snapshot in store.snapshots), default=None))
+    xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
+                                     mode=options.mode)
+    return (run, classify_groups(xs_groups, run.anchors, operator_map, index),
+            reissuance)
+
+
 class AssessmentRows:
     """The assessment report's rows: every certificate under every view
     but the coverage view, by fingerprint and then view id. They can be
@@ -55,33 +109,29 @@ class AssessmentRows:
     enumeration the depth bound cut short; it is complete once the rows
     have been read."""
 
-    def __init__(self, index: CertIndex, stores: Sequence[RootStoreTimeline],
-                 revocations: RevocationIndex,
-                 views: Sequence[RevocationView], options: AnalysisOptions,
-                 paths: Paths, assessments: AssessmentSet):
-        self._run = (index, stores, revocations,
-                     sorted(views, key=lambda v: v.consumer_id), options,
-                     paths, assessments)
+    def __init__(self, run: Run, paths: Paths, assessments: AssessmentSet):
+        self._inputs = (run, paths, assessments)
         self.truncated: list[str] = []
 
     def __iter__(self) -> Iterator[TrustAssessment]:
-        run, self._run = self._run, None
-        if run is None:
+        inputs, self._inputs = self._inputs, None
+        if inputs is None:
             raise RuntimeError("the assessment rows can be read once")
-        return self._stream(*run)
+        return self._stream(*inputs)
 
-    def _stream(self, index, stores, revocations, views, options, paths,
-                assessments) -> Iterator[TrustAssessment]:
-        anchors = combined_anchors(stores)
-        for record in index.sorted_records():
+    def _stream(self, run: Run, paths: Paths,
+                assessments: AssessmentSet) -> Iterator[TrustAssessment]:
+        views = sorted(run.views, key=lambda v: v.consumer_id)
+        for record in run.index.sorted_records():
             fp = record.fingerprint
             enumeration = paths.get(fp)
             if enumeration is None:
                 enumeration = enumerate_paths(
-                    record, index, max_depth=options.max_depth,
-                    mode=options.mode, anchors=anchors)
-                rows = (assess_paths(record, enumeration, index, stores,
-                                     revocations, view) for view in views)
+                    record, run.index, max_depth=run.options.max_depth,
+                    mode=run.options.mode, anchors=run.anchors)
+                rows = (assess_paths(record, enumeration, run.index,
+                                     run.stores, run.revocations, view)
+                        for view in views)
             else:
                 rows = (assessments.get(fp, view.consumer_id)
                         for view in views)
@@ -105,38 +155,22 @@ class AnalysisResult:
     truncated_members: list[str]
 
 
-def _group_corpus(records: Sequence[CertRecord],
-                  stores: Sequence[RootStoreTimeline],
-                  operator_map: Optional[OperatorMap],
-                  options: AnalysisOptions):
-    """The index, the classified cross-sign groups and the reissuance
-    groups."""
-    index = build_index(records)
-    xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
-                                     mode=options.mode)
-    return (index, classify_groups(xs_groups, stores, operator_map, index),
-            reissuance)
-
-
-def _path_table(certs: Iterable[CertRecord], index: CertIndex,
-                stores: Sequence[RootStoreTimeline],
-                options: AnalysisOptions) -> dict[str, PathEnumeration]:
+def _path_table(run: Run,
+                certs: Iterable[CertRecord]) -> dict[str, PathEnumeration]:
     """Each certificate's paths under the options' depth bound and mode."""
-    anchors = combined_anchors(stores)
     return {cert.fingerprint: enumerate_paths(
-                cert, index, max_depth=options.max_depth, mode=options.mode,
-                anchors=anchors)
+                cert, run.index, max_depth=run.options.max_depth,
+                mode=run.options.mode, anchors=run.anchors)
             for cert in certs}
 
 
-def _member_coverage(xs_groups: Sequence[XSCertGroup], paths: Paths,
-                     index: CertIndex, stores: Sequence[RootStoreTimeline],
-                     revocations: RevocationIndex) -> list[TrustAssessment]:
+def _member_coverage(run: Run, xs_groups: Sequence[XSCertGroup],
+                     paths: Paths) -> list[TrustAssessment]:
     """Each cross-sign member's trust under the coverage view: a
     cross-sign's intended reach, not its fate. Only the trust-delta and
     barrier-breach analyzers and lint V4 read it, and only for members."""
-    return [assess_paths(index.get(fp), paths[fp], index, stores,
-                         revocations, COVERAGE_VIEW)
+    return [assess_paths(run.index.get(fp), paths[fp], run.index, run.stores,
+                         run.revocations, COVERAGE_VIEW)
             for group in xs_groups for fp in group.members]
 
 
@@ -148,24 +182,17 @@ def _truncated_members(xs_groups: Sequence[XSCertGroup],
     return [fp for fp in members if paths[fp].truncated]
 
 
-def _lint_groups(xs_groups: Sequence[XSCertGroup], index: CertIndex,
-                 stores: Sequence[RootStoreTimeline],
-                 revocations: RevocationIndex,
-                 extensions: Mapping[str, xsext.XsExtension],
-                 views: Sequence[RevocationView],
-                 operator_map: Optional[OperatorMap],
-                 options: AnalysisOptions, explanations: Sequence[str],
-                 coverage: Sequence[TrustAssessment]
+def _lint_groups(run: Run, xs_groups: Sequence[XSCertGroup],
+                 coverage: Sequence[TrustAssessment],
+                 inconsistent: Container[tuple[str, str]]
                  ) -> list[xsext.LintVerdict]:
     """Every cross-sign group's lint verdicts, given the members' coverage
-    assessments, in report order."""
+    assessments and the keys of the groups with a revocation
+    inconsistency, in report order."""
     covered = {a.fingerprint: a.covered_stores() for a in coverage}
     verdicts = [verdict for group in xs_groups
                 for verdict in xsext.lint_cross_sign(
-                    group, stores, extensions, revocations,
-                    max_validity_days=options.max_validity_days, index=index,
-                    coverage=covered, views=views, explanations=explanations,
-                    operator_map=operator_map)]
+                    group, run, covered, group.key in inconsistent)]
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
     return verdicts
 
@@ -184,32 +211,29 @@ def analyze_corpus(records: Sequence[CertRecord],
     `max_validity_days`. The other certificates are assessed as
     `result.rows` is read."""
     check_view_ids(views)
-    index, xs_groups, reissuance = _group_corpus(records, stores,
-                                                 operator_map, options)
-    revocations = RevocationIndex(revocations)
-    stores = sorted(stores, key=lambda s: s.store_id)
+    run, xs_groups, reissuance = build_run(
+        records, stores, revocations, views, operator_map, options,
+        extensions, explanations)
     # Each member's paths are enumerated once and shared by the assessments
     # of every view, the finding analyzers, the lints and the rows.
-    members = [index.get(fp) for group in xs_groups for fp in group.members]
-    paths = _path_table(members, index, stores, options)
-    coverage = _member_coverage(xs_groups, paths, index, stores, revocations)
+    members = [run.index.get(fp) for group in xs_groups for fp in group.members]
+    paths = _path_table(run, members)
+    coverage = _member_coverage(run, xs_groups, paths)
     assessments = AssessmentSet(coverage)
     for record in members:
-        for view in views:
+        for view in run.views:
             assessments.add(assess_paths(record, paths[record.fingerprint],
-                                         index, stores, revocations, view))
+                                         run.index, run.stores,
+                                         run.revocations, view))
 
-    all_findings = findings_mod.run_all(
-        xs_groups, index, stores, revocations, views, assessments, paths,
-        coverage_view_id=COVERAGE_VIEW_ID, operator_map=operator_map)
-    verdicts = _lint_groups(xs_groups, index, stores, revocations, extensions,
-                            views, operator_map, options, explanations,
-                            coverage)
+    all_findings = findings_mod.run_all(xs_groups, run, assessments, paths)
+    verdicts = _lint_groups(run, xs_groups, coverage,
+                            {(f.subject, f.spki) for f in all_findings
+                             if f.category == "revocation_inconsistency"})
     return AnalysisResult(
-        index=index, xs_groups=xs_groups, reissuance_groups=reissuance,
+        index=run.index, xs_groups=xs_groups, reissuance_groups=reissuance,
         assessments=assessments,
-        rows=AssessmentRows(index, stores, revocations, views, options, paths,
-                            assessments),
+        rows=AssessmentRows(run, paths, assessments),
         findings=all_findings, views=list(views), verdicts=verdicts,
         truncated_members=_truncated_members(xs_groups, paths))
 
@@ -224,13 +248,16 @@ def lint_corpus(records: Sequence[CertRecord],
                 explanations: Sequence[str] = ()
                 ) -> tuple[list[xsext.LintVerdict], list[str]]:
     """Lint every cross-sign group. Builds only what the lints read: the
-    groups and the coverage of their members. Returns the verdicts and the
-    members whose enumeration the depth bound cut short."""
-    index, xs_groups, _ = _group_corpus(records, stores, operator_map, options)
-    revocations = RevocationIndex(revocations)
-    paths = _path_table((index.get(fp) for group in xs_groups
-                         for fp in group.members), index, stores, options)
-    coverage = _member_coverage(xs_groups, paths, index, stores, revocations)
-    return (_lint_groups(xs_groups, index, stores, revocations, extensions,
-                         views, operator_map, options, explanations, coverage),
+    groups, the coverage of their members and which of them have a
+    revocation inconsistency. Returns the verdicts and the members whose
+    enumeration the depth bound cut short."""
+    run, xs_groups, _ = build_run(records, stores, revocations, views,
+                                  operator_map, options, extensions,
+                                  explanations)
+    paths = _path_table(run, (run.index.get(fp) for group in xs_groups
+                              for fp in group.members))
+    coverage = _member_coverage(run, xs_groups, paths)
+    inconsistent = {group.key for group in xs_groups
+                    if findings_mod.find_revocation_inconsistency(group, run)}
+    return (_lint_groups(run, xs_groups, coverage, inconsistent),
             _truncated_members(xs_groups, paths))

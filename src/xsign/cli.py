@@ -12,12 +12,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import reports
 from .analysis import AnalysisOptions, analyze_corpus, lint_corpus
 from .certmodel import MalformedInput
-from .findings import Finding
 from .pathengine import DEFAULT_MAX_DEPTH, select_stores
 from .revocation import (RevocationRecord, RevocationView, all_sources_view,
                          check_view_ids)
@@ -205,19 +204,10 @@ def cmd_lint(args) -> int:
     return EXIT_OK
 
 
-def _assessments_csv(objs: Iterable[dict]) -> Iterator[str]:
-    yield "fingerprint,view,store,from,to,paths\n"
-    for o in objs:
-        for store_id, items in o["stores"].items():
-            for item in items:
-                paths = ";".join(",".join(p) for p in item["paths"])
-                yield (f"{o['fingerprint']},{o['view']},{store_id},"
-                       f"{item['from']},{item['to']},{paths}\n")
-
-
 def cmd_report(args) -> int:
-    """Render a report as its lines are read; only the findings renderings
-    need every finding at once."""
+    """Render a report as its lines are read; only the markdown rendering
+    needs every finding at once. The JSON rendering is the report's own
+    non-blank lines."""
     if args.format == "md" and args.kind != "findings":
         _err({"error": "usage",
               "detail": "markdown rendering exists for findings only"})
@@ -232,15 +222,16 @@ def cmd_report(args) -> int:
     else:
         _run_analysis(args, ws)
         lines = ws.report_lines(f"{args.kind}.jsonl")
-    objs = (json.loads(line) for line in lines if line.strip())
+    lines = (line for line in lines if line.strip())
+    rows = (json.loads(line) for line in lines)
     if args.format == "json":
-        out = (json.dumps(o, sort_keys=True) + "\n" for o in objs)
+        out = (f"{line}\n" for line in lines)
     elif args.format == "md":
-        out = [reports.findings_markdown([Finding.from_json(o) for o in objs])]
+        out = [reports.findings_markdown(list(rows))]
     elif args.kind == "findings":
-        out = [reports.findings_csv([Finding.from_json(o) for o in objs])]
+        out = [reports.findings_csv(rows)]
     else:
-        out = _assessments_csv(objs)
+        out = reports.assessments_csv(rows)
     if args.out:
         _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
     else:

@@ -12,17 +12,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import intervals
 from .certmodel import CertRecord
 from .pathengine import CertIndex, PathEnumeration, TrustAssessment
-from .revocation import (IssuerSerial, RevocationIndex, RevocationView,
-                         all_sources_view, matching_records, revocation_onset)
+from .revocation import (COVERAGE_VIEW_ID, IssuerSerial, RevocationIndex,
+                         RevocationView, matching_records, revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
-from .truststore import (OperatorMap, RootStoreTimeline, combined_anchors,
-                         rule_blocks_path)
+from .truststore import RootStoreTimeline, combined_anchors, rule_blocks_path
 from .xsdetect import XSCertGroup, overlap_days
+
+if TYPE_CHECKING:
+    from .analysis import Run
 
 CATEGORIES = (
     "valid_after_revocation",
@@ -52,7 +54,7 @@ SEVERITY = {
 
 DEFAULT_BACKDATING_SLACK_DAYS = 365
 
-# Every certificate's enumerated paths, keyed by fingerprint; built once per
+# Enumerated paths keyed by certificate fingerprint; built once per
 # analysis run with its depth bound, mode and anchors.
 Paths = Mapping[str, PathEnumeration]
 
@@ -134,15 +136,13 @@ def _iv_json(items: list[intervals.Interval]) -> list[dict]:
 # --- valid after revocation -------------------------------------------------
 
 def _member_blocking_events(member: CertRecord, view: RevocationView,
-                            revocations: RevocationIndex,
-                            store: RootStoreTimeline,
-                            index: CertIndex,
+                            store: RootStoreTimeline, run: Run,
                             paths: Paths) -> list[dict]:
     """Instants from which `member` should have stopped providing trust in
     this (view, store): revocation onsets, matching distrust rules, and the
     member's own removal from the store."""
     events: list[dict] = []
-    hits = matching_records(member, view, revocations)
+    hits = matching_records(member, view, run.revocations)
     if hits:
         events.append({
             "kind": "revocation", "member": member.fingerprint,
@@ -151,7 +151,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
         })
     member_roots = {path.root for path in paths[member.fingerprint].paths}
     for rule in store.distrust_rules:
-        if not any(rule_blocks_path(rule, [member, index.get(root)],
+        if not any(rule_blocks_path(rule, [member, run.index.get(root)],
                                     rule.effective_from)
                    for root in member_roots):
             continue
@@ -169,26 +169,22 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
     return events
 
 
-def find_valid_after_revocation(group: XSCertGroup,
+def find_valid_after_revocation(group: XSCertGroup, run: Run,
                                 assessments: AssessmentSet,
-                                revocations: RevocationIndex,
-                                views: Sequence[RevocationView],
-                                stores: Sequence[RootStoreTimeline],
-                                index: CertIndex,
                                 paths: Paths) -> list[Finding]:
     """One finding per (view, store) where a member is revoked, rule-blocked
     or store-removed at t while the group's key stays trusted afterwards
     through another member or path."""
     if not group.is_xs:
         return []
-    members = [index.get(fp) for fp in group.members]
+    members = [run.index.get(fp) for fp in group.members]
     findings = []
-    for view in sorted(views, key=lambda v: v.consumer_id):
-        for store in sorted(stores, key=lambda s: s.store_id):
+    for view in sorted(run.views, key=lambda v: v.consumer_id):
+        for store in run.stores:
             events = []
             for member in members:
                 events.extend(_member_blocking_events(
-                    member, view, revocations, store, index, paths))
+                    member, view, store, run, paths))
             if not events:
                 continue
             trusted = assessments.union_trusted(group.members, view.consumer_id,
@@ -232,16 +228,14 @@ def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
     return "nc_critical" if all(f == "nc_critical" for f in flags) else "nc_noncritical"
 
 
-def find_barrier_breach(groups: Sequence[XSCertGroup],
+def find_barrier_breach(groups: Sequence[XSCertGroup], run: Run,
                         assessments: AssessmentSet,
-                        stores: Sequence[RootStoreTimeline],
-                        view_id: str,
-                        index: CertIndex,
                         paths: Paths) -> list[Finding]:
     """A member reaches a store class the group's earliest member (its
-    native anchoring) never reaches. Empty native coverage is bootstrapping
-    territory, not a breach."""
-    class_of = {s.store_id: s.store_class for s in stores}
+    native anchoring) never reaches, under the coverage view. Empty native
+    coverage is bootstrapping territory, not a breach."""
+    index, view_id = run.index, COVERAGE_VIEW_ID
+    class_of = {s.store_id: s.store_class for s in run.stores}
     findings = []
     for group in groups:
         if not group.is_xs:
@@ -260,7 +254,7 @@ def find_barrier_breach(groups: Sequence[XSCertGroup],
             if not new_stores:
                 continue
             target_roots = combined_anchors(
-                st for st in stores if st.store_id in new_stores)
+                st for st in run.stores if st.store_id in new_stores)
             mitigation = _path_nc_mitigation(member, index, paths, target_roots)
             findings.append(_finding("barrier_breach", group, {
                 "member": member.fingerprint,
@@ -276,23 +270,18 @@ def find_barrier_breach(groups: Sequence[XSCertGroup],
 
 # --- trust deltas: bootstrapping / expansion / extension / alternatives ----
 
-def find_trust_deltas(group: XSCertGroup,
+def find_trust_deltas(group: XSCertGroup, run: Run,
                       assessments: AssessmentSet,
-                      view_id: str,
-                      index: CertIndex,
-                      paths: Paths,
-                      stores: Sequence[RootStoreTimeline] = (),
-                      operator_map: Optional[OperatorMap] = None) -> list[Finding]:
-    """Exactly one finding per XS group, with precedence: new stores beat
-    longer validity beat alternative paths; a new-store member whose issuer
-    is external while the group has no native anchor in the target store
-    is bootstrapping."""
+                      paths: Paths) -> list[Finding]:
+    """Exactly one finding per XS group under the coverage view, with
+    precedence: new stores beat longer validity beat alternative paths; a
+    new-store member whose issuer is external while the group has no native
+    anchor in the target store is bootstrapping."""
     if not group.is_xs:
         return []
-    store_ids = sorted({s.store_id for s in stores}) or sorted(
-        {sid for fp in group.members
-         for sid in assessments.covered_stores(fp, view_id)})
-    members = sorted((index.get(fp) for fp in group.members),
+    view_id, operator_map = COVERAGE_VIEW_ID, run.operator_map
+    store_ids = sorted({s.store_id for s in run.stores})
+    members = sorted((run.index.get(fp) for fp in group.members),
                      key=lambda r: (r.not_before, r.fingerprint))
 
     new_store_members: list[tuple[CertRecord, list[str]]] = []
@@ -319,7 +308,7 @@ def find_trust_deltas(group: XSCertGroup,
 
     if new_store_members:
         category = "expanded_trust"
-        store_map = {s.store_id: s for s in stores}
+        store_map = {s.store_id: s for s in run.stores}
         detail = []
         for member, targets in new_store_members:
             external = False
@@ -387,16 +376,15 @@ def find_multi_algorithm(group: XSCertGroup, index: CertIndex,
 
 # --- ownership changes -------------------------------------------------------
 
-def find_ownership_span(group: XSCertGroup,
-                        operator_map: Optional[OperatorMap],
-                        index: CertIndex) -> list[Finding]:
+def find_ownership_span(group: XSCertGroup, run: Run) -> list[Finding]:
     """A qualifying pair's joint validity window contains an ownership event
     affecting the group subject or either member's issuer."""
+    operator_map = run.operator_map
     if not group.is_xs or operator_map is None:
         return []
     spans = []
     for pair in group.qualifying_pairs:
-        a, b = index.get(pair.a), index.get(pair.b)
+        a, b = run.index.get(pair.a), run.index.get(pair.b)
         start = max(a.not_before, b.not_before)
         end = min(a.not_after, b.not_after)
         names = [group.subject, a.issuer, b.issuer]
@@ -476,28 +464,26 @@ def _source_can_cover(source_name: str, kind: str, member: CertRecord,
 
 
 def find_revocation_inconsistency(group: XSCertGroup,
-                                  revocations: RevocationIndex,
-                                  views: Sequence[RevocationView],
-                                  index: CertIndex) -> list[Finding]:
-    """Revoked-member sets differ across views, a revoked member has an
-    unrevoked overlapping sibling, or siblings were revoked with a lag."""
+                                  run: Run) -> list[Finding]:
+    """Revoked-member sets differ across scopes (each vendor source, the CA
+    CRLs together, each of the run's views in the order given), a revoked
+    member has an unrevoked overlapping sibling, or siblings were revoked
+    with a lag."""
+    index, revocations, ca_sources = run.index, run.revocations, run.ca_sources
     members = [index.get(fp) for fp in group.members]
-    every_source = all_sources_view(revocations)
     relevant = [r for m in members
-                for r in matching_records(m, every_source, revocations)]
+                for r in matching_records(m, run.every_source, revocations)]
     if not relevant:
         return []
 
     vendor_sources = sorted({r.source.name for r in relevant
                              if r.source.kind == "vendor"})
-    ca_sources = sorted({r.source.name for r in revocations
-                         if r.source.kind == "ca_crl"})
     scopes: list[tuple[str, RevocationView]] = []
     for name in vendor_sources:
         scopes.append((f"source:{name}", RevocationView(name, frozenset([name]))))
     if ca_sources:
         scopes.append(("ca-crls", RevocationView("ca-crls", frozenset(ca_sources))))
-    for view in views:
+    for view in run.views:
         scopes.append((f"view:{view.consumer_id}", view))
 
     issues = []
@@ -559,36 +545,25 @@ def find_revocation_inconsistency(group: XSCertGroup,
 
 # --- orchestration -----------------------------------------------------------
 
-def run_all(groups: Sequence[XSCertGroup],
-            index: CertIndex,
-            stores: Sequence[RootStoreTimeline],
-            revocations: RevocationIndex,
-            views: Sequence[RevocationView],
-            assessments: AssessmentSet,
-            paths: Paths,
-            coverage_view_id: str,
-            operator_map: Optional[OperatorMap] = None) -> list[Finding]:
+def run_all(groups: Sequence[XSCertGroup], run: Run,
+            assessments: AssessmentSet, paths: Paths) -> list[Finding]:
     """Run every analyzer; deterministic order (category, then group key).
 
-    `paths` holds every certificate's enumerated paths, the ones the
-    assessments were built from. `coverage_view_id` names the revocation-free
-    view used for coverage-based analyzers (barrier breaches and trust
-    deltas)."""
+    `paths` holds every member's enumerated paths, the ones the
+    assessments were built from. The barrier-breach and trust-delta
+    analyzers read the assessments under the revocation-free coverage
+    view."""
     findings: list[Finding] = []
     xs_groups = [g for g in groups if g.is_xs]
     for group in xs_groups:
         findings.extend(find_valid_after_revocation(
-            group, assessments, revocations, views, stores, index, paths))
-        findings.extend(find_trust_deltas(
-            group, assessments, coverage_view_id, index, paths, stores,
-            operator_map))
-        findings.extend(find_multi_algorithm(group, index, paths))
-        findings.extend(find_ownership_span(group, operator_map, index))
-        findings.extend(find_backdating(group, index))
-        findings.extend(find_revocation_inconsistency(
-            group, revocations, views, index))
-    findings.extend(find_barrier_breach(
-        xs_groups, assessments, stores, coverage_view_id, index, paths))
+            group, run, assessments, paths))
+        findings.extend(find_trust_deltas(group, run, assessments, paths))
+        findings.extend(find_multi_algorithm(group, run.index, paths))
+        findings.extend(find_ownership_span(group, run))
+        findings.extend(find_backdating(group, run.index))
+        findings.extend(find_revocation_inconsistency(group, run))
+    findings.extend(find_barrier_breach(xs_groups, run, assessments, paths))
     findings.sort(key=lambda f: (CATEGORIES.index(f.category),
                                  f.subject, f.spki,
                                  json.dumps(f.evidence, sort_keys=True)))

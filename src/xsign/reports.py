@@ -1,5 +1,6 @@
 """Report rendering: JSONL (canonical), CSV flattening, and the markdown
-category summary."""
+category summary. The CSV and markdown renderers read the JSON rows of a
+written report."""
 
 from __future__ import annotations
 
@@ -39,11 +40,12 @@ def lint_jsonl(verdicts: Sequence[LintVerdict]) -> list[str]:
     return jsonl([v.to_json() for v in verdicts])
 
 
-def findings_markdown(findings: Sequence[Finding]) -> str:
-    """Category summary: one row per category with the number of groups."""
+def findings_markdown(rows: Sequence[dict]) -> str:
+    """Category summary of the findings report's rows: one row per category
+    with the number of groups, then one line per finding."""
     counts: dict[str, set] = {cat: set() for cat in CATEGORIES}
-    for f in findings:
-        counts[f.category].add((f.subject, f.spki))
+    for f in rows:
+        counts[f["category"]].add((f["subject"], f["spki"]))
     lines = [
         "| signal | category | groups |",
         "|--------|----------|--------|",
@@ -51,33 +53,32 @@ def findings_markdown(findings: Sequence[Finding]) -> str:
     for cat in CATEGORIES:
         lines.append(f"| {_SIGNAL[SEVERITY[cat]]} | {cat} | {len(counts[cat])} |")
     lines.append("")
-    for f in findings:
-        lines.append(f"- **{f.category}** ({f.severity}) {f.subject} "
-                     f"[key {f.spki[:12]}]")
+    for f in rows:
+        lines.append(f"- **{f['category']}** ({f['severity']}) {f['subject']} "
+                     f"[key {f['spki'][:12]}]")
     return "\n".join(lines) + "\n"
 
 
-def findings_csv(findings: Sequence[Finding]) -> str:
+def findings_csv(rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["category", "severity", "subject", "spki", "members",
                      "evidence"])
-    for f in findings:
-        writer.writerow([f.category, f.severity, f.subject, f.spki,
-                         " ".join(f.members),
-                         json.dumps(f.evidence, sort_keys=True)])
+    for f in rows:
+        writer.writerow([f["category"], f["severity"], f["subject"],
+                         f["spki"], " ".join(f["members"]),
+                         json.dumps(f["evidence"], sort_keys=True)])
     return buf.getvalue()
 
 
-def assessments_csv(assessments: Sequence[TrustAssessment]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["fingerprint", "view", "store", "from", "to", "paths"])
-    for a in assessments:
-        doc = a.to_json()
-        for store_id, items in doc["stores"].items():
+def assessments_csv(rows: Iterable[dict]) -> Iterator[str]:
+    """One line per (assessment, store, trusted interval) of the assessment
+    report's rows, rendered as they are taken. Fields are joined with
+    commas and not quoted."""
+    yield "fingerprint,view,store,from,to,paths\n"
+    for row in rows:
+        for store_id, items in row["stores"].items():
             for item in items:
-                writer.writerow([doc["fingerprint"], doc["view"], store_id,
-                                 item["from"], item["to"],
-                                 ";".join(",".join(p) for p in item["paths"])])
-    return buf.getvalue()
+                paths = ";".join(",".join(p) for p in item["paths"])
+                yield (f"{row['fingerprint']},{row['view']},{store_id},"
+                       f"{item['from']},{item['to']},{paths}\n")

@@ -9,12 +9,12 @@ renewals (re-issuance), not cross-signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .certmodel import CertRecord, CryptoUnavailable, verify_signature
 from .names import NormalizedName
 from .pathengine import CertIndex
-from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
+from .truststore import OperatorMap
 
 DEFAULT_OVERLAP_MIN_DAYS = 121
 
@@ -135,17 +135,17 @@ def group_xs(index: CertIndex,
     return sorted(xs_groups, key=key), sorted(reissuance, key=key)
 
 
-def classify_type(group: XSCertGroup, stores: Sequence[RootStoreTimeline],
+def classify_type(group: XSCertGroup, anchors: frozenset[str],
                   index: CertIndex) -> str:
     """Group taxonomy: root (all CA, some member ever in a store),
     intermediate (all CA, never in a store), leaf (no CA member), leaf_mix
-    (CA and leaf members share the key). Store membership is checked across
-    the union of all snapshots of all stores (no time qualifier)."""
+    (CA and leaf members share the key). `anchors` is every root ever in
+    any store (`truststore.combined_anchors`): store membership has no time
+    qualifier."""
     records = [index.get(fp) for fp in group.members]
     ca_flags = [r.ca_capable for r in records]
     if all(ca_flags):
-        ever = combined_anchors(stores)
-        if any(r.fingerprint in ever for r in records):
+        if any(r.fingerprint in anchors for r in records):
             return "root"
         return "intermediate"
     if not any(ca_flags):
@@ -177,11 +177,10 @@ def classify_scope(group: XSCertGroup, operator_map: Optional[OperatorMap],
     return "internal"
 
 
-def classify_groups(groups: Iterable[XSCertGroup],
-                    stores: Sequence[RootStoreTimeline],
+def classify_groups(groups: Iterable[XSCertGroup], anchors: frozenset[str],
                     operator_map: Optional[OperatorMap],
                     index: CertIndex) -> list[XSCertGroup]:
     return [replace(g,
-                    xs_type=classify_type(g, stores, index),
+                    xs_type=classify_type(g, anchors, index),
                     scope=classify_scope(g, operator_map, index))
             for g in groups]

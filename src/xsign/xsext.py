@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping
 
-from .pathengine import CertIndex
-from .revocation import RevocationIndex, RevocationView
 from .timeutil import format_rfc3339, parse_rfc3339
-from .truststore import RootStoreTimeline
-from .xsdetect import XSCertGroup
-from . import findings as _findings
+
+if TYPE_CHECKING:
+    from .analysis import Run
+    from .xsdetect import XSCertGroup
 
 # Private arc; structural tools treat the payload as opaque bytes.
 XS_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"
@@ -214,38 +213,31 @@ class LintVerdict:
                 "detail": self.detail}
 
 
-def lint_cross_sign(group: XSCertGroup,
-                    stores: Sequence[RootStoreTimeline],
-                    exts: Mapping[str, XsExtension],
-                    revocations: RevocationIndex,
-                    max_validity_days: int = DEFAULT_MAX_VALIDITY_DAYS,
-                    *,
-                    index: CertIndex,
+def lint_cross_sign(group: XSCertGroup, run: Run,
                     coverage: Mapping[str, set[str]],
-                    views: Sequence[RevocationView] = (),
-                    explanations: Iterable[str] = (),
-                    at: Optional[datetime] = None,
-                    operator_map=None) -> list[LintVerdict]:
-    """Operational lints V1..V7 for one cross-sign group.
+                    inconsistent: bool) -> list[LintVerdict]:
+    """Operational lints V1..V7 for one cross-sign group, at the run's
+    `max_validity_days`.
 
-    `index` holds the group's members and resolves the certificates that
-    extensions name (those references may point outside the group or the
-    corpus). `coverage` maps member fingerprints to the store ids they
-    provide valid paths to; `explanations` carries group keys (subject|spki)
-    or member fingerprints with published explanations for revocation
-    inconsistencies. `at` is the lint reference instant, default the latest
-    store snapshot."""
+    The run's index holds the group's members and resolves the
+    certificates that extensions name (those references may point outside
+    the group or the corpus). `coverage` maps member fingerprints to the
+    store ids they provide valid paths to. `inconsistent` says whether the
+    group has a revocation inconsistency finding; V7 reports it unless the
+    run's explanations, group keys (subject|spki) or member fingerprints,
+    name the group. The reference instant is the latest store snapshot, or
+    the latest member issuance when no store has a snapshot."""
     verdicts: list[LintVerdict] = []
+    index, exts = run.index, run.extensions
     members = sorted((index.get(fp) for fp in group.members),
                      key=lambda r: (r.not_before, r.fingerprint))
-    if not members:
-        return []
+    at = run.lint_at
     if at is None:
-        dates = [s.effective_date for store in stores for s in store.snapshots]
-        at = max(dates) if dates else max(m.not_before for m in members)
-    store_map = {s.store_id: s for s in stores}
+        at = max(m.not_before for m in members)
+    store_map = {s.store_id: s for s in run.stores}
     qualified = {fp for p in group.qualifying_pairs for fp in (p.a, p.b)}
 
+    max_validity_days = run.options.max_validity_days
     limit = timedelta(days=max_validity_days)
     for member in members:
         if member.not_after - member.not_before > limit:
@@ -259,6 +251,7 @@ def lint_cross_sign(group: XSCertGroup,
     # operator (earliest overall when no operator data is available).
     exempt = {m.fingerprint for m in members if m.self_signed}
     internal = []
+    operator_map = run.operator_map
     if operator_map is not None:
         for m in members:
             subj_op = operator_map.operator_of(m, m.not_before)
@@ -325,9 +318,8 @@ def lint_cross_sign(group: XSCertGroup,
                 "V6", with_logs[-1][0].fingerprint,
                 "group members report to disjoint CT logs"))
 
-    if _findings.find_revocation_inconsistency(group, revocations, list(views),
-                                               index):
-        keys = set(explanations)
+    if inconsistent:
+        keys = run.explanations
         group_key = f"{group.subject}|{group.spki_digest}"
         explained = group_key in keys or any(fp in keys for fp in group.members)
         if not explained:

@@ -7,10 +7,12 @@ lines alongside pytest's own pass/fail output.
 import json
 import random
 import time
+from dataclasses import replace
 from datetime import timedelta
 
-from xsign.analysis import analyze_corpus
+from xsign.analysis import AnalysisOptions, analyze_corpus, build_run
 from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
+from xsign.findings import find_revocation_inconsistency
 from xsign.pathengine import assess_trust, build_index, enumerate_paths
 from xsign.revocation import RevocationIndex, RevocationView, revocation_onset
 from xsign.timeutil import utc
@@ -237,7 +239,7 @@ def test_criterion_07_taxonomy_totality():
         xs, _ = group_xs(index)
         types = {}
         for group in xs:
-            t = classify_type(group, stores, index)
+            t = classify_type(group, combined_anchors(stores), index)
             assert t in ("root", "intermediate", "leaf", "leaf_mix")
             types.setdefault(t, []).append(group)
         mix_spki = shapes.record("mix_ca").spki_digest
@@ -369,12 +371,16 @@ def test_criterion_11_extension_and_lints():
 
     def lint(exts, stores=None, coverage=None, revocations=(), views=(),
              explanations=(), at=None, max_validity_days=398):
+        run, _, _ = build_run(
+            bundle.records, stores if stores is not None else bundle.stores,
+            revocations, views,
+            options=AnalysisOptions(max_validity_days=max_validity_days),
+            extensions=exts, explanations=explanations)
+        if at is not None:
+            run = replace(run, lint_at=at)
         verdicts = lint_cross_sign(
-            group, stores if stores is not None else bundle.stores, exts,
-            RevocationIndex(revocations), max_validity_days=max_validity_days,
-            index=index,
-            coverage=coverage if coverage is not None else full_cov,
-            views=list(views), explanations=explanations, at=at)
+            group, run, coverage if coverage is not None else full_cov,
+            bool(find_revocation_inconsistency(group, run)))
         return {v.code for v in verdicts}
 
     base_ext = {m2: XsExtension((ExpandingTrust(("web2",)),))}

@@ -1,13 +1,15 @@
-"""What an analysis keeps alive. The finding analyzers and the lints read
-paths and assessments of cross-sign members only; every other
-certificate's are built as the assessment rows are read, and dropped."""
+"""What an analysis keeps alive and what it builds once. The finding
+analyzers and the lints read paths and assessments of cross-sign members
+only; every other certificate's are built as the assessment rows are read,
+and dropped. The facts of a run are built once, not per group."""
 
+import sys
 import weakref
 
 import pytest
 
-from xsign import analysis
-from xsign.analysis import COVERAGE_VIEW_ID, analyze_corpus
+from xsign import analysis, findings, revocation, truststore
+from xsign.analysis import COVERAGE_VIEW_ID, analyze_corpus, lint_corpus
 from xsign.corpus import ScenarioSpec, generate
 from xsign.revocation import RevocationView
 
@@ -67,3 +69,59 @@ def test_rows_can_be_read_once(corpus):
 def test_analyze_corpus_rejects_repeated_and_reserved_view_ids(corpus, ids):
     with pytest.raises(ValueError):
         _analyze(corpus, [RevocationView(i, frozenset()) for i in ids])
+
+
+def _patch(monkeypatch, owner, name, make):
+    """Replace `owner.<name>` with `make(original)` in every xsign module
+    that holds it by name."""
+    original = getattr(owner, name)
+    replacement = make(original)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("xsign")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _counting(calls):
+    def make(original):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counting
+    return make
+
+
+def test_each_fact_of_a_run_is_built_once(corpus, monkeypatch):
+    every_store = {s.store_id for s in corpus.stores}
+    every_source_views, unions, inconsistency_runs = [], [], []
+
+    def union_of_every_store(original):
+        def counting(stores):
+            stores = list(stores)
+            if {s.store_id for s in stores} == every_store:
+                unions.append(stores)
+            return original(stores)
+        return counting
+
+    _patch(monkeypatch, revocation, "all_sources_view",
+           _counting(every_source_views))
+    _patch(monkeypatch, truststore, "combined_anchors", union_of_every_store)
+    _patch(monkeypatch, findings, "find_revocation_inconsistency",
+           _counting(inconsistency_runs))
+
+    result = _analyze(corpus)
+    assert len(list(result.rows)) == len(corpus.records) * len(corpus.views)
+    groups = len(result.xs_groups)
+    assert groups and any(f.category == "revocation_inconsistency"
+                          for f in result.findings)
+    assert any(v.code == "V7" for v in result.verdicts)
+    assert (len(every_source_views), len(unions),
+            len(inconsistency_runs)) == (1, 1, groups)
+
+    del every_source_views[:], unions[:], inconsistency_runs[:]
+    verdicts, _ = lint_corpus(corpus.records, corpus.stores,
+                              corpus.revocations, corpus.extensions,
+                              corpus.views, corpus.operator_map)
+    assert verdicts == result.verdicts
+    assert (len(every_source_views), len(unions),
+            len(inconsistency_runs)) == (1, 1, groups)

@@ -4,12 +4,11 @@ from datetime import timedelta
 import xsign.analysis
 import xsign.pathengine
 from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
-                            lint_corpus)
+                            build_run, lint_corpus)
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
 from xsign.pathengine import build_index
-from xsign.revocation import RevocationIndex
 from xsign.timeutil import parse_rfc3339, utc
 from xsign.truststore import combined_anchors
 from xsign.xsdetect import group_xs
@@ -341,11 +340,12 @@ def test_ownership_matches_containment_oracle():
         d.ownership_events = [{"date": event_date, "subjects": [subject],
                                "from": "x", "to": "y"}]
         bundle = d.realize(ScenarioSpec(f"churn-{trial}"))
-        index = build_index(bundle.records)
-        xs, _ = group_xs(index)
+        run, xs, _ = build_run(bundle.records, bundle.stores,
+                               bundle.revocations, bundle.views,
+                               bundle.operator_map)
         if not xs:
             continue
-        findings = find_ownership_span(xs[0], bundle.operator_map, index)
+        findings = find_ownership_span(xs[0], run)
         joint_start = max(start, xs_start)
         joint_end = min(m1_end, xs_end)
         expected = joint_start <= event_date < joint_end
@@ -452,10 +452,9 @@ def test_uniformly_revoked_group_no_inconsistency():
     d.view("mozilla", "onecrl")
     d.view("google", "crlset")
     bundle = d.realize(ScenarioSpec("uniform"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
-    findings = find_revocation_inconsistency(
-        xs[0], RevocationIndex(bundle.revocations), bundle.views, index)
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views)
+    findings = find_revocation_inconsistency(xs[0], run)
     assert not findings
 
 

@@ -18,9 +18,6 @@ SEARCHED = (LIBRARY, ROOT / "scripts", ROOT / "perfbench")
 ALLOWED = {
     "without_raw": "test helper: the interchange round-trip test compares "
                    "a parsed record with its JSON twin through it",
-    "assessments_csv": "the RFC 4180 renderer that `report --kind "
-                       "assessments --format csv` is to call once the CSV "
-                       "digests in perfbench/expected.json are re-pinned",
 }
 
 

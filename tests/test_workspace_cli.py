@@ -11,11 +11,11 @@ import pytest
 import xsign
 import xsign.workspace
 from xsign import reports
-from xsign.analysis import COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus
+from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
+                            build_run)
 from xsign.cli import main
 from xsign.corpus import ScenarioSpec, generate
-from xsign.findings import Finding
-from xsign.revocation import RevocationIndex
+from xsign.findings import Finding, find_revocation_inconsistency
 from xsign.workspace import Workspace
 from xsign.xsext import ExpandingTrust, XsExtension, lint_cross_sign
 
@@ -472,19 +472,20 @@ def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
 def _lint_from_full_analysis(ws: Workspace, options: AnalysisOptions):
     """Lint verdicts fed from a complete `analyze_corpus` result: the
     reference that the lint command's own, narrower build must match."""
-    stores, revocations = ws.load_stores(), ws.load_revocations()
-    operator_map, extensions = ws.load_operator_map(), ws.load_extensions()
-    result = analyze_corpus(ws.load_records(), stores, revocations,
-                            ws.load_views(), operator_map, options)
+    records, stores = ws.load_records(), ws.load_stores()
+    revocations, operator_map = ws.load_revocations(), ws.load_operator_map()
+    result = analyze_corpus(records, stores, revocations, ws.load_views(),
+                            operator_map, options)
+    run, _, _ = build_run(records, stores, revocations, result.views,
+                          operator_map, options, ws.load_extensions(),
+                          ws.load_explanations())
     verdicts = []
     for group in result.xs_groups:
         verdicts.extend(lint_cross_sign(
-            group, stores, extensions, RevocationIndex(revocations),
-            index=result.index,
-            coverage={fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
-                      for fp in group.members},
-            views=result.views, explanations=ws.load_explanations(),
-            operator_map=operator_map))
+            group, run,
+            {fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
+             for fp in group.members},
+            bool(find_revocation_inconsistency(group, run))))
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
     return reports.lint_jsonl(verdicts)
 
@@ -685,6 +686,7 @@ def test_report_rejects_a_rendering_before_analysing(tmp_path, capsys):
 def test_report_streams_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
     ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
     for kind, fmt in (("assessments", "json"), ("assessments", "csv"),
+                      ("groups", "json"), ("findings", "json"),
                       ("findings", "csv"), ("findings", "md"),
                       ("lint", "json")):
         out_path = tmp_path / f"{kind}.{fmt}"
@@ -695,5 +697,6 @@ def test_report_streams_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
                           kind, "--format", fmt, "--out", str(out_path))
         assert code == 0 and out_path.read_text(encoding="utf-8") == printed
     # The JSON rendering of a report is the report itself.
-    assert (tmp_path / "assessments.json").read_bytes() == (
-        ws_dir / "reports" / "assessments.jsonl").read_bytes()
+    for kind in ("assessments", "groups", "findings", "lint"):
+        assert (tmp_path / f"{kind}.json").read_bytes() == (
+            ws_dir / "reports" / f"{kind}.jsonl").read_bytes(), kind

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.pathengine import build_index
 from xsign.timeutil import utc
+from xsign.truststore import combined_anchors
 from xsign.xsdetect import (classify_scope, classify_type, group_xs,
                             overlap_days)
 
@@ -50,7 +51,8 @@ def test_letsencrypt_group(letsencrypt):
     assert len(xs) == 1
     group = xs[0]
     assert set(group.members) == {letsencrypt.fp("x3"), letsencrypt.fp("x3_xs")}
-    assert classify_type(group, letsencrypt.stores, index) == "intermediate"
+    assert classify_type(group, combined_anchors(letsencrypt.stores),
+                         index) == "intermediate"
     assert classify_scope(group, letsencrypt.operator_map, index) == "external"
 
 
@@ -152,9 +154,10 @@ def test_taxonomy_all_four_shapes():
     bundle = generate(ScenarioSpec("leafmix", 1, "structural"))
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
-    types = {classify_type(g, bundle.stores, index) for g in xs}
+    anchors = combined_anchors(bundle.stores)
+    types = {classify_type(g, anchors, index) for g in xs}
     assert types == {"root", "intermediate", "leaf", "leaf_mix"}
-    by_type = {classify_type(g, bundle.stores, index): g for g in xs}
+    by_type = {classify_type(g, anchors, index): g for g in xs}
     mix = by_type["leaf_mix"]
     assert {index.get(fp).is_ca for fp in mix.members} == {True, False}
 
@@ -163,7 +166,7 @@ def test_classify_type_assigns_exactly_one(figure1):
     index = build_index(figure1.records)
     xs, _ = group_xs(index)
     for group in xs:
-        t = classify_type(group, figure1.stores, index)
+        t = classify_type(group, combined_anchors(figure1.stores), index)
         assert t in ("root", "intermediate", "leaf", "leaf_mix")
 
 

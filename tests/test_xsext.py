@@ -1,17 +1,22 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import xsign
+from xsign.analysis import AnalysisOptions, build_run
 from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
-from xsign.pathengine import build_index
-from xsign.revocation import RevocationIndex
+from xsign.findings import find_revocation_inconsistency
 from xsign.timeutil import utc
 from xsign.truststore import RootStoreTimeline, StoreSnapshot
-from xsign.xsdetect import group_xs
 from xsign.xsext import (Bootstrapping, ExpandingTrust, FallBack, LogTimestamp,
                          MalformedExtension, MultipleAlgorithms,
                          OpaqueMotivation, XsExtension, decode_xs_extension,
@@ -130,19 +135,25 @@ def _lint_bundle():
     return d.realize(ScenarioSpec("lint"))
 
 
+def _lint_group(group, run, coverage):
+    return lint_cross_sign(group, run, coverage,
+                           bool(find_revocation_inconsistency(group, run)))
+
+
 def _lint(bundle, exts, *, stores=None, coverage=None, revocations=(),
           views=(), explanations=(), at=None):
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    run, xs, _ = build_run(
+        bundle.records, stores if stores is not None else bundle.stores,
+        list(revocations) or bundle.revocations,
+        list(views) or bundle.views, extensions=exts,
+        explanations=explanations)
+    if at is not None:
+        run = replace(run, lint_at=at)
     group = next(g for g in xs
                  if g.spki_digest == bundle.record("m1").spki_digest)
     if coverage is None:
         coverage = {fp: {"web1", "web2"} for fp in group.members}
-    return group, lint_cross_sign(
-        group, stores if stores is not None else bundle.stores,
-        exts, RevocationIndex(list(revocations) or bundle.revocations),
-        index=index, coverage=coverage, views=list(views) or bundle.views,
-        explanations=explanations, at=at)
+    return group, _lint_group(group, run, coverage)
 
 
 def _codes(verdicts):
@@ -162,14 +173,12 @@ def test_v1_monotone_in_limit():
     bundle = _lint_bundle()
     exts = {bundle.fp("m2"): _ext(ExpandingTrust(("web2",)))}
     _, wide = _lint(bundle, exts)
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
-    group = xs[0]
     for limit in (3000, 398, 100, 4):
-        verdicts = lint_cross_sign(
-            group, bundle.stores, exts, RevocationIndex([]),
-            max_validity_days=limit,
-            index=index, coverage={})
+        run, xs, _ = build_run(
+            bundle.records, bundle.stores, [], [],
+            options=AnalysisOptions(max_validity_days=limit), extensions=exts)
+        group = xs[0]
+        verdicts = _lint_group(group, run, {})
         v1_members = {v.member for v in verdicts if v.code == "V1"}
         wide_members = {v.member for v in wide if v.code == "V1"}
         assert wide_members <= v1_members
@@ -265,20 +274,16 @@ def test_v6_disjoint_logs():
 
 def test_v7_unexplained_inconsistency():
     bundle = generate(ScenarioSpec("globalsign", 1, "structural"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    exts = {bundle.fp("ev_xs"): _ext(ExpandingTrust(("mozilla",)))}
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views, extensions=exts)
     ev_group = next(g for g in xs
                     if g.spki_digest == bundle.record("ev").spki_digest)
-    exts = {bundle.fp("ev_xs"): _ext(ExpandingTrust(("mozilla",)))}
-    verdicts = lint_cross_sign(
-        ev_group, bundle.stores, exts, RevocationIndex(bundle.revocations),
-        index=index, coverage={}, views=bundle.views)
+    verdicts = _lint_group(ev_group, run, {})
     assert "V7" in _codes(verdicts)
     group_key = f"{ev_group.subject}|{ev_group.spki_digest}"
-    verdicts = lint_cross_sign(
-        ev_group, bundle.stores, exts, RevocationIndex(bundle.revocations),
-        index=index, coverage={}, views=bundle.views,
-        explanations=[group_key])
+    run = replace(run, explanations=frozenset([group_key]))
+    verdicts = _lint_group(ev_group, run, {})
     assert "V7" not in _codes(verdicts)
 
 
@@ -291,3 +296,17 @@ def test_letsencrypt_bundle_lints_clean_until_inclusion(letsencrypt):
     assert "V2" not in codes  # the cross-sign carries its declaration
     assert "V3" not in codes  # the subject's root is not in the stores yet
     assert "V1" in codes      # five-year member validities exceed 398 days
+
+
+def test_importing_xsext_leaves_the_analyzers_unloaded():
+    """V7 is given its finding, so the extension codec and the lints load
+    without the finding analyzers."""
+    src = str(Path(xsign.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, xsign.xsext; print('xsign.findings' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
