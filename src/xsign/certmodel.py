@@ -32,18 +32,6 @@ class CryptoUnavailable(RuntimeError):
     """A cryptographic check was requested on a record without raw bytes."""
 
 
-KEY_USAGE_NAMES = (
-    "digitalSignature",
-    "contentCommitment",
-    "keyEncipherment",
-    "dataEncipherment",
-    "keyAgreement",
-    "certSign",
-    "crlSign",
-    "encipherOnly",
-    "decipherOnly",
-)
-
 # Signature algorithm identifiers used across the toolkit.
 _SIG_OID_TO_ID = {
     "1.2.840.113549.1.1.4": "md5-rsa",
@@ -261,24 +249,17 @@ def _decode_x509(data: bytes) -> x509.Certificate:
         raise MalformedInput(f"undecodable certificate: {exc}") from exc
 
 
-def parse_certificate(data) -> CertRecord:
-    """Parse PEM/DER bytes or an interchange dict into a CertRecord.
+def parse_certificate(data: bytes) -> CertRecord:
+    """Parse PEM or DER bytes into a CertRecord.
 
     Unknown critical extensions never abort parsing; they set the
     record's `unknown_critical` flag (strict path evaluation rejects such
     certificates, default evaluation keeps them).
     """
-    if isinstance(data, dict):
-        return record_from_json(data)
-    if isinstance(data, str):
-        data = data.encode()
-    if not isinstance(data, (bytes, bytearray)):
-        raise MalformedInput(f"unsupported input type {type(data).__name__}")
-
     from cryptography import x509
     from cryptography.exceptions import UnsupportedAlgorithm
     from cryptography.hazmat.primitives import serialization
-    cert = _decode_x509(bytes(data))
+    cert = _decode_x509(data)
     der = cert.public_bytes(serialization.Encoding.DER)
     spki = cert.public_key().public_bytes(
         serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo)

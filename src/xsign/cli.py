@@ -17,7 +17,7 @@ from typing import Iterable
 from . import reports
 from .analysis import AnalysisOptions, analyze_corpus, lint_corpus
 from .certmodel import MalformedInput
-from .pathengine import DEFAULT_MAX_DEPTH, select_stores
+from .pathengine import DEFAULT_MAX_DEPTH, MODES, select_stores
 from .revocation import (RevocationRecord, RevocationView, all_sources_view,
                          check_view_ids)
 from .truststore import UnknownStore
@@ -245,8 +245,7 @@ def _add_analysis_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--overlap-min", type=int,
                         default=DEFAULT_OVERLAP_MIN_DAYS,
                         help="minimum overlap in days for a cross-sign group")
-    parser.add_argument("--mode", default="structural",
-                        choices=["structural", "cryptographic", "strict"])
+    parser.add_argument("--mode", default="structural", choices=MODES)
     parser.add_argument("--views", default=None,
                         help="comma list: name=src1+src2, bare source name, "
                              "'all' or 'none'")

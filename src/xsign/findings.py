@@ -175,8 +175,6 @@ def find_valid_after_revocation(group: XSCertGroup, run: Run,
     """One finding per (view, store) where a member is revoked, rule-blocked
     or store-removed at t while the group's key stays trusted afterwards
     through another member or path."""
-    if not group.is_xs:
-        return []
     members = [run.index.get(fp) for fp in group.members]
     findings = []
     for view in sorted(run.views, key=lambda v: v.consumer_id):
@@ -238,10 +236,7 @@ def find_barrier_breach(groups: Sequence[XSCertGroup], run: Run,
     class_of = {s.store_id: s.store_class for s in run.stores}
     findings = []
     for group in groups:
-        if not group.is_xs:
-            continue
-        members = sorted((index.get(fp) for fp in group.members),
-                         key=lambda r: (r.not_before, r.fingerprint))
+        members = group.chronological(index)
         native = members[0]
         native_stores = assessments.covered_stores(native.fingerprint, view_id)
         native_classes = {class_of[s] for s in native_stores}
@@ -277,12 +272,9 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
     precedence: new stores beat longer validity beat alternative paths; a
     new-store member whose issuer is external while the group has no native
     anchor in the target store is bootstrapping."""
-    if not group.is_xs:
-        return []
     view_id, operator_map = COVERAGE_VIEW_ID, run.operator_map
     store_ids = sorted({s.store_id for s in run.stores})
-    members = sorted((run.index.get(fp) for fp in group.members),
-                     key=lambda r: (r.not_before, r.fingerprint))
+    members = group.chronological(run.index)
 
     new_store_members: list[tuple[CertRecord, list[str]]] = []
     extended_members: list[tuple[CertRecord, dict]] = []
@@ -313,9 +305,7 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
         for member, targets in new_store_members:
             external = False
             if operator_map is not None:
-                subj_op = operator_map.operator_of(member, member.not_before)
-                issuer_op = operator_map.operator_for_name(member.issuer,
-                                                           member.not_before)
+                subj_op, issuer_op = operator_map.issuance_operators(member)
                 external = (subj_op is not None and issuer_op is not None
                             and subj_op != issuer_op)
             # Bootstrapping: the subject's native anchors are absent from the
@@ -352,8 +342,6 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
 def find_multi_algorithm(group: XSCertGroup, index: CertIndex,
                          paths: Paths) -> list[Finding]:
     """Members (or their best paths) use differing signature algorithms."""
-    if not group.is_xs:
-        return []
     members = [index.get(fp) for fp in group.members]
     direct = {m.fingerprint: m.signature_algorithm for m in members}
     path_algs: dict[str, list[str]] = {}
@@ -380,7 +368,7 @@ def find_ownership_span(group: XSCertGroup, run: Run) -> list[Finding]:
     """A qualifying pair's joint validity window contains an ownership event
     affecting the group subject or either member's issuer."""
     operator_map = run.operator_map
-    if not group.is_xs or operator_map is None:
+    if operator_map is None:
         return []
     spans = []
     for pair in group.qualifying_pairs:
@@ -447,12 +435,9 @@ def find_backdating(group: XSCertGroup, index: CertIndex,
 
 # --- revocation inconsistencies ----------------------------------------------
 
-def _source_can_cover(source_name: str, kind: str, member: CertRecord,
+def _source_can_cover(source_name: str, member: CertRecord,
                       revocations: RevocationIndex) -> bool:
-    # A CA CRL can only list certificates of issuers it speaks for; vendor
-    # lists can cover anything.
-    if kind != "ca_crl":
-        return True
+    # A CA CRL can only list certificates of issuers it speaks for.
     for rec in revocations:
         if rec.source.name != source_name:
             continue
@@ -478,17 +463,23 @@ def find_revocation_inconsistency(group: XSCertGroup,
 
     vendor_sources = sorted({r.source.name for r in relevant
                              if r.source.kind == "vendor"})
-    scopes: list[tuple[str, RevocationView]] = []
+    # Each scope carries the CA CRLs of which one must be able to list a
+    # member for its absence to count; any other list can list anything.
+    scopes: list[tuple[str, RevocationView, tuple[str, ...]]] = []
     for name in vendor_sources:
-        scopes.append((f"source:{name}", RevocationView(name, frozenset([name]))))
+        crls = (name,) if revocations.source_kinds[name] == "ca_crl" else ()
+        scopes.append((f"source:{name}",
+                       RevocationView(name, frozenset([name])), crls))
     if ca_sources:
-        scopes.append(("ca-crls", RevocationView("ca-crls", frozenset(ca_sources))))
+        scopes.append(("ca-crls", RevocationView("ca-crls",
+                                                 frozenset(ca_sources)),
+                       ca_sources))
     for view in run.views:
-        scopes.append((f"view:{view.consumer_id}", view))
+        scopes.append((f"view:{view.consumer_id}", view, ()))
 
     issues = []
     per_scope_sets: dict[str, frozenset[str]] = {}
-    for label, view in scopes:
+    for label, view, crls in scopes:
         onsets: dict[str, datetime] = {}
         for member in members:
             onset = revocation_onset(member, view, revocations)
@@ -500,17 +491,8 @@ def find_revocation_inconsistency(group: XSCertGroup,
         for member in members:
             if member.fingerprint in onsets:
                 continue
-            if label == "ca-crls":
-                coverable = any(
-                    _source_can_cover(src, "ca_crl", member, revocations)
-                    for src in ca_sources)
-            elif label.startswith("source:"):
-                src = label.split(":", 1)[1]
-                src_kind = revocations.source_kinds.get(src, "vendor")
-                coverable = _source_can_cover(src, src_kind, member, revocations)
-            else:
-                coverable = True
-            if not coverable:
+            if crls and not any(_source_can_cover(src, member, revocations)
+                                for src in crls):
                 continue
             overlapping = [fp for fp in onsets
                            if overlap_days(index.get(fp), member) > 0]
@@ -530,7 +512,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
                                for fp, at in sorted(onsets.items())},
                 })
 
-    labels = [lb for lb, _ in scopes if not lb.startswith("ca-crls")]
+    labels = [lb for lb, _, _ in scopes if lb != "ca-crls"]
     distinct = {per_scope_sets[lb] for lb in labels if per_scope_sets[lb]}
     if len(distinct) > 1:
         issues.append({
@@ -547,15 +529,15 @@ def find_revocation_inconsistency(group: XSCertGroup,
 
 def run_all(groups: Sequence[XSCertGroup], run: Run,
             assessments: AssessmentSet, paths: Paths) -> list[Finding]:
-    """Run every analyzer; deterministic order (category, then group key).
+    """Run every analyzer over the cross-sign groups; deterministic order
+    (category, then group key).
 
     `paths` holds every member's enumerated paths, the ones the
     assessments were built from. The barrier-breach and trust-delta
     analyzers read the assessments under the revocation-free coverage
     view."""
     findings: list[Finding] = []
-    xs_groups = [g for g in groups if g.is_xs]
-    for group in xs_groups:
+    for group in groups:
         findings.extend(find_valid_after_revocation(
             group, run, assessments, paths))
         findings.extend(find_trust_deltas(group, run, assessments, paths))
@@ -563,7 +545,7 @@ def run_all(groups: Sequence[XSCertGroup], run: Run,
         findings.extend(find_ownership_span(group, run))
         findings.extend(find_backdating(group, run.index))
         findings.extend(find_revocation_inconsistency(group, run))
-    findings.extend(find_barrier_breach(xs_groups, run, assessments, paths))
+    findings.extend(find_barrier_breach(groups, run, assessments, paths))
     findings.sort(key=lambda f: (CATEGORIES.index(f.category),
                                  f.subject, f.spki,
                                  json.dumps(f.evidence, sort_keys=True)))

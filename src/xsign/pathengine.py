@@ -34,6 +34,17 @@ NON_CA_ISSUER = "non_ca_issuer"
 PATHLEN_EXCEEDED = "pathlen_exceeded"
 EMPTY_VALIDITY = "empty_validity"
 
+# The flags that break a path's constraints, per mode. Strict mode also
+# rejects non-critical name-constraint violations, and builds no path with
+# an unknown critical extension at all.
+_BROKEN_CONSTRAINTS = frozenset({NON_CA_ISSUER, PATHLEN_EXCEEDED,
+                                 NC_VIOLATION_CRITICAL})
+_INVALIDATING = {
+    "structural": _BROKEN_CONSTRAINTS,
+    "cryptographic": _BROKEN_CONSTRAINTS,
+    "strict": _BROKEN_CONSTRAINTS | {NC_VIOLATION_NONCRITICAL},
+}
+
 
 class CertIndex:
     """Immutable-after-build maps over a certificate corpus."""
@@ -85,7 +96,6 @@ class TrustPath:
 
     chain: tuple[str, ...]
     validity: Optional[tuple[datetime, datetime]]
-    crypto_ok: Optional[bool]
     constraints_ok: bool
     flags: frozenset[str] = frozenset()
 
@@ -102,8 +112,7 @@ class TrustPath:
 
     def usable(self) -> bool:
         """Valid for trust computation under the mode it was enumerated in."""
-        return (self.constraints_ok and self.validity is not None
-                and self.crypto_ok is not False)
+        return self.constraints_ok and self.validity is not None
 
 
 @dataclass
@@ -169,6 +178,9 @@ def _pathlen_ok(records: Sequence[CertRecord]) -> bool:
 
 
 def _make_path(records: Sequence[CertRecord], mode: str) -> Optional[TrustPath]:
+    """The chain `records` (leaf first) as a path, or None where the mode
+    does not build it: in strict mode a member with an unknown critical
+    extension, in cryptographic mode a signature that does not verify."""
     flags: set[str] = set()
 
     start = max(r.not_before for r in records)
@@ -176,46 +188,28 @@ def _make_path(records: Sequence[CertRecord], mode: str) -> Optional[TrustPath]:
     validity = (start, end) if start < end else None
     if validity is None:
         flags.add(EMPTY_VALIDITY)
-
-    ca_ok = all(r.ca_capable for r in records[1:])
-    if not ca_ok:
+    if not all(r.ca_capable for r in records[1:]):
         flags.add(NON_CA_ISSUER)
-    pathlen_ok = _pathlen_ok(records)
-    if not pathlen_ok:
+    if not _pathlen_ok(records):
         flags.add(PATHLEN_EXCEEDED)
     flags |= _nc_flags(records)
     if any(r.unknown_critical for r in records):
         flags.add(UNKNOWN_CRITICAL)
 
-    if mode == "strict":
-        if UNKNOWN_CRITICAL in flags:
-            return None
-        constraints_ok = (ca_ok and pathlen_ok
-                          and NC_VIOLATION_CRITICAL not in flags
-                          and NC_VIOLATION_NONCRITICAL not in flags)
-    else:
-        constraints_ok = (ca_ok and pathlen_ok
-                          and NC_VIOLATION_CRITICAL not in flags)
-
-    crypto_ok: Optional[bool] = None
+    if mode == "strict" and UNKNOWN_CRITICAL in flags:
+        return None
     if mode == "cryptographic":
-        crypto_ok = True
-        for child, parent in zip(records, records[1:]):
-            try:
-                if not verify_signature(child, parent):
-                    crypto_ok = False
-                    break
-            except CryptoUnavailable:
-                crypto_ok = False
-                break
-        if not crypto_ok:
+        try:
+            if not all(verify_signature(child, parent)
+                       for child, parent in zip(records, records[1:])):
+                return None
+        except CryptoUnavailable:
             return None
 
     return TrustPath(
         chain=tuple(r.fingerprint for r in records),
         validity=validity,
-        crypto_ok=crypto_ok,
-        constraints_ok=constraints_ok,
+        constraints_ok=not flags & _INVALIDATING[mode],
         flags=frozenset(flags),
     )
 

@@ -7,7 +7,6 @@ from datetime import datetime, timezone
 
 # Sentinel for "unbounded future" in interval arithmetic.
 DT_MAX = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
-DT_MIN = datetime(1, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
 
 def utc(year: int, month: int = 1, day: int = 1, hour: int = 0,

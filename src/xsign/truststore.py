@@ -241,6 +241,13 @@ class OperatorMap:
                 return span.operator_id
         return None
 
+    def issuance_operators(self, cert: CertRecord
+                           ) -> tuple[Optional[str], Optional[str]]:
+        """The operators of the certificate's subject and of its issuer at
+        the certificate's issuance; None where the map has none."""
+        return (self.operator_of(cert, cert.not_before),
+                self.operator_for_name(cert.issuer, cert.not_before))
+
     def to_json(self) -> dict:
         return {
             "operators": [

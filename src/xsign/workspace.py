@@ -119,14 +119,17 @@ class Workspace:
     def load_records(self) -> list[CertRecord]:
         """Every ingested record, in file-name order. A record with raw
         bytes is parsed from its `.der` alone; its `.json` is not read.
-        Paths are plain strings: pathlib would intern every file name."""
+        A record whose fingerprint is not its file's name is a schema
+        error. Paths are plain strings: pathlib would intern every file
+        name."""
         certs_dir = os.fspath(self.certs_dir)
         names = set(os.listdir(certs_dir))
         records = []
         for name in sorted(names):
             if not name.endswith(".json"):
                 continue
-            der = name[:-len(".json")] + ".der"
+            fingerprint = name[:-len(".json")]
+            der = fingerprint + ".der"
             path = os.path.join(certs_dir, der if der in names else name)
             try:
                 with open(path, "rb") as fh:
@@ -138,6 +141,10 @@ class Workspace:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad certificate: {exc}",
                                   path=path) from exc
+            if record.fingerprint != fingerprint:
+                raise SchemaError(
+                    f"certificate file names {fingerprint}, but its record "
+                    f"has fingerprint {record.fingerprint}", path=path)
             records.append(record)
         return records
 

@@ -9,6 +9,7 @@ renewals (re-issuance), not cross-signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .certmodel import CertRecord, CryptoUnavailable, verify_signature
@@ -17,9 +18,6 @@ from .pathengine import CertIndex
 from .truststore import OperatorMap
 
 DEFAULT_OVERLAP_MIN_DAYS = 121
-
-XS_TYPES = ("root", "intermediate", "leaf", "leaf_mix")
-SCOPES = ("internal", "external", "unknown")
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,18 @@ class XSCertGroup:
     members: tuple[str, ...]
     qualifying_pairs: tuple[QualifyingPair, ...]
     reissuance_members: tuple[str, ...]
-    is_xs: bool
     xs_type: Optional[str] = None
     scope: Optional[str] = None
 
     @property
     def key(self) -> tuple[str, str]:
         return (str(self.subject), self.spki_digest)
+
+    def chronological(self, index: CertIndex) -> list[CertRecord]:
+        """The members' records in issuance order: by not_before, then by
+        fingerprint. The first is the group's native member."""
+        return sorted((index.get(fp) for fp in self.members),
+                      key=lambda r: (r.not_before, r.fingerprint))
 
     def to_json(self) -> dict:
         return {
@@ -106,32 +109,25 @@ def group_xs(index: CertIndex,
     xs_groups: list[XSCertGroup] = []
     reissuance: list[XSCertGroup] = []
     for (subject, spki), members in buckets.items():
-        if len(members) < 2:
+        distinct = [(a, b) for i, a in enumerate(members)
+                    for b in members[i + 1:]
+                    if distinct_issuers(a, b, index, mode)]
+        if not distinct:
             continue
-        if not any(distinct_issuers(a, b, index, mode)
-                   for i, a in enumerate(members) for b in members[i + 1:]):
-            continue
-        pairs = []
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if not distinct_issuers(a, b, index, mode):
-                    continue
-                days = overlap_days(a, b)
-                if days >= overlap_min:
-                    pairs.append(QualifyingPair(a.fingerprint, b.fingerprint, days))
+        pairs = [QualifyingPair(a.fingerprint, b.fingerprint, days)
+                 for a, b in distinct
+                 if (days := overlap_days(a, b)) >= overlap_min]
         qualified = {fp for p in pairs for fp in (p.a, p.b)}
-        group = XSCertGroup(
+        (xs_groups if pairs else reissuance).append(XSCertGroup(
             subject=subject,
             spki_digest=spki,
             members=tuple(r.fingerprint for r in members),
             qualifying_pairs=tuple(pairs),
             reissuance_members=tuple(r.fingerprint for r in members
                                      if r.fingerprint not in qualified),
-            is_xs=bool(pairs),
-        )
-        (xs_groups if group.is_xs else reissuance).append(group)
+        ))
 
-    key = lambda g: (str(g.subject), g.spki_digest)
+    key = attrgetter("key")
     return sorted(xs_groups, key=key), sorted(reissuance, key=key)
 
 
@@ -163,9 +159,7 @@ def classify_scope(group: XSCertGroup, operator_map: Optional[OperatorMap],
     ops: set[str] = set()
     any_unknown = False
     for fp in group.members:
-        record = index.get(fp)
-        subj_op = operator_map.operator_of(record, record.not_before)
-        issuer_op = operator_map.operator_for_name(record.issuer, record.not_before)
+        subj_op, issuer_op = operator_map.issuance_operators(index.get(fp))
         if subj_op is not None and issuer_op is not None and subj_op != issuer_op:
             return "external"
         if subj_op is None or issuer_op is None:

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 XS_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"
 
 DEFAULT_MAX_VALIDITY_DAYS = 398
-SHORT_LIVED_VALIDITY_DAYS = 4
 
 
 class MalformedExtension(ValueError):
@@ -229,8 +228,7 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
     the latest member issuance when no store has a snapshot."""
     verdicts: list[LintVerdict] = []
     index, exts = run.index, run.extensions
-    members = sorted((index.get(fp) for fp in group.members),
-                     key=lambda r: (r.not_before, r.fingerprint))
+    members = group.chronological(index)
     at = run.lint_at
     if at is None:
         at = max(m.not_before for m in members)
@@ -254,8 +252,7 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
     operator_map = run.operator_map
     if operator_map is not None:
         for m in members:
-            subj_op = operator_map.operator_of(m, m.not_before)
-            issuer_op = operator_map.operator_for_name(m.issuer, m.not_before)
+            subj_op, issuer_op = operator_map.issuance_operators(m)
             if subj_op is not None and subj_op == issuer_op:
                 internal.append(m)
     exempt.add((internal[0] if internal else members[0]).fingerprint)
@@ -267,7 +264,7 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
                 "V2", member.fingerprint,
                 "cross-sign member lacks a motivation extension"))
 
-    for member in members:
+    for position, member in enumerate(members):
         ext = exts.get(member.fingerprint)
         if ext is None:
             continue
@@ -282,11 +279,8 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
                         f"bootstrapped cert {m.bootstrapped_cert[:16]} now in all "
                         f"target stores; cross-sign must not be renewed"))
             elif isinstance(m, ExpandingTrust):
-                earlier = [o for o in members
-                           if (o.not_before, o.fingerprint)
-                           < (member.not_before, member.fingerprint)]
                 for sid in m.target_stores:
-                    for other in earlier:
+                    for other in members[:position]:
                         other_ext = exts.get(other.fingerprint)
                         is_fallback = other_ext is not None and any(
                             isinstance(om, FallBack) for om in other_ext.motivations)

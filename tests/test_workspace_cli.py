@@ -437,6 +437,12 @@ def test_reports_interrupted_before_their_stamp_are_not_served(
     ("config/extensions.jsonl", '{"member": "ab"}', "lint"),
     ("config/revocations.jsonl", '{"selector": {"type": "spki"}}', "analyze"),
     ("certs/*.json", '{"fingerprint": "ab"}', "lint"),
+    # A well-formed record under another certificate's file name.
+    ("certs/*.json", json.dumps({
+        "fingerprint": "00" * 32, "subject": "CN=x", "issuer": "CN=x",
+        "spki": "11" * 32, "serial": "1", "is_ca": True,
+        "not_before": "2015-01-01T00:00:00Z",
+        "not_after": "2020-01-01T00:00:00Z"}), "analyze"),
 ])
 def test_commands_reject_workspace_files_the_loaders_cannot_read(
         tmp_path, capsys, name, line, command):
@@ -449,6 +455,25 @@ def test_commands_reject_workspace_files_the_loaders_cannot_read(
     payload = json.loads(err)
     assert payload["error"] == "schema" and payload["path"] == str(path)
     assert payload.get("line") == (1 if name.endswith(".jsonl") else None)
+
+
+def test_a_der_copied_over_another_is_rejected(tmp_path, capsys):
+    # Without the check the second certificate would vanish: its file
+    # parses to the first one's record, which the index keeps once.
+    bundle_dir = tmp_path / "bundle"
+    code, _, _ = _run(capsys, "scenario", "figure1", "--mode", "cryptographic",
+                      "--out", str(bundle_dir))
+    assert code == 0
+    ws_dir = tmp_path / "ws"
+    code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir),
+                      "--format", "pem", str(bundle_dir / "certs.pem"))
+    assert code == 0
+    first, second = sorted((ws_dir / "certs").glob("*.der"))[:2]
+    second.write_bytes(first.read_bytes())
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(second)
 
 
 def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
