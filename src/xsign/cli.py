@@ -59,35 +59,35 @@ def _parse_views(spec: str,
     return views
 
 
-def _analysis_options(args) -> AnalysisOptions:
-    return AnalysisOptions(max_depth=args.max_depth,
-                           overlap_min=args.overlap_min, mode=args.mode,
-                           max_validity_days=args.max_validity)
+def _options_dict(args) -> dict:
+    """The key of both stamp entries: the options as given, view order
+    included. `--views` and `--stores` are keyed as typed (null `--views`
+    meaning `views.json`); the config files they resolve against are in the
+    input hash."""
+    return {"max_depth": args.max_depth, "overlap_min": args.overlap_min,
+            "mode": args.mode, "max_validity": args.max_validity,
+            "stores": args.stores, "views": args.views}
 
 
-def _options_dict(args, views) -> dict:
-    return {
-        "max_depth": args.max_depth,
-        "overlap_min": args.overlap_min,
-        "mode": args.mode,
-        "stores": args.stores,
-        "views": sorted((v.consumer_id, sorted(v.accepted_sources))
-                        for v in views),
-    }
-
-
-def _analysis_inputs(args, ws: Workspace):
-    """The views, selected stores and revocations an analysis runs on, each
-    loaded once. With no view given by `--views` or `views.json`, the run
-    uses one view that accepts every source. A view id given twice, or
-    equal to the coverage view's, is an analysis error."""
+def _analysis_inputs(args, ws: Workspace) -> dict:
+    """Every input an analysis reads, each loaded once, as the keywords of
+    both `analyze_corpus` and `lint_corpus`. With no view given by
+    `--views` or `views.json`, the run uses one view that accepts every
+    source. A view id given twice, or equal to the coverage view's, is an
+    analysis error."""
     revocations = ws.load_revocations()
     views = (_parse_views(args.views, revocations) if args.views
              else ws.load_views()) or [all_sources_view(revocations)]
     check_view_ids(views)
     store_ids = args.stores.split(",") if args.stores else None
     stores = select_stores(ws.load_stores(), store_ids)
-    return views, stores, revocations
+    return dict(
+        records=ws.load_records(), stores=stores, revocations=revocations,
+        views=views, operator_map=ws.load_operator_map(),
+        options=AnalysisOptions(max_depth=args.max_depth,
+                                overlap_min=args.overlap_min, mode=args.mode,
+                                max_validity_days=args.max_validity),
+        extensions=ws.load_extensions(), explanations=ws.load_explanations())
 
 
 def _warn_truncated(count: int, max_depth: int):
@@ -95,26 +95,17 @@ def _warn_truncated(count: int, max_depth: int):
         _err({"warning": "truncated", "certs": count, "max_depth": max_depth})
 
 
-def _lint_options(args, views) -> dict:
-    return {**_options_dict(args, views), "max_validity": args.max_validity}
-
-
 def _run_analysis(args, ws: Workspace):
     """Materialize the reports, `lint.jsonl` among them, unless the stamp
     says they are current, and warn when the depth bound cut enumeration
     short. Returns the analysis result (None on a cache hit) and the number
     of certificates whose enumeration was cut short."""
-    views, stores, revocations = _analysis_inputs(args, ws)
-    options = _options_dict(args, views)
+    options = _options_dict(args)
     stamp = ws.current_stamp("analysis", options, REPORT_FILES)
     if stamp is not None:
         result, truncated = None, stamp["truncated"]
     else:
-        result = analyze_corpus(
-            ws.load_records(), stores=stores, revocations=revocations,
-            views=views, operator_map=ws.load_operator_map(),
-            options=_analysis_options(args), extensions=ws.load_extensions(),
-            explanations=ws.load_explanations())
+        result = analyze_corpus(**_analysis_inputs(args, ws))
         ws.drop_stamp("analysis", "lint")
         ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
         ws.write_report("reissuance.jsonl",
@@ -128,8 +119,7 @@ def _run_analysis(args, ws: Workspace):
         ws.write_report(LINT_REPORT, reports.lint_jsonl(result.verdicts))
         truncated = len(result.rows.truncated)
         ws.write_stamp(analysis=(options, truncated),
-                       lint=(_lint_options(args, views),
-                             len(result.truncated_members)))
+                       lint=(options, len(result.truncated_members)))
     _warn_truncated(truncated, args.max_depth)
     return result, truncated
 
@@ -138,18 +128,13 @@ def _run_lint(args, ws: Workspace) -> Iterable[str]:
     """The verdict lines of `lint.jsonl`, linting anew and rewriting it
     unless its stamp entry is current; warns when the depth bound cut a
     member's enumeration short."""
-    views, stores, revocations = _analysis_inputs(args, ws)
-    options = _lint_options(args, views)
+    options = _options_dict(args)
     stamp = ws.current_stamp("lint", options, [LINT_REPORT])
     if stamp is not None:
         lines = ws.report_lines(LINT_REPORT)
         truncated = stamp["truncated"]
     else:
-        verdicts, members = lint_corpus(
-            ws.load_records(), stores, revocations, ws.load_extensions(),
-            views, operator_map=ws.load_operator_map(),
-            options=_analysis_options(args),
-            explanations=ws.load_explanations())
+        verdicts, members = lint_corpus(**_analysis_inputs(args, ws))
         lines = reports.lint_jsonl(verdicts)
         ws.drop_stamp("lint")
         ws.write_report(LINT_REPORT, lines)

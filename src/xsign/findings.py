@@ -26,31 +26,20 @@ from .xsdetect import XSCertGroup, overlap_days
 if TYPE_CHECKING:
     from .analysis import Run
 
-CATEGORIES = (
-    "valid_after_revocation",
-    "barrier_breach",
-    "bootstrapping",
-    "expanded_trust",
-    "extended_validity",
-    "alternative_paths",
-    "multi_algorithm",
-    "ownership_change",
-    "backdating",
-    "revocation_inconsistency",
-)
-
+# Every finding category with its severity, in report order.
 SEVERITY = {
     "valid_after_revocation": "bad",
     "barrier_breach": "bad",
-    "backdating": "warn",
-    "revocation_inconsistency": "warn",
     "bootstrapping": "info",
     "expanded_trust": "info",
     "extended_validity": "info",
     "alternative_paths": "info",
     "multi_algorithm": "info",
     "ownership_change": "info",
+    "backdating": "warn",
+    "revocation_inconsistency": "warn",
 }
+CATEGORIES = tuple(SEVERITY)
 
 DEFAULT_BACKDATING_SLACK_DAYS = 365
 
@@ -467,7 +456,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
     # member for its absence to count; any other list can list anything.
     scopes: list[tuple[str, RevocationView, tuple[str, ...]]] = []
     for name in vendor_sources:
-        crls = (name,) if revocations.source_kinds[name] == "ca_crl" else ()
+        crls = (name,) if name in ca_sources else ()
         scopes.append((f"source:{name}",
                        RevocationView(name, frozenset([name])), crls))
     if ca_sources:

@@ -172,12 +172,9 @@ class RevocationIndex:
     def __init__(self, records: Iterable[RevocationRecord]):
         self._records = list(records)
         self._by_key: dict[tuple, list[tuple[int, RevocationRecord]]] = {}
-        # Source name -> kind of its first record.
-        self.source_kinds: dict[str, str] = {}
         for position, record in enumerate(self._records):
             self._by_key.setdefault(record.selector.key, []).append(
                 (position, record))
-            self.source_kinds.setdefault(record.source.name, record.source.kind)
 
     def __iter__(self):
         return iter(self._records)

@@ -9,6 +9,7 @@ from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
 from xsign.pathengine import build_index
+from xsign.revocation import IssuerSerial, RevocationRecord, RevocationSource
 from xsign.timeutil import parse_rfc3339, utc
 from xsign.truststore import combined_anchors
 from xsign.xsdetect import group_xs
@@ -456,6 +457,29 @@ def test_uniformly_revoked_group_no_inconsistency():
                            bundle.views)
     findings = find_revocation_inconsistency(xs[0], run)
     assert not findings
+
+
+def test_a_source_with_ca_crl_records_keeps_its_scope_rule_in_any_order(
+        figure1):
+    # One source name with a CA-CRL record and a vendor record, both for
+    # the same member: as a CA CRL it cannot list the member's sibling
+    # under another issuer, whichever of its records comes first.
+    run, xs, _ = build_run(figure1.records, figure1.stores,
+                           figure1.revocations, figure1.views)
+    member = run.index.get(xs[0].members[0])
+    mixed = [RevocationRecord(RevocationSource(kind, "mixed"),
+                              IssuerSerial(member.issuer, member.serial),
+                              utc(2015))
+             for kind in ("ca_crl", "vendor")]
+    issues = []
+    for order in (mixed, mixed[::-1]):
+        run, xs, _ = build_run(figure1.records, figure1.stores,
+                               [*figure1.revocations, *order], figure1.views)
+        issues.append([issue for finding in find_revocation_inconsistency(
+                           xs[0], run)
+                       for issue in finding.evidence["issues"]])
+    assert issues[0] == issues[1]
+    assert not [i for i in issues[0] if i["kind"] == "partial"]
 
 
 def test_actalis_view_divergence(actalis):

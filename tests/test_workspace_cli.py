@@ -389,6 +389,47 @@ def test_lint_relints_when_its_options_change(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
 
 
+def test_view_order_is_part_of_the_stamp_key(tmp_path, capsys):
+    # The revocation-inconsistency analyzer lists the views' scopes in the
+    # order given, so the reports of one order are not current for another.
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
+                      "--views", "mozilla=onecrl,google=crlset,none=")
+    assert code == 0
+    reordered = ("--views", "none=,google=crlset,mozilla=onecrl")
+    code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir), *reordered)
+    assert code == 0 and json.loads(out)["cached"] is False
+    fresh_dir = tmp_path / "ws-fresh"
+    _run(capsys, "ingest", "--ws", str(fresh_dir),
+         str(tmp_path / "bundle-certinomis"))
+    code, _, _ = _run(capsys, "analyze", "--ws", str(fresh_dir), *reordered)
+    assert code == 0
+    for name in ("findings.jsonl", "assessments.jsonl", "lint.jsonl"):
+        assert ((ws_dir / "reports" / name).read_bytes()
+                == (fresh_dir / "reports" / name).read_bytes()), name
+
+
+def test_served_commands_load_no_input(tmp_path, capsys, monkeypatch):
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 0
+
+    def no_load(self):
+        raise AssertionError("a served command loaded an input")
+
+    for name in vars(Workspace):
+        if name.startswith("load_"):
+            monkeypatch.setattr(Workspace, name, no_load)
+    served = [("analyze",), ("lint",),
+              *(("report", "--kind", kind)
+                for kind in ("findings", "groups", "assessments", "lint")),
+              ("report", "--format", "md"),
+              ("report", "--kind", "assessments", "--format", "csv")]
+    for argv in served:
+        code, out, _ = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 0 and out, argv
+
+
 def test_one_entry_stamp_is_not_current(tmp_path, capsys):
     ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
     code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir))
