@@ -138,11 +138,10 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
             "at": hits[0].effective_date,
             "sources": sorted({r.source.name for r in hits}),
         })
-    member_roots = {path.root for path in paths[member.fingerprint].paths}
     for rule in store.distrust_rules:
         if not any(rule_blocks_path(rule, [member, run.index.get(root)],
                                     rule.effective_from)
-                   for root in member_roots):
+                   for root in paths[member.fingerprint].roots):
             continue
         events.append({
             "kind": "distrust_rule", "member": member.fingerprint,
@@ -201,7 +200,7 @@ def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
     """'nc_critical' / 'nc_noncritical' when every usable path of the member
     into the target roots passes a name-constrained CA; None otherwise."""
     flags = []
-    for path in paths[member.fingerprint].usable_paths():
+    for path in paths[member.fingerprint].paths:
         if path.root not in target_roots:
             continue
         constrained = [index.get(fp).name_constraints
@@ -303,8 +302,7 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
             for other in members:
                 if other.fingerprint == member.fingerprint:
                     continue
-                native_roots.update(
-                    path.root for path in paths[other.fingerprint].paths)
+                native_roots.update(paths[other.fingerprint].roots)
             own_root_absent = all(
                 sid in store_map and not (
                     native_roots & store_map[sid].active_roots(member.not_before))
@@ -335,7 +333,7 @@ def find_multi_algorithm(group: XSCertGroup, index: CertIndex,
     direct = {m.fingerprint: m.signature_algorithm for m in members}
     path_algs: dict[str, list[str]] = {}
     for member in members:
-        usable = paths[member.fingerprint].usable_paths()
+        usable = paths[member.fingerprint].paths
         if usable:
             best = usable[0]
             path_algs[member.fingerprint] = sorted(

@@ -25,34 +25,12 @@ from .truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
 DEFAULT_MAX_DEPTH = 12
 MODES = ("structural", "cryptographic", "strict")
 
-# Path flags
-NC_VIOLATION_CRITICAL = "nc_violation_critical"
-NC_VIOLATION_NONCRITICAL = "nc_violation_noncritical"
-NC_UNEVALUATED = "nc_unevaluated"
-UNKNOWN_CRITICAL = "unknown_critical"
-NON_CA_ISSUER = "non_ca_issuer"
-PATHLEN_EXCEEDED = "pathlen_exceeded"
-EMPTY_VALIDITY = "empty_validity"
-
-# The flags that break a path's constraints, per mode. Strict mode also
-# rejects non-critical name-constraint violations, and builds no path with
-# an unknown critical extension at all.
-_BROKEN_CONSTRAINTS = frozenset({NON_CA_ISSUER, PATHLEN_EXCEEDED,
-                                 NC_VIOLATION_CRITICAL})
-_INVALIDATING = {
-    "structural": _BROKEN_CONSTRAINTS,
-    "cryptographic": _BROKEN_CONSTRAINTS,
-    "strict": _BROKEN_CONSTRAINTS | {NC_VIOLATION_NONCRITICAL},
-}
-
-
 class CertIndex:
     """Immutable-after-build maps over a certificate corpus."""
 
     def __init__(self):
         self.records: dict[str, CertRecord] = {}
         self.by_subject: dict[NormalizedName, list[str]] = {}
-        self.by_spki: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -66,7 +44,6 @@ class CertIndex:
             return False
         self.records[record.fingerprint] = record
         self.by_subject.setdefault(record.subject, []).append(record.fingerprint)
-        self.by_spki.setdefault(record.spki_digest, []).append(record.fingerprint)
         return True
 
     def get(self, fingerprint: str) -> CertRecord:
@@ -92,36 +69,28 @@ def build_index(certs: Iterable[CertRecord]) -> CertIndex:
 
 @dataclass(frozen=True)
 class TrustPath:
-    """One candidate chain, leaf-side first, root-side last."""
+    """One usable chain, leaf-side first, root-side last, with the window
+    in which every member is valid."""
 
     chain: tuple[str, ...]
-    validity: Optional[tuple[datetime, datetime]]
-    constraints_ok: bool
-    flags: frozenset[str] = frozenset()
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-    @property
-    def leaf(self) -> str:
-        return self.chain[0]
+    validity: tuple[datetime, datetime]
 
     @property
     def root(self) -> str:
         return self.chain[-1]
 
-    def usable(self) -> bool:
-        """Valid for trust computation under the mode it was enumerated in."""
-        return self.constraints_ok and self.validity is not None
-
 
 @dataclass
 class PathEnumeration:
+    """`paths` holds the usable paths, shortest first; `roots` the root of
+    every chain the mode builds, usable or not."""
     paths: list[TrustPath]
+    roots: set[str] = field(default_factory=set)
     truncated: bool = False
 
     def usable_paths(self) -> list[TrustPath]:
-        return [p for p in self.paths if p.usable()]
+        """`paths`, under the name the benchmark's tracer counts."""
+        return self.paths
 
 
 def _dns_matches_subtree(identity: str, subtree: str) -> bool:
@@ -130,38 +99,33 @@ def _dns_matches_subtree(identity: str, subtree: str) -> bool:
     return identity == subtree or identity.endswith("." + subtree)
 
 
-def _nc_flags(records: Sequence[CertRecord]) -> set[str]:
-    """Evaluate name constraints of every CA member against the certificates
-    below it in the chain (records are leaf first)."""
-    flags: set[str] = set()
+def _nc_violated(records: Sequence[CertRecord], strict: bool) -> bool:
+    """Whether a CA member's name constraints, if critical or in strict
+    mode, exclude a certificate below it in the chain (records are leaf
+    first). Subtree forms other than DNS names and directory names are not
+    evaluated."""
     for idx in range(1, len(records)):
         nc = records[idx].name_constraints
-        if nc is None:
+        if nc is None or not (nc.critical or strict):
             continue
-        if any(s.kind not in ("dns", "dirname") for s in nc.permitted + nc.excluded):
-            flags.add(NC_UNEVALUATED)
-        below = records[:idx]
-        violated = False
         dns_permitted = [s.value for s in nc.permitted if s.kind == "dns"]
         dir_permitted = [s.value for s in nc.permitted if s.kind == "dirname"]
-        for member in below:
+        for member in records[:idx]:
             idents = dns_identities(member)
             if dns_permitted and idents:
                 if not all(any(_dns_matches_subtree(i, p) for p in dns_permitted)
                            for i in idents):
-                    violated = True
+                    return True
             if dir_permitted and not member.subject.is_empty:
                 if not any(member.subject.startswith(p) for p in dir_permitted):
-                    violated = True
+                    return True
             for sub in nc.excluded:
                 if sub.kind == "dns" and any(
                         _dns_matches_subtree(i, sub.value) for i in idents):
-                    violated = True
-                elif sub.kind == "dirname" and member.subject.startswith(sub.value):
-                    violated = True
-        if violated:
-            flags.add(NC_VIOLATION_CRITICAL if nc.critical else NC_VIOLATION_NONCRITICAL)
-    return flags
+                    return True
+                if sub.kind == "dirname" and member.subject.startswith(sub.value):
+                    return True
+    return False
 
 
 def _pathlen_ok(records: Sequence[CertRecord]) -> bool:
@@ -177,41 +141,34 @@ def _pathlen_ok(records: Sequence[CertRecord]) -> bool:
     return True
 
 
-def _make_path(records: Sequence[CertRecord], mode: str) -> Optional[TrustPath]:
-    """The chain `records` (leaf first) as a path, or None where the mode
-    does not build it: in strict mode a member with an unknown critical
-    extension, in cryptographic mode a signature that does not verify."""
-    flags: set[str] = set()
-
-    start = max(r.not_before for r in records)
-    end = min(r.not_after for r in records)
-    validity = (start, end) if start < end else None
-    if validity is None:
-        flags.add(EMPTY_VALIDITY)
-    if not all(r.ca_capable for r in records[1:]):
-        flags.add(NON_CA_ISSUER)
-    if not _pathlen_ok(records):
-        flags.add(PATHLEN_EXCEEDED)
-    flags |= _nc_flags(records)
-    if any(r.unknown_critical for r in records):
-        flags.add(UNKNOWN_CRITICAL)
-
-    if mode == "strict" and UNKNOWN_CRITICAL in flags:
-        return None
+def _builds(records: Sequence[CertRecord], mode: str) -> bool:
+    """Whether the mode builds the chain `records` (leaf first) at all: in
+    strict mode no member has an unknown critical extension, in
+    cryptographic mode every signature verifies."""
+    if mode == "strict":
+        return not any(r.unknown_critical for r in records)
     if mode == "cryptographic":
         try:
-            if not all(verify_signature(child, parent)
-                       for child, parent in zip(records, records[1:])):
-                return None
+            return all(verify_signature(child, parent)
+                       for child, parent in zip(records, records[1:]))
         except CryptoUnavailable:
-            return None
+            return False
+    return True
 
-    return TrustPath(
-        chain=tuple(r.fingerprint for r in records),
-        validity=validity,
-        constraints_ok=not flags & _INVALIDATING[mode],
-        flags=frozenset(flags),
-    )
+
+def _usable_validity(records: Sequence[CertRecord],
+                     mode: str) -> Optional[tuple[datetime, datetime]]:
+    """The window in which every member of the built chain `records` (leaf
+    first) is valid, or None when it is empty or the chain is unusable: an
+    issuer that is not CA-capable, an exceeded path length, or a violated
+    name constraint."""
+    start = max(r.not_before for r in records)
+    end = min(r.not_after for r in records)
+    if (start < end and all(r.ca_capable for r in records[1:])
+            and _pathlen_ok(records)
+            and not _nc_violated(records, mode == "strict")):
+        return start, end
+    return None
 
 
 def check_options(max_depth: int, mode: str) -> None:
@@ -226,7 +183,8 @@ def enumerate_paths(cert: CertRecord, index: CertIndex,
                     max_depth: int = DEFAULT_MAX_DEPTH,
                     mode: str = "structural",
                     anchors: frozenset[str] = frozenset()) -> PathEnumeration:
-    """All name-matching chains from `cert` to a terminal record.
+    """Every usable name-matching chain from `cert` to a terminal record,
+    and the roots of every chain the mode builds.
 
     A chain terminates at a self-signed record or at a record listed in
     `anchors` (roots ever present in some store); terminal records with
@@ -247,15 +205,19 @@ def enumerate_paths(cert: CertRecord, index: CertIndex,
 def _walk(records: list[CertRecord], spkis: set[str], index: CertIndex,
           anchors: frozenset[str], max_depth: int, mode: str,
           result: PathEnumeration):
-    """Extend the chain `records` (leaf first) depth first, adding each
-    terminated chain to `result`. A module-level function, not a closure:
+    """Extend the chain `records` (leaf first) depth first, adding the root
+    of each terminated chain the mode builds to `result`, and the chain too
+    when it is usable. A module-level function, not a closure:
     a recursive closure is a reference cycle that would keep `result`
     alive until the next garbage collection."""
     current = records[-1]
-    if current.self_signed or current.fingerprint in anchors:
-        path = _make_path(records, mode)
-        if path is not None:
-            result.paths.append(path)
+    if (current.self_signed or current.fingerprint in anchors) \
+            and _builds(records, mode):
+        result.roots.add(current.fingerprint)
+        validity = _usable_validity(records, mode)
+        if validity is not None:
+            result.paths.append(TrustPath(
+                tuple(r.fingerprint for r in records), validity))
     parents = [p for p in index.issuers_of(current)
                if p.spki_digest not in spkis]
     if not parents:
@@ -363,11 +325,10 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
     blocks the path."""
     assessment = TrustAssessment(cert.fingerprint, view.consumer_id)
 
-    usable = enumeration.usable_paths()
     for store in stores:
         per_path: list[tuple[TrustPath, list[intervals.Interval]]] = []
         events: list[tuple[datetime, dict]] = []
-        for path in usable:
+        for path in enumeration.paths:
             allowed = intervals.intersect(
                 [path.validity], store.presence_intervals(path.root))
             if not allowed:
@@ -407,6 +368,10 @@ def select_stores(stores: Sequence[RootStoreTimeline],
         if store.store_id in known:
             raise ValueError(f"duplicate store id {store.store_id!r}")
         known[store.store_id] = store
+    repeated = sorted({sid for sid in store_ids if store_ids.count(sid) > 1})
+    if repeated:
+        raise ValueError(f"store id(s) given more than once: "
+                         f"{', '.join(repeated)}")
     missing = [sid for sid in store_ids if sid not in known]
     if missing:
         raise UnknownStore(f"unknown store(s): {', '.join(missing)}")

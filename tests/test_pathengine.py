@@ -2,7 +2,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xsign.certmodel import dns_identities, record_from_json
 from xsign.corpus import ScenarioSpec, generate
 from xsign.pathengine import (assess_trust, build_index, enumerate_paths,
                               select_stores)
@@ -11,22 +14,65 @@ from xsign.timeutil import utc
 from xsign.truststore import UnknownStore, combined_anchors
 
 
-def oracle_paths(cert, records, anchors, max_depth=64):
-    """Brute-force DFS with an explicit visited set of key digests."""
-    found = set()
+def oracle_chains(cert, records, anchors, max_depth=64):
+    """Brute-force DFS with an explicit visited set of key digests: every
+    name-matching chain (records, leaf first) ending at a terminal record,
+    and whether the depth bound cut off a further parent."""
+    found = []
+    truncated = False
 
     def dfs(chain, spkis):
+        nonlocal truncated
         cur = chain[-1]
         if cur.self_signed or cur.fingerprint in anchors:
-            found.add(tuple(c.fingerprint for c in chain))
-        if len(chain) >= max_depth:
+            found.append(tuple(chain))
+        parents = [p for p in records
+                   if p.subject == cur.issuer and p.spki_digest not in spkis]
+        if parents and len(chain) >= max_depth:
+            truncated = True
             return
-        for parent in records:
-            if parent.subject == cur.issuer and parent.spki_digest not in spkis:
-                dfs(chain + [parent], spkis | {parent.spki_digest})
+        for parent in parents:
+            dfs(chain + [parent], spkis | {parent.spki_digest})
 
     dfs([cert], {cert.spki_digest})
-    return found
+    return found, truncated
+
+
+def _within(identity, subtree):
+    return identity == subtree or identity.endswith("." + subtree)
+
+
+def oracle_usable(chain, strict=False):
+    """RFC 5280 path checks over a chain of records, leaf first: a common
+    validity window, CA-capable issuers, no exceeded path length (counting
+    the non-self-issued intermediates below each CA), and no DNS name below
+    a CA outside its permitted or inside its excluded subtrees, for
+    critical name constraints or, in strict mode, any."""
+    if max(c.not_before for c in chain) >= min(c.not_after for c in chain):
+        return False
+    for pos, ca in enumerate(chain[1:], start=1):
+        if not ca.ca_capable:
+            return False
+        intermediates = [c for c in chain[1:pos] if c.subject != c.issuer]
+        if (ca.path_len_constraint is not None
+                and len(intermediates) > ca.path_len_constraint):
+            return False
+        nc = ca.name_constraints
+        if nc is None or not (nc.critical or strict):
+            continue
+        permitted = [s.value for s in nc.permitted if s.kind == "dns"]
+        excluded = [s.value for s in nc.excluded if s.kind == "dns"]
+        for below in chain[:pos]:
+            for name in dns_identities(below):
+                if permitted and not any(_within(name, p) for p in permitted):
+                    return False
+                if any(_within(name, e) for e in excluded):
+                    return False
+    return True
+
+
+def fingerprints(chain):
+    return tuple(c.fingerprint for c in chain)
 
 
 def test_empty_index():
@@ -56,7 +102,6 @@ def test_large_corpus_membership():
         assert index.get(record.fingerprint) is record
         assert record.fingerprint in index.by_subject[record.subject]
         assert all(p.subject == record.issuer for p in index.issuers_of(record))
-        assert record.fingerprint in index.by_spki[record.spki_digest]
 
 
 def test_figure1_leaf_has_exactly_two_paths(figure1):
@@ -88,9 +133,14 @@ def test_random_dags_match_dfs_oracle():
         index = build_index(records)
         anchors = combined_anchors(bundle.stores)
         for record in records:
-            got = {p.chain for p in enumerate_paths(
-                record, index, max_depth=64, anchors=anchors).paths}
-            assert got == oracle_paths(record, records, anchors), record.fingerprint
+            result = enumerate_paths(record, index, max_depth=64,
+                                     anchors=anchors)
+            chains, _ = oracle_chains(record, records, anchors)
+            assert {p.chain for p in result.paths} == {
+                fingerprints(c) for c in chains if oracle_usable(c)}, \
+                record.fingerprint
+            assert result.roots == {c[-1].fingerprint for c in chains}, \
+                record.fingerprint
 
 
 def test_mutual_cross_sign_terminates(mutual_crypto):
@@ -161,12 +211,12 @@ def test_non_ca_issuer_flagged():
     b.leaf("child", "CN=below.example, O=T", issuer="shared_ca", nb=nb, na=na)
     records = b.build("structural")
     index = build_index(records.values())
-    paths = enumerate_paths(records["child"], index).paths
-    by_parent = {p.chain[1]: p for p in paths}
-    assert not by_parent[records["shared_ca"].fingerprint].flags
-    leaf_issued = by_parent[records["shared_leaf"].fingerprint]
-    assert "non_ca_issuer" in leaf_issued.flags
-    assert not leaf_issued.constraints_ok
+    result = enumerate_paths(records["child"], index)
+    fp = {label: record.fingerprint for label, record in records.items()}
+    # The chain through the non-CA certificate reaches root B, but is no path.
+    assert [p.chain for p in result.paths] == [
+        (fp["child"], fp["shared_ca"], fp["root_a"])]
+    assert result.roots == {fp["root_a"], fp["root_b"]}
 
 
 def test_pathlen_constraint_enforced():
@@ -180,35 +230,36 @@ def test_pathlen_constraint_enforced():
     records = list(b.build("structural").values())
     index = build_index(records)
     by_label = {r.subject.attr_values("cn")[0]: r for r in records}
-    deep = enumerate_paths(by_label["deep.example"], index).paths
-    assert len(deep) == 1
-    assert "pathlen_exceeded" in deep[0].flags
-    assert not deep[0].constraints_ok
-    shallow = enumerate_paths(by_label["middle"], index).paths
-    assert shallow[0].constraints_ok
+    root = by_label["limited root"].fingerprint
+    deep = enumerate_paths(by_label["deep.example"], index)
+    assert deep.paths == []
+    assert deep.roots == {root}
+    shallow = enumerate_paths(by_label["middle"], index)
+    assert [p.chain for p in shallow.paths] == [
+        (by_label["middle"].fingerprint, root)]
 
 
 def test_name_constraint_dual_reporting(swiss):
     index = build_index(swiss.records)
     anchors = combined_anchors(swiss.stores)
 
-    def xs_path(paths):
-        return next(p for p in paths if swiss.fp("sg02_xs") in p.chain)
+    def enumerate_xs(label, mode):
+        result = enumerate_paths(swiss.record(label), index, mode=mode,
+                                 anchors=anchors)
+        return result, [p.chain for p in result.paths
+                        if swiss.fp("sg02_xs") in p.chain]
 
-    off_default = xs_path(enumerate_paths(
-        swiss.record("leaf_offlist"), index, anchors=anchors).paths)
-    assert "nc_violation_noncritical" in off_default.flags
-    assert off_default.constraints_ok  # non-critical: flagged, not invalid
+    # Non-critical: the off-list leaf keeps its path through the
+    # constrained cross-sign by default, and loses it in strict mode.
+    _, off_default = enumerate_xs("leaf_offlist", "structural")
+    assert off_default
+    off_strict, off_strict_xs = enumerate_xs("leaf_offlist", "strict")
+    assert not off_strict_xs
+    assert {chain[-1] for chain in off_default} <= off_strict.roots
 
-    off_strict = xs_path(enumerate_paths(
-        swiss.record("leaf_offlist"), index, mode="strict",
-        anchors=anchors).paths)
-    assert not off_strict.constraints_ok
-
-    on_default = xs_path(enumerate_paths(
-        swiss.record("leaf_listed"), index, anchors=anchors).paths)
-    assert "nc_violation_noncritical" not in on_default.flags
-    assert on_default.constraints_ok
+    for mode in ("structural", "strict"):
+        _, on_xs = enumerate_xs("leaf_listed", mode)
+        assert on_xs, mode
 
 
 def test_critical_name_constraint_invalidates_in_default_mode():
@@ -224,9 +275,9 @@ def test_critical_name_constraint_invalidates_in_default_mode():
     b.leaf("leaf", "CN=www.outside.example, O=T", issuer="ca", nb=nb, na=na)
     records = b.build("structural")
     index = build_index(records.values())
-    paths = enumerate_paths(records["leaf"], index).paths
-    assert "nc_violation_critical" in paths[0].flags
-    assert not paths[0].constraints_ok
+    result = enumerate_paths(records["leaf"], index)
+    assert result.paths == []
+    assert result.roots == {records["root"].fingerprint}
 
 
 def test_unknown_store_rejected(figure1):
@@ -306,9 +357,10 @@ def test_unsupported_subtree_forms_reported_not_evaluated():
     b.leaf("leaf", "CN=www.anywhere.example, O=T", issuer="ca", nb=nb, na=na)
     records = b.build("structural")
     index = build_index(records.values())
-    paths = enumerate_paths(records["leaf"], index).paths
-    assert "nc_unevaluated" in paths[0].flags
-    assert paths[0].constraints_ok
+    chain = tuple(records[label].fingerprint for label in ("leaf", "ca", "root"))
+    for mode in ("structural", "strict"):
+        result = enumerate_paths(records["leaf"], index, mode=mode)
+        assert [p.chain for p in result.paths] == [chain], mode
 
 
 def test_certinomis_spring_leaf_window(certinomis):
@@ -347,3 +399,65 @@ def test_fewer_sources_never_shrink_trust():
             narrow = per_view["full"][sid]
             for wider in (per_view["partial"][sid], per_view["empty"][sid]):
                 assert iv.subtract(narrow, wider) == []
+
+
+# Hostname-shaped subjects, so that DNS name constraints apply to them.
+_DAG_NAMES = ("CN=a.example", "CN=b.a.example", "CN=c.example", "CN=Root")
+_DAG_CONSTRAINTS = (
+    None,
+    {"permitted": [{"kind": "dns", "value": "a.example"}], "excluded": []},
+    {"permitted": [], "excluded": [{"kind": "dns", "value": "a.example"}]},
+)
+
+
+@st.composite
+def _dag_records(draw):
+    """Up to 7 metadata records over 4 names and 4 keys: shared names make
+    cross-signs and mutual pairs, a record naming itself as issuer is a
+    self-loop, and windows over a few years are sometimes disjoint."""
+    records = []
+    for i in range(draw(st.integers(1, 7))):
+        subject = draw(st.sampled_from(_DAG_NAMES))
+        issuer = draw(st.sampled_from(_DAG_NAMES))
+        start = draw(st.integers(2010, 2016))
+        nc = draw(st.sampled_from(_DAG_CONSTRAINTS))
+        records.append(record_from_json({
+            "fingerprint": f"{i:064x}", "subject": subject, "issuer": issuer,
+            "spki": f"{draw(st.integers(0, 3)):064x}", "serial": str(i),
+            "not_before": f"{start}-01-01T00:00:00Z",
+            "not_after": f"{start + draw(st.integers(1, 4))}-01-01T00:00:00Z",
+            "is_ca": draw(st.sampled_from((True, True, False))),
+            "path_len": draw(st.sampled_from((None, 0, 1))),
+            "name_constraints": nc and {**nc, "critical": draw(st.booleans())},
+            "self_signed": subject == issuer and draw(st.booleans()),
+            "unknown_critical": draw(st.sampled_from((False, False, True))),
+        }))
+    return records
+
+
+@settings(max_examples=1000, deadline=None)
+@given(records=_dag_records(), data=st.data(),
+       max_depth=st.integers(1, 6),
+       mode=st.sampled_from(("structural", "strict")))
+def test_paths_and_roots_match_oracle_on_random_dags(records, data, max_depth,
+                                                     mode):
+    index = build_index(records)
+    anchors = frozenset(data.draw(st.sets(st.sampled_from(
+        [r.fingerprint for r in records]))))
+    for record in records:
+        result = enumerate_paths(record, index, max_depth=max_depth,
+                                 mode=mode, anchors=anchors)
+        chains, truncated = oracle_chains(record, records, anchors, max_depth)
+        # Strict mode builds no chain with an unknown critical extension.
+        built = [c for c in chains
+                 if mode != "strict" or not any(r.unknown_critical for r in c)]
+        assert [p.chain for p in result.paths] == sorted(
+            (fingerprints(c) for c in built
+             if oracle_usable(c, strict=mode == "strict")),
+            key=lambda chain: (len(chain), chain))
+        assert result.roots == {c[-1].fingerprint for c in built}
+        assert result.truncated == truncated
+        for path in result.paths:
+            members = [index.get(fp) for fp in path.chain]
+            assert path.validity == (max(r.not_before for r in members),
+                                     min(r.not_after for r in members))

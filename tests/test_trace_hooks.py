@@ -4,8 +4,9 @@
 as absent, and only the minutes-long `perfbench/selftest.py` fails on that.
 These checks catch a deleted or renamed hooked function, a hooked module
 that `import xsign.cli` no longer loads (the tracer wraps only the modules
-loaded at that point), and a moved parameter that an observer reads, in the
-ordinary test run. They read `HOOKS` and `OBSERVERS` and change nothing in
+loaded at that point), a moved parameter that an observer reads, and an
+argument or result that an observer can no longer read, in the ordinary
+test run. They read `HOOKS` and `OBSERVERS` and change nothing in
 `perfbench/`."""
 
 import importlib
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import xsign
+from xsign.analysis import AnalysisOptions, analyze_corpus
 
 TRACE_LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_launch.py"
 
@@ -97,3 +99,39 @@ def test_observed_parameters_keep_their_names_and_positions():
             _hooked(trace_launch.HOOKS, prefix)).parameters)
         assert {pos: names[pos] for pos in expected if pos < len(names)} \
             == expected, prefix
+
+
+def _recorder(calls: list, fn):
+    def record(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+    return record
+
+
+def test_observers_read_the_calls_of_an_analysis(monkeypatch, figure1_crypto):
+    """Every observer, run on the arguments and result of each call of its
+    hooked function in a cryptographic analysis, raises nothing. The tracer
+    drops an observer that raises and reports its counters absent, which
+    only the minutes-long self-test notices."""
+    trace_launch = _trace_launch()
+    calls = {prefix: [] for prefix in trace_launch.OBSERVERS}
+    modules = [m for n, m in sys.modules.items()
+               if n == "xsign" or n.startswith("xsign.")]
+    for prefix in trace_launch.OBSERVERS:
+        original = _hooked(trace_launch.HOOKS, prefix)
+        record = _recorder(calls[prefix], original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, record)
+    bundle = figure1_crypto
+    analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
+                   bundle.views, bundle.operator_map,
+                   AnalysisOptions(mode="cryptographic"),
+                   extensions=bundle.extensions)
+    assert all(calls.values()), [p for p, seen in calls.items() if not seen]
+    for prefix, observe in trace_launch.OBSERVERS.items():
+        counters: dict = {}
+        for args, kwargs, result in calls[prefix]:
+            observe(counters, args, kwargs, result)

@@ -594,6 +594,20 @@ def test_lint_rejects_unknown_store_like_analyze(tmp_path, capsys):
     assert "bogus" in payload["detail"]
 
 
+def test_analysis_rejects_a_repeated_store_id(tmp_path, capsys):
+    # A store named twice would be assessed twice and its findings written
+    # twice.
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    for command in ("analyze", "lint"):
+        code, out, err = _run(capsys, command, "--ws", str(ws_dir),
+                              "--stores", "mozilla,mozilla")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "analysis"
+        assert "mozilla" in payload["detail"]
+    assert not any((ws_dir / "reports").iterdir())
+
+
 def test_raw_bytes_attach_to_existing_record(tmp_path, capsys):
     # Metadata-only ingest first, PEM second: the raw sidecar appears and
     # the cache invalidates.
