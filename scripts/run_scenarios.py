@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from xsign.analysis import analyze_corpus
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
-from xsign.findings import CATEGORIES
+from xsign.constants import CATEGORIES
 
 
 def main() -> int:

@@ -23,14 +23,16 @@ from typing import (Container, Iterable, Iterator, Mapping, Optional,
 from . import findings as findings_mod
 from . import xsext
 from .certmodel import CertRecord
+from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
+                        DEFAULT_OVERLAP_MIN_DAYS)
 from .findings import AssessmentSet, Finding, Paths
-from .pathengine import (DEFAULT_MAX_DEPTH, CertIndex, PathEnumeration,
-                         TrustAssessment, assess_paths, build_index,
-                         check_options, enumerate_paths)
+from .pathengine import (CertIndex, PathEnumeration, TrustAssessment,
+                         assess_paths, build_index, check_options,
+                         enumerate_paths)
 from .revocation import (COVERAGE_VIEW_ID, RevocationIndex, RevocationRecord,
                          RevocationView, all_sources_view, check_view_ids)
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
-from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS, XSCertGroup, classify_groups, group_xs
+from .xsdetect import XSCertGroup, classify_groups, group_xs
 
 # Synthetic revocation-free view backing coverage-style analyzers. It never
 # shows up in assessment reports.
@@ -43,13 +45,17 @@ class AnalysisOptions:
     max_depth: int = DEFAULT_MAX_DEPTH
     overlap_min: int = DEFAULT_OVERLAP_MIN_DAYS
     mode: str = "structural"
-    max_validity_days: int = xsext.DEFAULT_MAX_VALIDITY_DAYS
+    max_validity_days: int = DEFAULT_MAX_VALIDITY_DAYS
 
     def __post_init__(self):
         # Checked here, not at the first enumeration, so that a run that
         # enumerates nothing (lint on a corpus without cross-sign groups)
-        # still rejects a bad depth bound or mode.
+        # still rejects a bad depth bound, mode or limit.
         check_options(self.max_depth, self.mode)
+        if self.overlap_min < 0:
+            raise ValueError("overlap_min must be >= 0")
+        if self.max_validity_days < 1:
+            raise ValueError("max_validity_days must be >= 1")
 
 
 @dataclass(frozen=True)

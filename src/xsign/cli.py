@@ -1,29 +1,62 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 analysis error, 2 usage error, 3 input schema error.
-Errors go to stderr as one JSON object per failure; a warning (a result cut
-short by `--max-depth`) goes there the same way and leaves the exit code as
-it is.
+Exit codes: 0 ok, 1 analysis error, 2 usage error (an `--out` file that
+cannot be written among them), 3 input schema error (a `--ws` that `ingest`
+did not make among them). Errors go to stderr as one JSON object per
+failure; a warning (a result cut short by `--max-depth`) goes there the same
+way and leaves the exit code as it is.
+
+A command served from the cache (a cached `analyze`, a served `lint`,
+`report` over current reports) runs only this module, `workspace`,
+`reports` and `constants`. The model modules are registered lazily before
+the package's own imports: each is in `sys.modules` and on the package, and
+runs when one of its attributes is first read. So this module, `workspace`
+and `reports` name model code as `module.attr`, never by a from-import, which
+would run the module. A command that misses the cache runs every model
+module before it reads its inputs (see `_analysis_inputs`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import reports
-from .analysis import AnalysisOptions, analyze_corpus, lint_corpus
-from .certmodel import MalformedInput
-from .pathengine import DEFAULT_MAX_DEPTH, MODES, select_stores
-from .revocation import (RevocationRecord, RevocationView, all_sources_view,
-                         check_view_ids)
-from .truststore import UnknownStore
+_MODEL_MODULES = ("analysis", "findings", "pathengine", "xsdetect", "xsext",
+                  "certmodel", "revocation", "truststore", "names",
+                  "intervals", "timeutil")
+
+
+def _register_lazily(names: tuple[str, ...]):
+    """Put each module of the package named in `names` into `sys.modules`
+    and onto the package without running it. A module already imported is
+    left as it is."""
+    package = sys.modules[__package__]
+    for name in names:
+        qualified = f"{__package__}.{name}"
+        if qualified in sys.modules:
+            continue
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+# Before the package's own imports, so that none of them runs a model module.
+_register_lazily(_MODEL_MODULES)
+
+from . import analysis, pathengine, reports, revocation, truststore
+from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
+                        DEFAULT_OVERLAP_MIN_DAYS, MODES)
 from .workspace import SchemaError, Workspace, _write_atomic
-from .xsdetect import DEFAULT_OVERLAP_MIN_DAYS
-from .xsext import DEFAULT_MAX_VALIDITY_DAYS
+
+if TYPE_CHECKING:
+    from .revocation import RevocationRecord, RevocationView
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -48,14 +81,14 @@ def _parse_views(spec: str,
             continue
         if "=" in entry:
             name, _, srcs = entry.partition("=")
-            views.append(RevocationView(
+            views.append(revocation.RevocationView(
                 name, frozenset(s for s in srcs.split("+") if s)))
         elif entry == "all":
-            views.append(all_sources_view(revocations))
+            views.append(revocation.all_sources_view(revocations))
         elif entry == "none":
-            views.append(RevocationView("none", frozenset()))
+            views.append(revocation.RevocationView("none", frozenset()))
         else:
-            views.append(RevocationView(entry, frozenset([entry])))
+            views.append(revocation.RevocationView(entry, frozenset([entry])))
     return views
 
 
@@ -74,19 +107,26 @@ def _analysis_inputs(args, ws: Workspace) -> dict:
     both `analyze_corpus` and `lint_corpus`. With no view given by
     `--views` or `views.json`, the run uses one view that accepts every
     source. A view id given twice, or equal to the coverage view's, is an
-    analysis error."""
+    analysis error.
+
+    Every model module runs first, before any input is read. Reading an
+    attribute of a lazily registered module runs it; one first read
+    mid-analysis (`xsext`, `intervals`) would compile while the inputs fill
+    the heap, and that transient memory would add to the peak."""
+    for name in _MODEL_MODULES:
+        getattr(sys.modules[f"{__package__}.{name}"], "__dict__")
     revocations = ws.load_revocations()
     views = (_parse_views(args.views, revocations) if args.views
-             else ws.load_views()) or [all_sources_view(revocations)]
-    check_view_ids(views)
+             else ws.load_views()) or [revocation.all_sources_view(revocations)]
+    revocation.check_view_ids(views)
     store_ids = args.stores.split(",") if args.stores else None
-    stores = select_stores(ws.load_stores(), store_ids)
+    stores = pathengine.select_stores(ws.load_stores(), store_ids)
     return dict(
         records=ws.load_records(), stores=stores, revocations=revocations,
         views=views, operator_map=ws.load_operator_map(),
-        options=AnalysisOptions(max_depth=args.max_depth,
-                                overlap_min=args.overlap_min, mode=args.mode,
-                                max_validity_days=args.max_validity),
+        options=analysis.AnalysisOptions(
+            max_depth=args.max_depth, overlap_min=args.overlap_min,
+            mode=args.mode, max_validity_days=args.max_validity),
         extensions=ws.load_extensions(), explanations=ws.load_explanations())
 
 
@@ -105,7 +145,7 @@ def _run_analysis(args, ws: Workspace):
     if stamp is not None:
         result, truncated = None, stamp["truncated"]
     else:
-        result = analyze_corpus(**_analysis_inputs(args, ws))
+        result = analysis.analyze_corpus(**_analysis_inputs(args, ws))
         ws.drop_stamp("analysis", "lint")
         ws.write_report("groups.jsonl", reports.groups_jsonl(result.xs_groups))
         ws.write_report("reissuance.jsonl",
@@ -134,7 +174,7 @@ def _run_lint(args, ws: Workspace) -> Iterable[str]:
         lines = ws.report_lines(LINT_REPORT)
         truncated = stamp["truncated"]
     else:
-        verdicts, members = lint_corpus(**_analysis_inputs(args, ws))
+        verdicts, members = analysis.lint_corpus(**_analysis_inputs(args, ws))
         lines = reports.lint_jsonl(verdicts)
         ws.drop_stamp("lint")
         ws.write_report(LINT_REPORT, lines)
@@ -171,7 +211,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ws = Workspace(Path(args.workspace))
+    ws = Workspace.existing(Path(args.workspace))
     result, truncated = _run_analysis(args, ws)
     summary = {"workspace": str(ws.root), "cached": result is None,
                "reports": sorted((*REPORT_FILES, LINT_REPORT)),
@@ -184,7 +224,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    for line in _run_lint(args, Workspace(Path(args.workspace))):
+    for line in _run_lint(args, Workspace.existing(Path(args.workspace))):
         print(line)
     return EXIT_OK
 
@@ -201,7 +241,7 @@ def cmd_report(args) -> int:
         _err({"error": "usage",
               "detail": f"csv rendering not available for {args.kind}"})
         return EXIT_USAGE
-    ws = Workspace(Path(args.workspace))
+    ws = Workspace.existing(Path(args.workspace))
     if args.kind == "lint":
         lines = _run_lint(args, ws)
     else:
@@ -218,7 +258,12 @@ def cmd_report(args) -> int:
     else:
         out = reports.assessments_csv(rows)
     if args.out:
-        _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
+        try:
+            _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
+        except OSError as exc:
+            _err({"error": "usage", "path": args.out,
+                  "detail": f"cannot write the --out file: {exc.strerror}"})
+            return EXIT_USAGE
     else:
         sys.stdout.writelines(out)
     return EXIT_OK
@@ -295,7 +340,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA
-    except (UnknownStore, MalformedInput, ValueError) as exc:
+    except (truststore.UnknownStore, ValueError) as exc:
         _err({"error": "analysis", "detail": str(exc)})
         return EXIT_ANALYSIS
 

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import intervals
 from .certmodel import CertRecord
+from .constants import CATEGORIES, SEVERITY
 from .pathengine import CertIndex, PathEnumeration, TrustAssessment
 from .revocation import (COVERAGE_VIEW_ID, IssuerSerial, RevocationIndex,
                          RevocationView, matching_records, revocation_onset)
@@ -25,21 +26,6 @@ from .xsdetect import XSCertGroup, overlap_days
 
 if TYPE_CHECKING:
     from .analysis import Run
-
-# Every finding category with its severity, in report order.
-SEVERITY = {
-    "valid_after_revocation": "bad",
-    "barrier_breach": "bad",
-    "bootstrapping": "info",
-    "expanded_trust": "info",
-    "extended_validity": "info",
-    "alternative_paths": "info",
-    "multi_algorithm": "info",
-    "ownership_change": "info",
-    "backdating": "warn",
-    "revocation_inconsistency": "warn",
-}
-CATEGORIES = tuple(SEVERITY)
 
 DEFAULT_BACKDATING_SLACK_DAYS = 365
 

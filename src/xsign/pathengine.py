@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import intervals
 from .certmodel import CertRecord, CryptoUnavailable, dns_identities, verify_signature
+from .constants import DEFAULT_MAX_DEPTH, MODES
 from .names import NormalizedName
 from .revocation import (RevocationIndex, RevocationRecord, RevocationView,
                          matching_records)
@@ -22,8 +23,6 @@ from .timeutil import DT_MAX, format_rfc3339
 from .truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
                          rule_blocks_path)
 
-DEFAULT_MAX_DEPTH = 12
-MODES = ("structural", "cryptographic", "strict")
 
 class CertIndex:
     """Immutable-after-build maps over a certificate corpus."""

@@ -1,18 +1,22 @@
 """Report rendering: JSONL (canonical), CSV flattening, and the markdown
 category summary. The CSV and markdown renderers read the JSON rows of a
-written report."""
+written report. This module imports no model module, so that `report`
+over current reports runs none."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .findings import CATEGORIES, SEVERITY, Finding
-from .pathengine import TrustAssessment
-from .xsdetect import XSCertGroup
-from .xsext import LintVerdict
+from .constants import CATEGORIES, SEVERITY
+
+if TYPE_CHECKING:
+    from .findings import Finding
+    from .pathengine import TrustAssessment
+    from .xsdetect import XSCertGroup
+    from .xsext import LintVerdict
 
 _SIGNAL = {"bad": "!!", "warn": "!", "info": "."}
 _ENCODER = json.JSONEncoder(sort_keys=True)

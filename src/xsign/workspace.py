@@ -8,13 +8,17 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .certmodel import (CertRecord, MalformedInput, load_pem_bundle,
-                        parse_certificate, record_from_json, record_to_json)
-from .revocation import RevocationRecord, RevocationView, check_view_ids
-from .truststore import OperatorMap, RootStoreTimeline
-from .xsext import XsExtension, decode_xs_extension
+# Model code is named through its module, never imported by name, so that a
+# command served from the cache does not run it (see `cli`).
+from . import certmodel, revocation, truststore, xsext
+
+if TYPE_CHECKING:
+    from .certmodel import CertRecord
+    from .revocation import RevocationRecord, RevocationView
+    from .truststore import OperatorMap, RootStoreTimeline
+    from .xsext import XsExtension
 
 
 class SchemaError(ValueError):
@@ -69,7 +73,7 @@ def _json_file(doc) -> list[bytes]:
 def _extension_entry(obj: dict) -> tuple[str, XsExtension]:
     payload = json.dumps(obj["extension"], sort_keys=True,
                          separators=(",", ":"), ensure_ascii=False).encode()
-    return obj["member"], decode_xs_extension(payload)
+    return obj["member"], xsext.decode_xs_extension(payload)
 
 
 def _explanation(obj: dict) -> str:
@@ -80,8 +84,8 @@ def _explanation(obj: dict) -> str:
 
 
 def _views(doc: dict) -> list[RevocationView]:
-    views = [RevocationView.from_json(v) for v in doc["views"]]
-    check_view_ids(views)
+    views = [revocation.RevocationView.from_json(v) for v in doc["views"]]
+    revocation.check_view_ids(views)
     return views
 
 
@@ -94,6 +98,15 @@ class Workspace:
         for d in (self.certs_dir, self.config_dir, self.reports_dir):
             d.mkdir(parents=True, exist_ok=True)
         self._inputs = None  # the digest of certs/ and config/, once taken
+
+    @classmethod
+    def existing(cls, root: Path) -> Workspace:
+        """The workspace at `root`, which `ingest` made. A directory without
+        `certs/` is none: that is a schema error, and nothing is created."""
+        if not (Path(root) / "certs").is_dir():
+            raise SchemaError("no workspace here; `ingest` creates one",
+                              path=str(root))
+        return cls(root)
 
     def _write_input(self, path: Path, chunks: Iterable[bytes]):
         """Write a file under certs/ or config/; the inputs have changed."""
@@ -112,8 +125,8 @@ class Workspace:
             self._write_input(der, [record.raw])
         if path.exists():
             return False
-        self._write_input(path, [(json.dumps(record_to_json(record),
-                                             sort_keys=True) + "\n").encode()])
+        line = json.dumps(certmodel.record_to_json(record), sort_keys=True)
+        self._write_input(path, [(line + "\n").encode()])
         return True
 
     def load_records(self) -> list[CertRecord]:
@@ -135,9 +148,9 @@ class Workspace:
                 with open(path, "rb") as fh:
                     data = fh.read()
                 if der in names:
-                    record = parse_certificate(data)
+                    record = certmodel.parse_certificate(data)
                 else:
-                    record = record_from_json(json.loads(data))
+                    record = certmodel.record_from_json(json.loads(data))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad certificate: {exc}",
                                   path=path) from exc
@@ -171,15 +184,15 @@ class Workspace:
                 self._ingest_jsonl(path, summary)
             elif fmt == "pem" or path.suffix == ".pem":
                 try:
-                    records = load_pem_bundle(path.read_bytes())
-                except MalformedInput as exc:
+                    records = certmodel.load_pem_bundle(path.read_bytes())
+                except certmodel.MalformedInput as exc:
                     raise SchemaError(str(exc), path=str(path)) from exc
                 for record in records:
                     self._count_add(record, summary)
             elif fmt == "der":
                 try:
-                    record = parse_certificate(path.read_bytes())
-                except MalformedInput as exc:
+                    record = certmodel.parse_certificate(path.read_bytes())
+                except certmodel.MalformedInput as exc:
                     raise SchemaError(str(exc), path=str(path)) from exc
                 self._count_add(record, summary)
             else:
@@ -204,7 +217,7 @@ class Workspace:
                 stores = doc.get("stores", [doc] if "store_id" in doc else [])
                 existing = {s.store_id: s for s in self.load_stores()}
                 for obj in stores:
-                    store = RootStoreTimeline.from_json(obj)
+                    store = truststore.RootStoreTimeline.from_json(obj)
                     existing[store.store_id] = store
                 payload = {"stores": [existing[k].to_json()
                                       for k in sorted(existing)]}
@@ -212,7 +225,7 @@ class Workspace:
                                   _json_file(payload))
                 summary["stores"] += len(stores)
             elif "operators" in doc or "ownership_events" in doc:
-                OperatorMap.from_json(doc)
+                truststore.OperatorMap.from_json(doc)
                 self._write_input(self.config_dir / _CONFIG_FILES["operators"],
                                   _json_file(doc))
                 summary["operators"] += 1
@@ -248,7 +261,7 @@ class Workspace:
                                       path=str(path), line=lineno) from exc
                 try:
                     if "selector" in obj:
-                        RevocationRecord.from_json(obj)
+                        revocation.RevocationRecord.from_json(obj)
                         revocation_lines.append(obj)
                     elif "extension" in obj:
                         _extension_entry(obj)
@@ -257,10 +270,10 @@ class Workspace:
                         _explanation(obj)
                         explanation_lines.append(obj)
                     elif "fingerprint" in obj:
-                        records.append(record_from_json(obj))
+                        records.append(certmodel.record_from_json(obj))
                     else:
                         raise ValueError("unrecognized record shape")
-                except (MalformedInput, KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise SchemaError(f"bad record: {exc}",
                                       path=str(path), line=lineno) from exc
         for record in records:
@@ -323,14 +336,16 @@ class Workspace:
 
     def load_stores(self) -> list[RootStoreTimeline]:
         return self._load_config("stores", lambda doc: [
-            RootStoreTimeline.from_json(s) for s in doc["stores"]], [])
+            truststore.RootStoreTimeline.from_json(s)
+            for s in doc["stores"]], [])
 
     def load_revocations(self) -> list[RevocationRecord]:
         return self._load_config_lines("revocations",
-                                       RevocationRecord.from_json)
+                                       revocation.RevocationRecord.from_json)
 
     def load_operator_map(self) -> Optional[OperatorMap]:
-        return self._load_config("operators", OperatorMap.from_json, None)
+        return self._load_config("operators", truststore.OperatorMap.from_json,
+                                 None)
 
     def load_views(self) -> list[RevocationView]:
         return self._load_config("views", _views, [])

@@ -13,11 +13,10 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .certmodel import CertRecord, CryptoUnavailable, verify_signature
+from .constants import DEFAULT_OVERLAP_MIN_DAYS
 from .names import NormalizedName
 from .pathengine import CertIndex
 from .truststore import OperatorMap
-
-DEFAULT_OVERLAP_MIN_DAYS = 121
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ if TYPE_CHECKING:
 # Private arc; structural tools treat the payload as opaque bytes.
 XS_EXTENSION_OID = "1.3.6.1.4.1.55555.1.1"
 
-DEFAULT_MAX_VALIDITY_DAYS = 398
-
 
 class MalformedExtension(ValueError):
     pass

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +136,45 @@ def test_observers_read_the_calls_of_an_analysis(monkeypatch, figure1_crypto):
         counters: dict = {}
         for args, kwargs, result in calls[prefix]:
             observe(counters, args, kwargs, result)
+
+
+def test_traced_commands_leave_no_hook_absent(tmp_path, certinomis):
+    """Each command of a bench pass, started through `trace_launch.py` as
+    `perfbench/run.py` starts it, finds every hook, and the spans of the
+    pass yield every per-layer metric of `BENCHMARK.json` that `run.py`
+    does not add itself. A hooked module that the CLI no longer runs
+    before the tracer installs would show up here as absent."""
+    trace_launch = _trace_launch()
+    root = TRACE_LAUNCH.parents[1]
+    declared = {m["name"] for m in json.loads(
+        (root / "BENCHMARK.json").read_text())["per_layer"]}
+    added_by_run = set(re.findall(r'metrics\["([\w.]+)"\] =',
+                                  (root / "perfbench" / "run.py").read_text()))
+    assert added_by_run and added_by_run < declared
+
+    bundle, ws = tmp_path / "bundle", str(tmp_path / "ws")
+    certinomis.write(bundle)
+    src = str(Path(xsign.__file__).parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    hooks = json.dumps(trace_launch.HOOKS)
+    steps = [("ingest", "--ws", ws, str(bundle)), ("analyze", "--ws", ws),
+             ("analyze", "--ws", ws), ("lint", "--ws", ws),
+             ("report", "--ws", ws, "--kind", "assessments", "--format",
+              "csv", "--out", str(tmp_path / "assessments.csv"))]
+    spans, printed = [], []
+    for i, argv in enumerate(steps):
+        spans.append(tmp_path / f"step{i}.spans")
+        proc = subprocess.run(
+            [sys.executable, str(TRACE_LAUNCH), str(spans[-1]), hooks, *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        printed.append(proc.stdout)
+        meta = json.loads(Path(f"{spans[-1]}.json").read_text())
+        assert meta["absent"] == [], argv
+    assert json.loads(printed[2])["cached"] is True
+    metrics, absent = trace_launch.aggregate([spans], trace_launch.HOOKS)
+    assert not absent
+    assert declared - added_by_run <= metrics.keys(), sorted(
+        declared - added_by_run - metrics.keys())

@@ -780,3 +780,57 @@ def test_report_streams_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
     for kind in ("assessments", "groups", "findings", "lint"):
         assert (tmp_path / f"{kind}.json").read_bytes() == (
             ws_dir / "reports" / f"{kind}.jsonl").read_bytes(), kind
+
+
+def test_report_names_an_out_file_it_cannot_write(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    (tmp_path / "adir").mkdir()
+    for out_path in (tmp_path / "nodir" / "x.csv", tmp_path / "adir"):
+        code, out, err = _run(capsys, "report", "--ws", str(ws_dir),
+                              "--kind", "findings", "--format", "csv",
+                              "--out", str(out_path))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert payload["path"] == str(out_path)
+    assert not (tmp_path / "nodir").exists()
+    assert not any((tmp_path / "adir").iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("lint",), ("report",),
+                                  ("report", "--kind", "lint")])
+def test_only_ingest_creates_a_workspace(tmp_path, capsys, argv):
+    missing, empty = tmp_path / "missing", tmp_path / "empty"
+    empty.mkdir()
+    for ws_dir in (missing, empty):
+        code, out, err = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "schema"
+        assert payload["path"] == str(ws_dir)
+    assert not missing.exists()
+    assert not any(empty.iterdir())
+
+
+def test_analysis_rejects_limits_below_their_range(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    validity = "max_validity_days must be >= 1"
+    overlap = "overlap_min must be >= 0"
+    for argv, detail in ((("lint", "--max-validity", "-3"), validity),
+                         (("lint", "--max-validity", "0"), validity),
+                         (("analyze", "--overlap-min", "-5"), overlap),
+                         (("lint", "--overlap-min", "-1"), overlap),
+                         (("report", "--overlap-min", "-5"), overlap)):
+        code, out, err = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 1 and out == "", argv
+        assert json.loads(err) == {"error": "analysis", "detail": detail}
+    assert not any((ws_dir / "reports").iterdir())
+    for argv in (("lint", "--max-validity", "1"),
+                 ("analyze", "--overlap-min", "0")):
+        code, out, _ = _run(capsys, *argv, "--ws", str(ws_dir))
+        assert code == 0 and out, argv
+    with pytest.raises(ValueError, match=validity):
+        AnalysisOptions(max_validity_days=0)
+    with pytest.raises(ValueError, match=overlap):
+        AnalysisOptions(overlap_min=-1)
