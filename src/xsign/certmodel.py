@@ -4,7 +4,8 @@ normalized, immutable representation.
 Two corpus-wide validation modes exist. Records parsed from encoded
 certificates keep their raw bytes and support cryptographic signature
 checks; records loaded from interchange JSON are metadata-only and support
-structural (name-linkage) analysis.
+structural (name-linkage) analysis, unless the DER they were written from
+is attached (as a workspace does).
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .names import NormalizedName, normalize_name, normalize_value
 from .timeutil import format_rfc3339, parse_rfc3339, to_utc
 
 # `cryptography` is imported inside the functions that decode DER/PEM or
-# verify signatures, so that commands over interchange records never load it.
+# verify signatures, so that commands over interchange records, and over
+# signatures recorded earlier, never load it.
 if TYPE_CHECKING:
     from cryptography import x509
 
@@ -182,7 +184,9 @@ def record_to_json(record: CertRecord) -> dict:
     }
 
 
-def record_from_json(obj: dict) -> CertRecord:
+def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
+    """The record of an interchange dict; `raw`, when given, is the DER the
+    dict was written from, kept for signature checks."""
     missing = [k for k in _INTERCHANGE_REQUIRED if k not in obj]
     if missing:
         raise MalformedInput(f"interchange record missing {missing}")
@@ -204,6 +208,7 @@ def record_from_json(obj: dict) -> CertRecord:
             self_signed=bool(obj.get("self_signed", False)),
             legacy_v1=bool(obj.get("legacy_v1", False)),
             unknown_critical=bool(obj.get("unknown_critical", False)),
+            raw=raw,
         )
     except MalformedInput:
         raise
@@ -377,15 +382,19 @@ def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
         return False
 
 
-# Keyed on both certificates' DER, signature included, so an edge is
-# verified once however many paths and groups reach it.
-@functools.lru_cache(maxsize=1 << 16)
-def _verify_cached(child_raw: bytes, issuer_raw: bytes) -> bool:
+def _verify_der(child_raw: bytes, issuer_raw: bytes) -> bool:
     from cryptography.exceptions import UnsupportedAlgorithm
     try:
         return _verify_edge(_load_cached(child_raw), _load_cached(issuer_raw))
     except UnsupportedAlgorithm:
         return False
+
+
+# Whether a child's signature verifies under an issuer candidate's key,
+# keyed on the two fingerprints, which are the digests of their DER: an
+# edge is verified once however many paths and groups reach it. A workspace
+# seeds it with the results `ingest` recorded (`remember_signatures`).
+_SIGNATURES: dict[tuple[str, str], bool] = {}
 
 
 def verify_signature(child: CertRecord, issuer_candidate: CertRecord) -> bool:
@@ -397,7 +406,41 @@ def verify_signature(child: CertRecord, issuer_candidate: CertRecord) -> bool:
     if child.raw is None or issuer_candidate.raw is None:
         raise CryptoUnavailable(
             "signature verification requires raw certificate bytes")
-    return _verify_cached(child.raw, issuer_candidate.raw)
+    key = (child.fingerprint, issuer_candidate.fingerprint)
+    verified = _SIGNATURES.get(key)
+    if verified is None:
+        verified = _SIGNATURES[key] = _verify_der(child.raw,
+                                                  issuer_candidate.raw)
+    return verified
+
+
+def issuer_signatures(records: Iterable[CertRecord],
+                      known: dict[tuple[str, str], bool]
+                      ) -> dict[tuple[str, str], bool]:
+    """What `verify_signature` answers for every pair of records with raw
+    bytes whose candidate's subject is the child's issuer name: every edge
+    a name-matching path or group can ask about. Keyed as its memo, in
+    (child, issuer) fingerprint order; a pair in `known` is not verified
+    again."""
+    signed = sorted((r for r in records if r.raw is not None),
+                    key=lambda r: r.fingerprint)
+    by_subject: dict[NormalizedName, list[CertRecord]] = {}
+    for record in signed:
+        by_subject.setdefault(record.subject, []).append(record)
+    table = {}
+    for child in signed:
+        for issuer in by_subject.get(child.issuer, ()):
+            key = (child.fingerprint, issuer.fingerprint)
+            verified = known.get(key)
+            table[key] = (_verify_der(child.raw, issuer.raw)
+                          if verified is None else verified)
+    return table
+
+
+def remember_signatures(table: dict[tuple[str, str], bool]) -> None:
+    """Seed `verify_signature`'s memo with results taken earlier, keyed as
+    `issuer_signatures` returns them."""
+    _SIGNATURES.update(table)
 
 
 def dns_identities(record: CertRecord) -> list[str]:

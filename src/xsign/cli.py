@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 1 analysis error, 2 usage error (an `--out` file that
 cannot be written among them), 3 input schema error (a `--ws` that `ingest`
-did not make among them). Errors go to stderr as one JSON object per
+did not make, or that is not a directory, among them), 141 standard output
+closed by its reader before the command was done (quietly, as `cat` killed
+by SIGPIPE). Errors go to stderr as one JSON object per
 failure; a warning (a result cut short by `--max-depth`) goes there the same
 way and leaves the exit code as it is.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -62,6 +65,7 @@ EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 EXIT_SCHEMA = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports `cat` cut short
 
 REPORT_FILES = ("groups.jsonl", "reissuance.jsonl", "assessments.jsonl",
                 "findings.jsonl")
@@ -336,7 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output early (`xsign lint | head`).
+        # Python's flush at exit would fail on it again and print a
+        # traceback, so standard output is pointed at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA

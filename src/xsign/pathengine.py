@@ -9,6 +9,8 @@ SPKI digest within one path, which also tames mutual cross-sign pairs.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Optional, Sequence
@@ -24,12 +26,16 @@ from .truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
                          rule_blocks_path)
 
 
+_fingerprint = operator.attrgetter("fingerprint")
+
+
 class CertIndex:
     """Immutable-after-build maps over a certificate corpus."""
 
     def __init__(self):
         self.records: dict[str, CertRecord] = {}
-        self.by_subject: dict[NormalizedName, list[str]] = {}
+        # Each list in fingerprint order, kept sorted as records are added.
+        self.by_subject: dict[NormalizedName, list[CertRecord]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -42,14 +48,17 @@ class CertIndex:
         if record.fingerprint in self.records:
             return False
         self.records[record.fingerprint] = record
-        self.by_subject.setdefault(record.subject, []).append(record.fingerprint)
+        bisect.insort(self.by_subject.setdefault(record.subject, []), record,
+                      key=_fingerprint)
         return True
 
     def get(self, fingerprint: str) -> CertRecord:
         return self.records[fingerprint]
 
     def subjects(self, name: NormalizedName) -> list[CertRecord]:
-        return [self.records[fp] for fp in sorted(self.by_subject.get(name, ()))]
+        """The records named `name`, in fingerprint order: the index's own
+        list, which callers do not change."""
+        return self.by_subject.get(name, [])
 
     def issuers_of(self, record: CertRecord) -> list[CertRecord]:
         """Candidate parents: records whose subject matches the issuer name."""

@@ -37,6 +37,10 @@ class SchemaError(ValueError):
         return out
 
 
+# Under certs/; the name ends in neither `.json` nor `.der`, so it is no
+# certificate file.
+SIGNATURES = "signatures.jsonl"
+
 _CONFIG_FILES = {
     "stores": "stores.json",
     "operators": "operators.json",
@@ -95,9 +99,16 @@ class Workspace:
         self.certs_dir = self.root / "certs"
         self.config_dir = self.root / "config"
         self.reports_dir = self.root / "reports"
-        for d in (self.certs_dir, self.config_dir, self.reports_dir):
-            d.mkdir(parents=True, exist_ok=True)
+        try:
+            for d in (self.certs_dir, self.config_dir, self.reports_dir):
+                d.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise SchemaError(f"not a workspace directory: {exc.strerror}",
+                              path=str(root)) from exc
         self._inputs = None  # the digest of certs/ and config/, once taken
+        # While the signature file is removed and due to be rewritten (an
+        # ingest added raw bytes): the results it held. None otherwise.
+        self._signed: Optional[dict[tuple[str, str], bool]] = None
 
     @classmethod
     def existing(cls, root: Path) -> Workspace:
@@ -118,23 +129,49 @@ class Workspace:
     def add_record(self, record: CertRecord) -> bool:
         """Content-addressed by fingerprint; re-ingestion is idempotent.
         Raw bytes are attached even when the metadata record already
-        exists."""
-        path = self.certs_dir / f"{record.fingerprint}.json"
+        exists, and the record's JSON is then rewritten from them, so that
+        a record with a `.der` has that DER's parse as its JSON. The JSON
+        is written first: a process killed between the two leaves a record
+        without raw bytes. A new `.der` makes the signature file stale; it
+        is removed first and rewritten at the end of `ingest_paths`."""
         der = self.certs_dir / f"{record.fingerprint}.der"
-        if record.raw is not None and not der.exists():
+        new = not (self.certs_dir / f"{record.fingerprint}.json").exists()
+        attach = record.raw is not None and (new or not der.exists())
+        if attach:
+            self._drop_signatures()
+        if new or attach:
+            self._write_json(record)
+        if attach:
             self._write_input(der, [record.raw])
-        if path.exists():
-            return False
+        return new
+
+    def _write_json(self, record: CertRecord):
         line = json.dumps(certmodel.record_to_json(record), sort_keys=True)
-        self._write_input(path, [(line + "\n").encode()])
-        return True
+        self._write_input(self.certs_dir / f"{record.fingerprint}.json",
+                          [(line + "\n").encode()])
 
     def load_records(self) -> list[CertRecord]:
-        """Every ingested record, in file-name order. A record with raw
-        bytes is parsed from its `.der` alone; its `.json` is not read.
-        A record whose fingerprint is not its file's name is a schema
-        error. Paths are plain strings: pathlib would intern every file
-        name."""
+        """Every ingested record, in file-name order, built from its
+        `.json`; a `.der` beside it is read as bytes and kept for signature
+        checks. A record whose fingerprint is not its file's name, or a
+        `.der` whose SHA-256 is not, is a schema error. When any record has
+        raw bytes, `verify_signature`'s memo is seeded from the signature
+        file, and a workspace without one is a schema error: an older
+        xsign or an interrupted ingest wrote it."""
+        records = self._read_records()
+        if any(r.raw is not None for r in records):
+            table = self._read_signatures()
+            if table is None:
+                raise SchemaError(
+                    f"raw certificates without certs/{SIGNATURES}: written "
+                    "by an older xsign or an interrupted ingest; re-run "
+                    "`xsign ingest --ws` on it", path=str(self.root))
+            certmodel.remember_signatures(table)
+        return records
+
+    def _read_records(self) -> list[CertRecord]:
+        """The records of `load_records`, without the signature file. Paths
+        are plain strings: pathlib would intern every file name."""
         certs_dir = os.fspath(self.certs_dir)
         names = set(os.listdir(certs_dir))
         records = []
@@ -142,15 +179,21 @@ class Workspace:
             if not name.endswith(".json"):
                 continue
             fingerprint = name[:-len(".json")]
-            der = fingerprint + ".der"
-            path = os.path.join(certs_dir, der if der in names else name)
+            raw = None
+            if fingerprint + ".der" in names:
+                der = os.path.join(certs_dir, fingerprint + ".der")
+                with open(der, "rb") as fh:
+                    raw = fh.read()
+                digest = hashlib.sha256(raw).hexdigest()
+                if digest != fingerprint:
+                    raise SchemaError(
+                        f"certificate file names {fingerprint}, but its DER "
+                        f"has digest {digest}", path=der)
+            path = os.path.join(certs_dir, name)
             try:
                 with open(path, "rb") as fh:
-                    data = fh.read()
-                if der in names:
-                    record = certmodel.parse_certificate(data)
-                else:
-                    record = certmodel.record_from_json(json.loads(data))
+                    record = certmodel.record_from_json(json.loads(fh.read()),
+                                                        raw)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad certificate: {exc}",
                                   path=path) from exc
@@ -161,19 +204,80 @@ class Workspace:
             records.append(record)
         return records
 
+    def _read_signatures(self) -> Optional[dict[tuple[str, str], bool]]:
+        """The recorded signature results, keyed (child, issuer), or None
+        when there is no signature file."""
+        path = self.certs_dir / SIGNATURES
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        table = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                obj = json.loads(line)
+                table[obj["child"], obj["issuer"]] = obj["verified"] is True
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad signature line: {exc}", path=str(path),
+                                  line=lineno) from exc
+        return table
+
+    def _drop_signatures(self):
+        """Remove the signature file before a `.der` is added, keeping its
+        results for the rewrite."""
+        if self._signed is None:
+            self._signed = self._read_signatures() or {}
+            self._inputs = None
+            (self.certs_dir / SIGNATURES).unlink(missing_ok=True)
+
+    def _write_signatures(self):
+        """Record `verify_signature`'s answer for every name-matching pair of
+        records with raw bytes, verifying only the pairs not recorded
+        before."""
+        table = certmodel.issuer_signatures(self._read_records(), self._signed)
+        self._write_input(self.certs_dir / SIGNATURES, (
+            (json.dumps({"child": child, "issuer": issuer,
+                         "verified": verified}, sort_keys=True)
+             + "\n").encode()
+            for (child, issuer), verified in table.items()))
+        self._signed = None
+
+    def _upgrade(self):
+        """Bring a workspace with raw certificates but no signature file up
+        to date: rewrite each record with raw bytes from its `.der`, then
+        (at the end of `ingest_paths`) the signature file."""
+        names = os.listdir(self.certs_dir)
+        if SIGNATURES in names or not any(n.endswith(".der") for n in names):
+            return
+        self._signed = {}
+        for record in self._read_records():
+            if record.raw is not None:
+                self._write_json(certmodel.parse_certificate(record.raw))
+
     # -- ingestion --
 
     def ingest_paths(self, paths: Iterable[Path], fmt: str) -> dict:
+        """Ingest every file under `paths`. A workspace that an older xsign
+        or an interrupted ingest left without its signature file is brought
+        up to date first, with or without paths."""
         summary = {"added": 0, "duplicates": 0, "revocations": 0, "stores": 0,
                    "operators": 0, "views": 0, "extensions": 0,
                    "explanations": 0}
-        for path in paths:
-            path = Path(path)
-            if path.is_dir():
-                children = sorted(p for p in path.rglob("*") if p.is_file())
-                self._ingest_files(children, fmt, summary)
-            else:
-                self._ingest_files([path], fmt, summary)
+        self._upgrade()
+        try:
+            for path in paths:
+                path = Path(path)
+                if path.is_dir():
+                    children = sorted(p for p in path.rglob("*")
+                                      if p.is_file())
+                    self._ingest_files(children, fmt, summary)
+                else:
+                    self._ingest_files([path], fmt, summary)
+        finally:
+            # Also when an input is rejected: the certificates ingested
+            # before it stay usable.
+            if self._signed is not None:
+                self._write_signatures()
         return summary
 
     def _ingest_files(self, files: list[Path], fmt: str, summary: dict):

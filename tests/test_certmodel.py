@@ -8,6 +8,7 @@ from xsign import certmodel
 from xsign.certmodel import (CryptoUnavailable, MalformedInput,
                              parse_certificate, record_from_json, record_to_json,
                              verify_signature)
+from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 
 
 def test_self_signed_v3_ca(figure1_crypto):
@@ -59,6 +60,20 @@ def test_interchange_round_trip_idempotent(figure1_crypto):
         back = record_from_json(json.loads(json.dumps(record_to_json(record))))
         assert back == record.without_raw()
         assert record_to_json(back) == record_to_json(record)
+    # A workspace builds a record with raw bytes from its JSON alone, so the
+    # JSON must carry everything the DER's parse does, in every scenario.
+    specs = [ScenarioSpec(s, 1, "cryptographic") for s in sorted(SCENARIOS)
+             if s != "random"]
+    specs += [ScenarioSpec("random", seed, "cryptographic", params={"n": 150})
+              for seed in (1, 2, 3)]
+    checked = 0
+    for spec in specs:
+        for record in generate(spec).records:
+            back = record_from_json(json.loads(json.dumps(
+                record_to_json(record))))
+            assert back == parse_certificate(record.raw), (spec, record)
+            checked += 1
+    assert checked > 500
 
 
 @pytest.mark.skipif(shutil.which("openssl") is None,
@@ -198,7 +213,7 @@ def test_each_issuer_edge_is_verified_once(figure1_crypto, monkeypatch):
     monkeypatch.setattr(certmodel, "_verify_edge", counting_edge)
     for module in (pathengine, xsdetect):
         monkeypatch.setattr(module, "verify_signature", counting_request)
-    certmodel._verify_cached.cache_clear()
+    monkeypatch.setattr(certmodel, "_SIGNATURES", {})
     b = figure1_crypto
     options = AnalysisOptions(mode="cryptographic")
     analyze_corpus(b.records, b.stores, b.revocations, b.views,

@@ -100,7 +100,7 @@ def test_large_corpus_membership():
     index = build_index(bundle.records)
     for record in bundle.records:
         assert index.get(record.fingerprint) is record
-        assert record.fingerprint in index.by_subject[record.subject]
+        assert record in index.subjects(record.subject)
         assert all(p.subject == record.issuer for p in index.issuers_of(record))
 
 

@@ -663,15 +663,19 @@ print(json.dumps("cryptography" in sys.modules))
 """
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this xsign."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(xsign.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+
+
 def _loads_cryptography(*commands) -> bool:
     """Run the xsign commands in one fresh interpreter and report whether
     they imported `cryptography`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(xsign.__file__).parents[1]),
-                    os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_CRYPTOGRAPHY, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -694,6 +698,154 @@ def test_pem_ingest_loads_cryptography(tmp_path):
     assert _loads_cryptography(
         ["ingest", "--ws", str(tmp_path / "ws"), "--format", "pem",
          str(tmp_path / "bundle" / "certs.pem")])
+
+
+def _pem_workspace(tmp_path, capsys, ws_name="ws") -> tuple[Path, Path]:
+    """A workspace ingested from the PEM of a cryptographic figure1 bundle,
+    and the bundle's directory."""
+    bundle_dir = tmp_path / "bundle"
+    if not bundle_dir.exists():
+        generate(ScenarioSpec("figure1", seed=1, mode="cryptographic")).write(
+            bundle_dir)
+    ws_dir = tmp_path / ws_name
+    code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir), "--format",
+                      "pem", str(bundle_dir / "certs.pem"))
+    assert code == 0
+    return ws_dir, bundle_dir
+
+
+def test_cold_cryptographic_commands_do_not_load_cryptography(tmp_path,
+                                                              capsys):
+    # Each signature check is answered from the file `ingest` wrote, and
+    # each record is read from its JSON.
+    for command, mode in (("analyze", "cryptographic"),
+                          ("lint", "cryptographic"), ("analyze", "structural")):
+        ws_dir, _ = _pem_workspace(tmp_path, capsys, f"{command}-{mode}")
+        assert not _loads_cryptography(
+            [command, "--ws", str(ws_dir), "--mode", mode])
+        assert (ws_dir / "reports" / "lint.jsonl").exists()
+
+
+def test_raw_bytes_replace_the_metadata_they_attach_to(tmp_path, capsys):
+    # A record ingested as JSON that its DER contradicts: once the DER is
+    # attached, the record is the DER's parse.
+    bundle = generate(ScenarioSpec("figure1", seed=1, mode="cryptographic"))
+    bundle.write(tmp_path / "bundle")
+    lines = (tmp_path / "bundle" / "certs.jsonl").read_text().splitlines()
+    edited = json.loads(lines[0])
+    edited["sig_alg"], edited["path_len"] = "md5-rsa", 7
+    (tmp_path / "edited.jsonl").write_text(json.dumps(edited) + "\n")
+    ws_dir = tmp_path / "ws"
+    for fmt, path in (("jsonl", tmp_path / "edited.jsonl"),
+                      ("pem", tmp_path / "bundle" / "certs.pem")):
+        code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir),
+                          "--format", fmt, str(path))
+        assert code == 0
+    def edited_record(records):
+        return next(r for r in records
+                    if r.fingerprint == edited["fingerprint"])
+    assert edited_record(Workspace(ws_dir).load_records()) == \
+        edited_record(bundle.records)
+    assert json.loads((ws_dir / "certs" / f"{edited['fingerprint']}.json")
+                      .read_text()) == json.loads(lines[0])
+
+
+@pytest.mark.parametrize("with_paths", [False, True])
+def test_ingest_upgrades_a_workspace_without_its_signature_file(
+        tmp_path, capsys, with_paths):
+    # An older xsign wrote no signature file, and parsed a record with raw
+    # bytes from its `.der` without reading its `.json`.
+    fresh, bundle_dir = _pem_workspace(tmp_path, capsys, "fresh")
+    old, _ = _pem_workspace(tmp_path, capsys, "old")
+    (old / "certs" / "signatures.jsonl").unlink()
+    stale = min((old / "certs").glob("*.json"))
+    obj = json.loads(stale.read_text())
+    obj["key_usages"] = []
+    stale.write_text(json.dumps(obj) + "\n")
+    for argv in (["analyze"], ["lint"], ["report", "--kind", "findings"]):
+        code, out, err = _run(capsys, *argv, "--ws", str(old),
+                              "--mode", "cryptographic")
+        assert code == 3 and out == "", argv
+        payload = json.loads(err)
+        assert payload["error"] == "schema" and payload["path"] == str(old)
+        assert "re-run `xsign ingest" in payload["detail"]
+    paths = ["--format", "pem", str(bundle_dir / "certs.pem")] \
+        if with_paths else []
+    code, out, _ = _run(capsys, "ingest", "--ws", str(old), *paths)
+    assert code == 0
+    assert json.loads(out)["duplicates"] == (15 if with_paths else 0)
+    names = sorted(os.listdir(fresh / "certs"))
+    assert sorted(os.listdir(old / "certs")) == names
+    for name in names:
+        assert (old / "certs" / name).read_bytes() == \
+            (fresh / "certs" / name).read_bytes(), name
+    for ws_dir in (fresh, old):
+        code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
+                          "--mode", "cryptographic")
+        assert code == 0
+    for name in ("groups.jsonl", "assessments.jsonl", "findings.jsonl",
+                 "lint.jsonl"):
+        assert (old / "reports" / name).read_bytes() == \
+            (fresh / "reports" / name).read_bytes(), name
+
+
+def test_an_interrupted_ingest_leaves_no_signature_file(tmp_path, capsys,
+                                                        monkeypatch):
+    ws_dir, _ = _pem_workspace(tmp_path, capsys)
+    generate(ScenarioSpec("mutual", seed=1, mode="cryptographic")).write(
+        tmp_path / "more")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        # The process "dies" before the new signature file is in place.
+        if Path(dst).name == "signatures.jsonl":
+            raise OSError("killed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="killed"):
+        Workspace(ws_dir).ingest_paths([tmp_path / "more" / "certs.pem"],
+                                       "pem")
+    monkeypatch.undo()
+    assert not (ws_dir / "certs" / "signatures.jsonl").exists()
+    code, _, err = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 3 and json.loads(err)["path"] == str(ws_dir)
+    code, _, _ = _run(capsys, "ingest", "--ws", str(ws_dir))
+    assert code == 0
+    assert not _loads_cryptography(
+        ["analyze", "--ws", str(ws_dir), "--mode", "cryptographic"])
+
+
+def test_ingest_onto_a_file_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "F"
+    path.write_text("")
+    code, out, err = _run(capsys, "ingest", "--ws", str(path))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(path)
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--kind", "assessments", "--format", "csv"], ["lint"]])
+def test_a_reader_that_stops_early_ends_the_command_quietly(tmp_path, capsys,
+                                                           argv):
+    # As `xsign ... | head -1`: the reader is gone before the command is
+    # done writing.
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from xsign.cli import main; sys.exit(main())",
+             *argv, "--ws", str(ws_dir)],
+            env=_env(), stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+    assert (ws_dir / "reports" / "lint.jsonl").exists()
 
 
 @pytest.mark.parametrize("views", ["no-revocations=crl,all", "v=crl,v="])
