@@ -5,7 +5,9 @@ Two corpus-wide validation modes exist. Records parsed from encoded
 certificates keep their raw bytes and support cryptographic signature
 checks; records loaded from interchange JSON are metadata-only and support
 structural (name-linkage) analysis, unless the DER they were written from
-is attached (as a workspace does).
+is attached (as a workspace does). Every signature check goes through
+`verify_signature`, `ingest`'s too: a workspace records its answers, and
+a later load seeds its memo with them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .names import NormalizedName, normalize_name, normalize_value
 from .timeutil import format_rfc3339, parse_rfc3339, to_utc
@@ -262,7 +264,6 @@ def parse_certificate(data: bytes) -> CertRecord:
     certificates, default evaluation keeps them).
     """
     from cryptography import x509
-    from cryptography.exceptions import UnsupportedAlgorithm
     from cryptography.hazmat.primitives import serialization
     cert = _decode_x509(data)
     der = cert.public_bytes(serialization.Encoding.DER)
@@ -304,12 +305,7 @@ def parse_certificate(data: bytes) -> CertRecord:
         elif ext.critical and ext.oid.dotted_string not in _EXPECTED_EXTENSION_OIDS:
             unknown_critical = True
 
-    self_signed = subject == issuer
-    if self_signed:
-        try:
-            self_signed = _verify_edge(cert, cert)
-        except UnsupportedAlgorithm:
-            self_signed = False
+    self_signed = subject == issuer and _verify_edge(cert, cert)
     # X509v1 has no basicConstraints at all; a self-signed v1 certificate is
     # treated as CA-capable (legacy trust-anchor behavior).
     if legacy_v1 and self_signed:
@@ -360,13 +356,15 @@ def _load_cached(raw: bytes) -> x509.Certificate:
 
 
 def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
-    from cryptography.exceptions import InvalidSignature
+    """Whether child's signature verifies under issuer's key; False also
+    for a key or signature algorithm `cryptography` does not support."""
+    from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
     from cryptography.hazmat.primitives.asymmetric import (dsa, ec, ed448, ed25519,
                                                            padding, rsa)
-    pub = issuer.public_key()
     data = child.tbs_certificate_bytes
     sig = child.signature
     try:
+        pub = issuer.public_key()
         if isinstance(pub, rsa.RSAPublicKey):
             pub.verify(sig, data, padding.PKCS1v15(), child.signature_hash_algorithm)
         elif isinstance(pub, ec.EllipticCurvePublicKey):
@@ -378,22 +376,18 @@ def _verify_edge(child: x509.Certificate, issuer: x509.Certificate) -> bool:
         else:
             return False
         return True
-    except InvalidSignature:
+    except (InvalidSignature, UnsupportedAlgorithm):
         return False
 
 
 def _verify_der(child_raw: bytes, issuer_raw: bytes) -> bool:
-    from cryptography.exceptions import UnsupportedAlgorithm
-    try:
-        return _verify_edge(_load_cached(child_raw), _load_cached(issuer_raw))
-    except UnsupportedAlgorithm:
-        return False
+    return _verify_edge(_load_cached(child_raw), _load_cached(issuer_raw))
 
 
 # Whether a child's signature verifies under an issuer candidate's key,
 # keyed on the two fingerprints, which are the digests of their DER: an
 # edge is verified once however many paths and groups reach it. A workspace
-# seeds it with the results `ingest` recorded (`remember_signatures`).
+# seeds it with the answers `ingest` recorded (`remember_signatures`).
 _SIGNATURES: dict[tuple[str, str], bool] = {}
 
 
@@ -414,32 +408,9 @@ def verify_signature(child: CertRecord, issuer_candidate: CertRecord) -> bool:
     return verified
 
 
-def issuer_signatures(records: Iterable[CertRecord],
-                      known: dict[tuple[str, str], bool]
-                      ) -> dict[tuple[str, str], bool]:
-    """What `verify_signature` answers for every pair of records with raw
-    bytes whose candidate's subject is the child's issuer name: every edge
-    a name-matching path or group can ask about. Keyed as its memo, in
-    (child, issuer) fingerprint order; a pair in `known` is not verified
-    again."""
-    signed = sorted((r for r in records if r.raw is not None),
-                    key=lambda r: r.fingerprint)
-    by_subject: dict[NormalizedName, list[CertRecord]] = {}
-    for record in signed:
-        by_subject.setdefault(record.subject, []).append(record)
-    table = {}
-    for child in signed:
-        for issuer in by_subject.get(child.issuer, ()):
-            key = (child.fingerprint, issuer.fingerprint)
-            verified = known.get(key)
-            table[key] = (_verify_der(child.raw, issuer.raw)
-                          if verified is None else verified)
-    return table
-
-
 def remember_signatures(table: dict[tuple[str, str], bool]) -> None:
-    """Seed `verify_signature`'s memo with results taken earlier, keyed as
-    `issuer_signatures` returns them."""
+    """Seed `verify_signature`'s memo with results taken earlier, keyed
+    (child, issuer) fingerprint as the memo is."""
     _SIGNATURES.update(table)
 
 

@@ -278,37 +278,6 @@ class TrustAssessment:
         }
 
 
-def _boundary_events(path_records: Sequence[CertRecord],
-                     store: RootStoreTimeline,
-                     revocations: RevocationIndex,
-                     view: RevocationView) -> list[tuple[datetime, dict]]:
-    """Instants at which this path's trust can change, with their causes."""
-    events: list[tuple[datetime, dict]] = []
-    root = path_records[-1]
-    validity_end = min(r.not_after for r in path_records)
-    expiring = min(path_records, key=lambda r: r.not_after)
-    events.append((validity_end, {
-        "kind": "path_expiry", "member": expiring.fingerprint}))
-    for member in path_records:
-        for rec in matching_records(member, view, revocations):
-            events.append((rec.effective_date, {
-                "kind": "revocation", "member": member.fingerprint,
-                "source": rec.source.name,
-                "reason": rec.reason or "",
-            }))
-    for rule in store.distrust_rules:
-        if rule_blocks_path(rule, path_records, rule.effective_from):
-            events.append((rule.effective_from, {
-                "kind": "distrust_rule", "description": rule.description}))
-    presence = store.presence_intervals(root.fingerprint)
-    for _, end in presence:
-        if end != DT_MAX:
-            events.append((end, {
-                "kind": "store_removal", "store": store.store_id,
-                "root": root.fingerprint}))
-    return events
-
-
 def assess_trust(cert: CertRecord, index: CertIndex,
                  stores: Sequence[RootStoreTimeline],
                  revocations: Sequence[RevocationRecord],
@@ -335,20 +304,37 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
 
     for store in stores:
         per_path: list[tuple[TrustPath, list[intervals.Interval]]] = []
+        # The instants at which a path that keeps trust can lose it, with
+        # their causes: expiry, revocation, distrust rule, store removal.
         events: list[tuple[datetime, dict]] = []
         for path in enumeration.paths:
-            allowed = intervals.intersect(
-                [path.validity], store.presence_intervals(path.root))
+            presence = store.presence_intervals(path.root)
+            allowed = intervals.intersect([path.validity], presence)
             if not allowed:
                 continue
             records = [index.get(fp) for fp in path.chain]
-            path_events = _boundary_events(records, store, revocations, view)
-            allowed = intervals.subtract(allowed, [
-                (at, DT_MAX) for at, cause in path_events
-                if cause["kind"] in ("revocation", "distrust_rule")])
-            if allowed:
-                per_path.append((path, allowed))
-                events.extend(path_events)
+            cutoffs = [(rec.effective_date, {
+                "kind": "revocation", "member": member.fingerprint,
+                "source": rec.source.name, "reason": rec.reason or ""})
+                for member in records
+                for rec in matching_records(member, view, revocations)]
+            cutoffs += [(rule.effective_from, {
+                "kind": "distrust_rule", "description": rule.description})
+                for rule in store.distrust_rules
+                if rule_blocks_path(rule, records, rule.effective_from)]
+            cut = min((at for at, _ in cutoffs), default=DT_MAX)
+            allowed = [(start, min(end, cut)) for start, end in allowed
+                       if start < cut]
+            if not allowed:
+                continue
+            per_path.append((path, allowed))
+            expiring = min(records, key=lambda r: r.not_after)
+            events.append((path.validity[1], {
+                "kind": "path_expiry", "member": expiring.fingerprint}))
+            events += cutoffs
+            events += [(end, {"kind": "store_removal",
+                              "store": store.store_id, "root": path.root})
+                       for _, end in presence if end != DT_MAX]
 
         merged = intervals.normalize(
             [iv for _, ivs in per_path for iv in ivs])

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 # Model code is named through its module, never imported by name, so that a
 # command served from the cache does not run it (see `cli`).
-from . import certmodel, revocation, truststore, xsext
+from . import certmodel, pathengine, revocation, truststore, xsext
 
 if TYPE_CHECKING:
     from .certmodel import CertRecord
@@ -40,6 +40,11 @@ class SchemaError(ValueError):
 # Under certs/; the name ends in neither `.json` nor `.der`, so it is no
 # certificate file.
 SIGNATURES = "signatures.jsonl"
+
+# The input suffixes that name their own format; `ingest --format` decides
+# only for the others.
+_SUFFIX_FORMATS = {".json": "json", ".jsonl": "jsonl", ".pem": "pem",
+                   ".der": "der"}
 
 _CONFIG_FILES = {
     "stores": "stores.json",
@@ -106,9 +111,9 @@ class Workspace:
             raise SchemaError(f"not a workspace directory: {exc.strerror}",
                               path=str(root)) from exc
         self._inputs = None  # the digest of certs/ and config/, once taken
-        # While the signature file is removed and due to be rewritten (an
-        # ingest added raw bytes): the results it held. None otherwise.
-        self._signed: Optional[dict[tuple[str, str], bool]] = None
+        # Whether the signature file is removed and due to be rewritten: an
+        # ingest added raw bytes, or found them without the file.
+        self._resign = False
 
     @classmethod
     def existing(cls, root: Path) -> Workspace:
@@ -223,24 +228,28 @@ class Workspace:
         return table
 
     def _drop_signatures(self):
-        """Remove the signature file before a `.der` is added, keeping its
-        results for the rewrite."""
-        if self._signed is None:
-            self._signed = self._read_signatures() or {}
+        """Remove the signature file before a `.der` is added, seeding
+        `verify_signature`'s memo with its answers for the rewrite."""
+        if not self._resign:
+            certmodel.remember_signatures(self._read_signatures() or {})
+            self._resign = True
             self._inputs = None
             (self.certs_dir / SIGNATURES).unlink(missing_ok=True)
 
     def _write_signatures(self):
-        """Record `verify_signature`'s answer for every name-matching pair of
-        records with raw bytes, verifying only the pairs not recorded
-        before."""
-        table = certmodel.issuer_signatures(self._read_records(), self._signed)
+        """Record `verify_signature`'s answer for every issuer candidate of
+        every record with raw bytes, children and candidates in fingerprint
+        order. The answers recorded before are in its memo."""
+        index = pathengine.build_index(
+            r for r in self._read_records() if r.raw is not None)
         self._write_input(self.certs_dir / SIGNATURES, (
-            (json.dumps({"child": child, "issuer": issuer,
-                         "verified": verified}, sort_keys=True)
-             + "\n").encode()
-            for (child, issuer), verified in table.items()))
-        self._signed = None
+            (json.dumps({"child": child.fingerprint,
+                         "issuer": issuer.fingerprint,
+                         "verified": certmodel.verify_signature(child, issuer)},
+                        sort_keys=True) + "\n").encode()
+            for child in index.sorted_records()
+            for issuer in index.issuers_of(child)))
+        self._resign = False
 
     def _upgrade(self):
         """Bring a workspace with raw certificates but no signature file up
@@ -249,7 +258,7 @@ class Workspace:
         names = os.listdir(self.certs_dir)
         if SIGNATURES in names or not any(n.endswith(".der") for n in names):
             return
-        self._signed = {}
+        self._resign = True
         for record in self._read_records():
             if record.raw is not None:
                 self._write_json(certmodel.parse_certificate(record.raw))
@@ -276,29 +285,28 @@ class Workspace:
         finally:
             # Also when an input is rejected: the certificates ingested
             # before it stay usable.
-            if self._signed is not None:
+            if self._resign:
                 self._write_signatures()
         return summary
 
     def _ingest_files(self, files: list[Path], fmt: str, summary: dict):
+        """Ingest each file as its suffix says (`_SUFFIX_FORMATS`), or as
+        `fmt` when the suffix is none of those."""
         for path in files:
-            if path.suffix == ".json":
+            kind = _SUFFIX_FORMATS.get(path.suffix, fmt)
+            if kind == "json":
                 self._ingest_config_json(path, summary)
-            elif fmt == "jsonl" or path.suffix == ".jsonl":
+            elif kind == "jsonl":
                 self._ingest_jsonl(path, summary)
-            elif fmt == "pem" or path.suffix == ".pem":
+            elif kind in ("pem", "der"):
+                data = path.read_bytes()
                 try:
-                    records = certmodel.load_pem_bundle(path.read_bytes())
+                    records = (certmodel.load_pem_bundle(data) if kind == "pem"
+                               else [certmodel.parse_certificate(data)])
                 except certmodel.MalformedInput as exc:
                     raise SchemaError(str(exc), path=str(path)) from exc
                 for record in records:
                     self._count_add(record, summary)
-            elif fmt == "der":
-                try:
-                    record = certmodel.parse_certificate(path.read_bytes())
-                except certmodel.MalformedInput as exc:
-                    raise SchemaError(str(exc), path=str(path)) from exc
-                self._count_add(record, summary)
             else:
                 raise SchemaError(f"cannot ingest {path.name} as {fmt}",
                                   path=str(path))
@@ -311,8 +319,8 @@ class Workspace:
 
     def _ingest_config_json(self, path: Path, summary: dict):
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from exc
         if not isinstance(doc, dict):
             raise SchemaError("top-level JSON must be an object", path=str(path))
@@ -354,32 +362,36 @@ class Workspace:
         revocation_lines: list[dict] = []
         extension_lines: list[dict] = []
         explanation_lines: list[dict] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"invalid JSON: {exc}",
-                                      path=str(path), line=lineno) from exc
-                try:
-                    if "selector" in obj:
-                        revocation.RevocationRecord.from_json(obj)
-                        revocation_lines.append(obj)
-                    elif "extension" in obj:
-                        _extension_entry(obj)
-                        extension_lines.append(obj)
-                    elif "explained" in obj:
-                        _explanation(obj)
-                        explanation_lines.append(obj)
-                    elif "fingerprint" in obj:
-                        records.append(certmodel.record_from_json(obj))
-                    else:
-                        raise ValueError("unrecognized record shape")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"bad record: {exc}",
-                                      path=str(path), line=lineno) from exc
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}", path=str(path)) from exc
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc}",
+                                  path=str(path), line=lineno) from exc
+            try:
+                if "selector" in obj:
+                    revocation.RevocationRecord.from_json(obj)
+                    revocation_lines.append(obj)
+                elif "extension" in obj:
+                    _extension_entry(obj)
+                    extension_lines.append(obj)
+                elif "explained" in obj:
+                    _explanation(obj)
+                    explanation_lines.append(obj)
+                elif "fingerprint" in obj:
+                    records.append(certmodel.record_from_json(obj))
+                else:
+                    raise ValueError("unrecognized record shape")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad record: {exc}",
+                                  path=str(path), line=lineno) from exc
         for record in records:
             self._count_add(record, summary)
         if revocation_lines:

@@ -1,17 +1,19 @@
 import random
 import time
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xsign.certmodel import dns_identities, record_from_json
-from xsign.corpus import ScenarioSpec, generate
-from xsign.pathengine import (assess_trust, build_index, enumerate_paths,
-                              select_stores)
-from xsign.revocation import RevocationView
-from xsign.timeutil import utc
-from xsign.truststore import UnknownStore, combined_anchors
+from xsign.corpus import SCENARIOS, ScenarioSpec, generate
+from xsign.pathengine import (assess_paths, assess_trust, build_index,
+                              enumerate_paths, select_stores)
+from xsign.revocation import (RevocationIndex, RevocationView,
+                              all_sources_view, matching_records)
+from xsign.timeutil import DT_MAX, utc
+from xsign.truststore import UnknownStore, combined_anchors, rule_blocks_path
 
 
 def oracle_chains(cert, records, anchors, max_depth=64):
@@ -461,3 +463,67 @@ def test_paths_and_roots_match_oracle_on_random_dags(records, data, max_depth,
             members = [index.get(fp) for fp in path.chain]
             assert path.validity == (max(r.not_before for r in members),
                                      min(r.not_after for r in members))
+
+
+_SECOND = timedelta(seconds=1)
+
+
+def _trusted_at(chains, revoked_from, store, t):
+    """The instant oracle: whether some chain (records, leaf first) is
+    valid at `t`, ends in a root of the store's snapshot at `t`, has no
+    member revoked at or before `t` (`revoked_from`: each chain's matching
+    revocation dates) and is blocked by no distrust rule at `t`."""
+    roots = store.active_roots(t)
+    return any(
+        max(r.not_before for r in chain) <= t < min(r.not_after for r in chain)
+        and chain[-1].fingerprint in roots
+        and not any(at <= t for at in revoked)
+        and not any(rule_blocks_path(rule, chain, t)
+                    for rule in store.distrust_rules)
+        for chain, revoked in zip(chains, revoked_from))
+
+
+@pytest.mark.parametrize("scenario_id, seed", [
+    *((sid, 1) for sid in sorted(SCENARIOS) if sid != "random"),
+    *(("random", seed) for seed in (1, 2, 3))])
+def test_assessed_intervals_match_an_instant_oracle(scenario_id, seed):
+    """Every certificate, view and store: an instant lies in an assessed
+    interval iff some enumerated path makes the certificate trusted at that
+    instant, sampled at every bound the answer can change at and one second
+    either side."""
+    params = {"n": 80, "revocation_rate": 0.2} \
+        if scenario_id == "random" else {}
+    bundle = generate(ScenarioSpec(scenario_id, seed=seed, params=params))
+    index = build_index(bundle.records)
+    anchors = combined_anchors(bundle.stores)
+    revocations = RevocationIndex(bundle.revocations)
+    views = {v.consumer_id: v for v in (all_sources_view(bundle.revocations),
+                                        *bundle.views)}
+    dates = {rec.effective_date for rec in bundle.revocations}
+    for store in bundle.stores:
+        dates |= {snap.effective_date for snap in store.snapshots}
+        dates |= {at for rule in store.distrust_rules
+                  for at in (rule.effective_from, rule.issued_after)}
+    for cert in bundle.records:
+        enumeration = enumerate_paths(cert, index, anchors=anchors)
+        chains = [[index.get(fp) for fp in path.chain]
+                  for path in enumeration.paths]
+        bounds = dates | {at for path in enumeration.paths
+                          for at in path.validity}
+        for view in views.values():
+            revoked_from = [[rec.effective_date for member in chain
+                             for rec in matching_records(member, view,
+                                                         revocations)]
+                            for chain in chains]
+            assessment = assess_paths(cert, enumeration, index, bundle.stores,
+                                      revocations, view)
+            for store in bundle.stores:
+                found = assessment.intervals_for(store.store_id)
+                instants = {at + step
+                            for at in bounds | {b for iv in found for b in iv}
+                            for step in (-_SECOND, timedelta(0), _SECOND)
+                            if at < DT_MAX}
+                for t in sorted(instants):
+                    assert any(start <= t < end for start, end in found) == \
+                        _trusted_at(chains, revoked_from, store, t), \
+                        (cert.fingerprint, view.consumer_id, store.store_id, t)

@@ -986,3 +986,87 @@ def test_analysis_rejects_limits_below_their_range(tmp_path, capsys):
         AnalysisOptions(max_validity_days=0)
     with pytest.raises(ValueError, match=overlap):
         AnalysisOptions(overlap_min=-1)
+
+
+def _write_crypto_bundle(tmp_path):
+    bundle = generate(ScenarioSpec("figure1", seed=1, mode="cryptographic"))
+    bundle.write(tmp_path / "bundle")
+    return bundle
+
+
+@pytest.mark.parametrize("fmt, name", [
+    # A cryptographic bundle under the default format: `certs.pem` is PEM.
+    ("jsonl", "bundle"),
+    ("pem", "one.der"),
+    ("jsonl", "one.der"),
+    # Bytes that are not UTF-8: as JSONL, which no suffix overrides, and as
+    # a config document.
+    ("jsonl", "blob.bin"),
+    ("jsonl", "blob.json"),
+])
+def test_ingest_reads_each_file_as_its_suffix_says(tmp_path, capsys, fmt,
+                                                   name):
+    bundle = _write_crypto_bundle(tmp_path)
+    (tmp_path / "one.der").write_bytes(bundle.records[0].raw)
+    for blob in ("blob.bin", "blob.json"):
+        (tmp_path / blob).write_bytes(b"\xff\xfe\x00binary\x80\n")
+    ws_dir, path = tmp_path / "ws", tmp_path / name
+    code, out, err = _run(capsys, "ingest", "--ws", str(ws_dir),
+                          "--format", fmt, str(path))
+    if name.startswith("blob"):
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "schema" and payload["path"] == str(path)
+        return
+    assert code == 0, err
+    summary = json.loads(out)
+    records = Workspace(ws_dir).load_records()
+    assert all(r.raw is not None for r in records)
+    if name == "bundle":
+        assert (summary["added"], summary["duplicates"]) == (15, 15)
+        assert summary["stores"] > 0 and summary["views"] > 0
+        assert (ws_dir / "config" / "stores.json").exists()
+    else:
+        assert summary["added"] == 1
+        assert [r.fingerprint for r in records] == \
+            [bundle.records[0].fingerprint]
+
+
+def test_der_files_ingest_as_their_pem_bundle_does(tmp_path, capsys):
+    bundle = _write_crypto_bundle(tmp_path)
+    der_dir = tmp_path / "der"
+    der_dir.mkdir()
+    for label in bundle.labels:
+        (der_dir / f"{label}.der").write_bytes(bundle.record(label).raw)
+    for ws_name, path in (("from-pem", tmp_path / "bundle" / "certs.pem"),
+                          ("from-der", der_dir)):
+        code, _, err = _run(capsys, "ingest", "--ws", str(tmp_path / ws_name),
+                            str(path))
+        assert code == 0, err
+    names = sorted(os.listdir(tmp_path / "from-pem" / "certs"))
+    assert "signatures.jsonl" in names and len(names) == 31
+    assert sorted(os.listdir(tmp_path / "from-der" / "certs")) == names
+    for name in names:
+        assert (tmp_path / "from-der" / "certs" / name).read_bytes() == \
+            (tmp_path / "from-pem" / "certs" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["cut.der", "garbled.pem"])
+def test_undecodable_certificate_files_are_named(tmp_path, capsys, name):
+    bundle = _write_crypto_bundle(tmp_path)
+    if name.endswith(".der"):
+        raw = bundle.records[0].raw
+        data = raw[:len(raw) // 2]
+    else:
+        pem = (tmp_path / "bundle" / "certs.pem").read_text()
+        block = pem[:pem.index("-----END CERTIFICATE-----\n") + 26]
+        head, *body, tail = block.splitlines()
+        data = "\n".join([head, body[0][::-1], *body[1:], tail, ""]).encode()
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = _run(capsys, "ingest", "--ws", str(tmp_path / "ws"),
+                          str(path))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(path)
+    assert payload["detail"].startswith("undecodable certificate")
