@@ -2,23 +2,23 @@
 finding analyzers, and lint. One deterministic entry point shared by the
 CLI, the scenario scripts, and the test suites.
 
-Both entry points start from one `Run`, built by `build_run`: the index,
-the stores sorted by id, their anchor union, the revocation index, the
-all-sources view, the CA-CRL source names, the views in the order given,
-the operator map, the options, the extensions and the explanations. Each
-is built once per run, and every helper, analyzer and lint reads it from
-there. The analyzers and the lints read paths and assessments of
-cross-sign members only, so those are all an analysis keeps; every other
-certificate is enumerated and assessed when its assessment rows are read,
-and dropped after them."""
+There is one route, `analyze_corpus`; `lint_corpus` is that route with
+its assessment rows left unread. It starts from one `Run`, built by
+`build_run`: the index, the stores sorted by id, their anchor union, the
+revocation index, the all-sources view, the CA-CRL source names, the views
+in the order given, the operator map, the options, the extensions and the
+explanations. Each is built once per run, and every analyzer and lint
+reads it from there. The analyzers and the lints read paths and
+assessments of cross-sign members only, so those are all an analysis
+keeps; every other certificate is enumerated and assessed when its
+assessment rows are read, and dropped after them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
 from types import MappingProxyType
-from typing import (Container, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import findings as findings_mod
 from . import xsext
@@ -105,6 +105,12 @@ def build_run(records: Sequence[CertRecord],
             reissuance)
 
 
+def _enumerate(run: Run, record: CertRecord) -> PathEnumeration:
+    """`record`'s paths under the run's depth bound, mode and anchors."""
+    return enumerate_paths(record, run.index, max_depth=run.options.max_depth,
+                           mode=run.options.mode, anchors=run.anchors)
+
+
 class AssessmentRows:
     """The assessment report's rows: every certificate under every view
     but the coverage view, by fingerprint and then view id. They can be
@@ -132,9 +138,7 @@ class AssessmentRows:
             fp = record.fingerprint
             enumeration = paths.get(fp)
             if enumeration is None:
-                enumeration = enumerate_paths(
-                    record, run.index, max_depth=run.options.max_depth,
-                    mode=run.options.mode, anchors=run.anchors)
+                enumeration = _enumerate(run, record)
                 rows = (assess_paths(record, enumeration, run.index,
                                      run.stores, run.revocations, view)
                         for view in views)
@@ -161,48 +165,6 @@ class AnalysisResult:
     truncated_members: list[str]
 
 
-def _path_table(run: Run,
-                certs: Iterable[CertRecord]) -> dict[str, PathEnumeration]:
-    """Each certificate's paths under the options' depth bound and mode."""
-    return {cert.fingerprint: enumerate_paths(
-                cert, run.index, max_depth=run.options.max_depth,
-                mode=run.options.mode, anchors=run.anchors)
-            for cert in certs}
-
-
-def _member_coverage(run: Run, xs_groups: Sequence[XSCertGroup],
-                     paths: Paths) -> list[TrustAssessment]:
-    """Each cross-sign member's trust under the coverage view: a
-    cross-sign's intended reach, not its fate. Only the trust-delta and
-    barrier-breach analyzers and lint V4 read it, and only for members."""
-    return [assess_paths(run.index.get(fp), paths[fp], run.index, run.stores,
-                         run.revocations, COVERAGE_VIEW)
-            for group in xs_groups for fp in group.members]
-
-
-def _truncated_members(xs_groups: Sequence[XSCertGroup],
-                       paths: Paths) -> list[str]:
-    """The cross-sign members whose enumeration the depth bound cut short,
-    each once, in group order."""
-    members = dict.fromkeys(fp for group in xs_groups for fp in group.members)
-    return [fp for fp in members if paths[fp].truncated]
-
-
-def _lint_groups(run: Run, xs_groups: Sequence[XSCertGroup],
-                 coverage: Sequence[TrustAssessment],
-                 inconsistent: Container[tuple[str, str]]
-                 ) -> list[xsext.LintVerdict]:
-    """Every cross-sign group's lint verdicts, given the members' coverage
-    assessments and the keys of the groups with a revocation
-    inconsistency, in report order."""
-    covered = {a.fingerprint: a.covered_stores() for a in coverage}
-    verdicts = [verdict for group in xs_groups
-                for verdict in xsext.lint_cross_sign(
-                    group, run, covered, group.key in inconsistent)]
-    verdicts.sort(key=lambda v: (v.code, v.member, v.detail))
-    return verdicts
-
-
 def analyze_corpus(records: Sequence[CertRecord],
                    stores: Sequence[RootStoreTimeline],
                    revocations: Sequence[RevocationRecord],
@@ -220,28 +182,36 @@ def analyze_corpus(records: Sequence[CertRecord],
     run, xs_groups, reissuance = build_run(
         records, stores, revocations, views, operator_map, options,
         extensions, explanations)
-    # Each member's paths are enumerated once and shared by the assessments
-    # of every view, the finding analyzers, the lints and the rows.
-    members = [run.index.get(fp) for group in xs_groups for fp in group.members]
-    paths = _path_table(run, members)
-    coverage = _member_coverage(run, xs_groups, paths)
-    assessments = AssessmentSet(coverage)
-    for record in members:
-        for view in run.views:
-            assessments.add(assess_paths(record, paths[record.fingerprint],
-                                         run.index, run.stores,
-                                         run.revocations, view))
+    # Each member once, in group order. Its paths are enumerated once and
+    # shared by the assessments of every view, the finding analyzers, the
+    # lints and the rows. The coverage view's assessments are a
+    # cross-sign's intended reach, not its fate: the trust-delta and
+    # barrier-breach analyzers and lint V4 read them.
+    members = {fp: run.index.get(fp)
+               for group in xs_groups for fp in group.members}
+    paths = {fp: _enumerate(run, record) for fp, record in members.items()}
+    assessments = AssessmentSet(
+        assess_paths(record, paths[fp], run.index, run.stores,
+                     run.revocations, view)
+        for view in (COVERAGE_VIEW, *run.views)
+        for fp, record in members.items())
 
     all_findings = findings_mod.run_all(xs_groups, run, assessments, paths)
-    verdicts = _lint_groups(run, xs_groups, coverage,
-                            {(f.subject, f.spki) for f in all_findings
-                             if f.category == "revocation_inconsistency"})
+    covered = {fp: assessments.covered_stores(fp, COVERAGE_VIEW_ID)
+               for fp in members}
+    inconsistent = {(f.subject, f.spki) for f in all_findings
+                    if f.category == "revocation_inconsistency"}
+    verdicts = sorted(
+        (verdict for group in xs_groups
+         for verdict in xsext.lint_cross_sign(
+             group, run, covered, group.key in inconsistent)),
+        key=lambda v: (v.code, v.member, v.detail))
     return AnalysisResult(
         index=run.index, xs_groups=xs_groups, reissuance_groups=reissuance,
         assessments=assessments,
         rows=AssessmentRows(run, paths, assessments),
         findings=all_findings, views=list(views), verdicts=verdicts,
-        truncated_members=_truncated_members(xs_groups, paths))
+        truncated_members=[fp for fp in members if paths[fp].truncated])
 
 
 def lint_corpus(records: Sequence[CertRecord],
@@ -253,17 +223,10 @@ def lint_corpus(records: Sequence[CertRecord],
                 options: AnalysisOptions = AnalysisOptions(),
                 explanations: Sequence[str] = ()
                 ) -> tuple[list[xsext.LintVerdict], list[str]]:
-    """Lint every cross-sign group. Builds only what the lints read: the
-    groups, the coverage of their members and which of them have a
-    revocation inconsistency. Returns the verdicts and the members whose
-    enumeration the depth bound cut short."""
-    run, xs_groups, _ = build_run(records, stores, revocations, views,
-                                  operator_map, options, extensions,
-                                  explanations)
-    paths = _path_table(run, (run.index.get(fp) for group in xs_groups
-                              for fp in group.members))
-    coverage = _member_coverage(run, xs_groups, paths)
-    inconsistent = {group.key for group in xs_groups
-                    if findings_mod.find_revocation_inconsistency(group, run)}
-    return (_lint_groups(run, xs_groups, coverage, inconsistent),
-            _truncated_members(xs_groups, paths))
+    """Lint every cross-sign group: `analyze_corpus`, whose rows are never
+    read, so that no certificate but a cross-sign member is enumerated or
+    assessed. Returns the verdicts and the members whose enumeration the
+    depth bound cut short."""
+    result = analyze_corpus(records, stores, revocations, views,
+                            operator_map, options, extensions, explanations)
+    return result.verdicts, result.truncated_members

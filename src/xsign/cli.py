@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 analysis error, 2 usage error (an `--out` file that
-cannot be written among them), 3 input schema error (a `--ws` that `ingest`
-did not make, or that is not a directory, among them), 141 standard output
-closed by its reader before the command was done (quietly, as `cat` killed
-by SIGPIPE). Errors go to stderr as one JSON object per
+Exit codes: 0 ok, 1 analysis error, 2 usage error (among them an `ingest`
+input that cannot be read, and a `scenario --out` directory or a `report
+--out` file that cannot be written), 3 input schema error (a `--ws` that
+`ingest` did not make, or that is not a directory, among them), 141
+standard output closed by its reader before the command was done (quietly,
+as `cat` killed by SIGPIPE). Errors go to stderr as one JSON object per
 failure; a warning (a result cut short by `--max-depth`) goes there the same
 way and leaves the exit code as it is.
 
@@ -56,7 +57,7 @@ _register_lazily(_MODEL_MODULES)
 from . import analysis, pathengine, reports, revocation, truststore
 from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
                         DEFAULT_OVERLAP_MIN_DAYS, MODES)
-from .workspace import SchemaError, Workspace, _write_atomic
+from .workspace import SchemaError, UsageError, Workspace, _write_atomic
 
 if TYPE_CHECKING:
     from .revocation import RevocationRecord, RevocationView
@@ -200,7 +201,11 @@ def cmd_scenario(args) -> int:
     except UnknownScenario as exc:
         _err({"error": "unknown_scenario", "detail": str(exc)})
         return EXIT_ANALYSIS
-    bundle.write(Path(args.out))
+    try:
+        bundle.write(Path(args.out))
+    except OSError as exc:
+        raise UsageError("cannot write the --out directory: "
+                         f"{exc.strerror}", args.out) from exc
     print(json.dumps({"scenario": args.scenario_id, "seed": args.seed,
                       "mode": args.mode, "certs": len(bundle.records),
                       "out": str(args.out)}, sort_keys=True))
@@ -265,9 +270,8 @@ def cmd_report(args) -> int:
         try:
             _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
         except OSError as exc:
-            _err({"error": "usage", "path": args.out,
-                  "detail": f"cannot write the --out file: {exc.strerror}"})
-            return EXIT_USAGE
+            raise UsageError(f"cannot write the --out file: {exc.strerror}",
+                             args.out) from exc
     else:
         sys.stdout.writelines(out)
     return EXIT_OK
@@ -351,6 +355,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except UsageError as exc:
+        _err(exc.to_json())
+        return EXIT_USAGE
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA

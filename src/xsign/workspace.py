@@ -56,6 +56,17 @@ _CONFIG_FILES = {
 }
 
 
+class UsageError(Exception):
+    """A path given on the command line that cannot be read or written."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(message)
+        self.path = path
+
+    def to_json(self) -> dict:
+        return {"error": "usage", "path": self.path, "detail": str(self)}
+
+
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     """Replace `path` with the concatenated `chunks`, whole or not at all.
 
@@ -96,6 +107,59 @@ def _views(doc: dict) -> list[RevocationView]:
     views = [revocation.RevocationView.from_json(v) for v in doc["views"]]
     revocation.check_view_ids(views)
     return views
+
+
+def _signature(obj: dict) -> tuple[tuple[str, str], bool]:
+    return (obj["child"], obj["issuer"]), obj["verified"] is True
+
+
+def _ingested_line(obj: dict) -> tuple[str, object]:
+    """Where an ingested JSONL line goes: a certificate record to
+    `records`, or the line itself to the config file it was checked for."""
+    if "selector" in obj:
+        revocation.RevocationRecord.from_json(obj)
+        return "revocations", obj
+    if "extension" in obj:
+        _extension_entry(obj)
+        return "extensions", obj
+    if "explained" in obj:
+        _explanation(obj)
+        return "explanations", obj
+    if "fingerprint" in obj:
+        return "records", certmodel.record_from_json(obj)
+    raise ValueError("unrecognized record shape")
+
+
+def _parse_jsonl(data: bytes, path: str, parse) -> list:
+    """`parse` applied to each non-blank line of the JSONL bytes `data`,
+    read from `path`. Lines end at LF, CR or CRLF. A line that is not UTF-8
+    JSON, or that `parse` cannot read, is a SchemaError naming the file and
+    the line."""
+    out = []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise SchemaError(f"invalid JSON: {exc}", path=path,
+                              line=lineno) from exc
+        try:
+            out.append(parse(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad record: {exc}", path=path,
+                              line=lineno) from exc
+    return out
+
+
+def _read_jsonl(path: Path, parse) -> Optional[list]:
+    """`_parse_jsonl` over the file at `path`, or None when there is no such
+    file."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    return _parse_jsonl(data, str(path), parse)
 
 
 class Workspace:
@@ -212,20 +276,8 @@ class Workspace:
     def _read_signatures(self) -> Optional[dict[tuple[str, str], bool]]:
         """The recorded signature results, keyed (child, issuer), or None
         when there is no signature file."""
-        path = self.certs_dir / SIGNATURES
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        table = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            try:
-                obj = json.loads(line)
-                table[obj["child"], obj["issuer"]] = obj["verified"] is True
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad signature line: {exc}", path=str(path),
-                                  line=lineno) from exc
-        return table
+        entries = _read_jsonl(self.certs_dir / SIGNATURES, _signature)
+        return None if entries is None else dict(entries)
 
     def _drop_signatures(self):
         """Remove the signature file before a `.der` is added, seeding
@@ -291,15 +343,23 @@ class Workspace:
 
     def _ingest_files(self, files: list[Path], fmt: str, summary: dict):
         """Ingest each file as its suffix says (`_SUFFIX_FORMATS`), or as
-        `fmt` when the suffix is none of those."""
+        `fmt` when the suffix is none of those. A file that cannot be read
+        is a UsageError naming it."""
         for path in files:
             kind = _SUFFIX_FORMATS.get(path.suffix, fmt)
-            if kind == "json":
-                self._ingest_config_json(path, summary)
-            elif kind == "jsonl":
-                self._ingest_jsonl(path, summary)
-            elif kind in ("pem", "der"):
+            if kind not in _SUFFIX_FORMATS.values():
+                raise SchemaError(f"cannot ingest {path.name} as {fmt}",
+                                  path=str(path))
+            try:
                 data = path.read_bytes()
+            except OSError as exc:
+                raise UsageError(f"cannot read the input: {exc.strerror}",
+                                 str(path)) from exc
+            if kind == "json":
+                self._ingest_config_json(path, data, summary)
+            elif kind == "jsonl":
+                self._ingest_jsonl(path, data, summary)
+            else:
                 try:
                     records = (certmodel.load_pem_bundle(data) if kind == "pem"
                                else [certmodel.parse_certificate(data)])
@@ -307,9 +367,6 @@ class Workspace:
                     raise SchemaError(str(exc), path=str(path)) from exc
                 for record in records:
                     self._count_add(record, summary)
-            else:
-                raise SchemaError(f"cannot ingest {path.name} as {fmt}",
-                                  path=str(path))
 
     def _count_add(self, record: CertRecord, summary: dict):
         if self.add_record(record):
@@ -317,9 +374,9 @@ class Workspace:
         else:
             summary["duplicates"] += 1
 
-    def _ingest_config_json(self, path: Path, summary: dict):
+    def _ingest_config_json(self, path: Path, data: bytes, summary: dict):
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(data.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from exc
         if not isinstance(doc, dict):
@@ -357,52 +414,19 @@ class Workspace:
                 raise
             raise SchemaError(f"bad config: {exc}", path=str(path)) from exc
 
-    def _ingest_jsonl(self, path: Path, summary: dict):
-        records: list[CertRecord] = []
-        revocation_lines: list[dict] = []
-        extension_lines: list[dict] = []
-        explanation_lines: list[dict] = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8 text: {exc}", path=str(path)) from exc
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}",
-                                  path=str(path), line=lineno) from exc
-            try:
-                if "selector" in obj:
-                    revocation.RevocationRecord.from_json(obj)
-                    revocation_lines.append(obj)
-                elif "extension" in obj:
-                    _extension_entry(obj)
-                    extension_lines.append(obj)
-                elif "explained" in obj:
-                    _explanation(obj)
-                    explanation_lines.append(obj)
-                elif "fingerprint" in obj:
-                    records.append(certmodel.record_from_json(obj))
-                else:
-                    raise ValueError("unrecognized record shape")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad record: {exc}",
-                                  path=str(path), line=lineno) from exc
-        for record in records:
+    def _ingest_jsonl(self, path: Path, data: bytes, summary: dict):
+        """Check every line first, so that a file with a bad line adds
+        nothing."""
+        by_kind = {"records": [], "revocations": [], "extensions": [],
+                   "explanations": []}
+        for kind, value in _parse_jsonl(data, str(path), _ingested_line):
+            by_kind[kind].append(value)
+        for record in by_kind.pop("records"):
             self._count_add(record, summary)
-        if revocation_lines:
-            self._append_jsonl("revocations", revocation_lines)
-            summary["revocations"] += len(revocation_lines)
-        if extension_lines:
-            self._append_jsonl("extensions", extension_lines)
-            summary["extensions"] += len(extension_lines)
-        if explanation_lines:
-            self._append_jsonl("explanations", explanation_lines)
-            summary["explanations"] += len(explanation_lines)
+        for kind, lines in by_kind.items():
+            if lines:
+                self._append_jsonl(kind, lines)
+                summary[kind] += len(lines)
 
     def _append_jsonl(self, kind: str, lines: list[dict]):
         """Add the lines not already present, rewriting the whole file so
@@ -429,26 +453,14 @@ class Workspace:
         if not path.exists():
             return default
         try:
-            return parse(json.loads(path.read_text()))
+            return parse(json.loads(path.read_text(encoding="utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad config: {exc}", path=str(path)) from exc
 
     def _load_config_lines(self, kind: str, parse) -> list:
         """`parse` applied to each line of the JSONL config of `kind`; a line
         it cannot read is a SchemaError naming the file and the line."""
-        path = self.config_dir / _CONFIG_FILES[kind]
-        if not path.exists():
-            return []
-        out = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad record: {exc}", path=str(path),
-                                  line=lineno) from exc
-        return out
+        return _read_jsonl(self.config_dir / _CONFIG_FILES[kind], parse) or []
 
     def load_stores(self) -> list[RootStoreTimeline]:
         return self._load_config("stores", lambda doc: [
@@ -499,8 +511,9 @@ class Workspace:
         `lint`). A stamp that cannot be read, or one in the older
         single-entry shape, has none."""
         try:
-            recorded = json.loads((self.reports_dir / "stamp.json").read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+            recorded = json.loads((self.reports_dir / "stamp.json")
+                                  .read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):  # also not UTF-8
             return {}
         if not isinstance(recorded, dict):
             return {}

@@ -27,20 +27,21 @@ def _analyze(bundle, views=None):
 
 
 def test_only_one_non_member_is_alive_at_a_time(corpus, monkeypatch):
-    built = []  # (fingerprint, weak reference) per enumeration and assessment
+    built = []  # (name, fingerprint, weak reference) per build
 
-    def tracked(build):
+    def tracked(name, build):
         def wrapper(cert, *args, **kwargs):
             result = build(cert, *args, **kwargs)
-            built.append((cert.fingerprint, weakref.ref(result)))
+            built.append((name, cert.fingerprint, weakref.ref(result)))
             return result
         return wrapper
 
     for name in ("enumerate_paths", "assess_paths"):
-        monkeypatch.setattr(analysis, name, tracked(getattr(analysis, name)))
+        monkeypatch.setattr(analysis, name,
+                            tracked(name, getattr(analysis, name)))
 
     def alive() -> set[str]:
-        return {fp for fp, ref in built if ref() is not None}
+        return {fp for _, fp, ref in built if ref() is not None}
 
     result = _analyze(corpus)
     members = {fp for group in result.xs_groups for fp in group.members}
@@ -56,6 +57,17 @@ def test_only_one_non_member_is_alive_at_a_time(corpus, monkeypatch):
     assert streamed == {r.fingerprint for r in corpus.records} - members
     assert rows == len(corpus.records) * len(corpus.views)
     assert alive() - members <= {row.fingerprint}
+
+    # The cold-lint route never reads the rows, so nothing is streamed:
+    # each member is enumerated once and assessed under every view and the
+    # coverage view, and no other certificate is enumerated or assessed.
+    del built[:]
+    lint_corpus(corpus.records, corpus.stores, corpus.revocations,
+                corpus.extensions, corpus.views, corpus.operator_map)
+    enumerated = [fp for name, fp, _ in built if name == "enumerate_paths"]
+    assessed = [fp for name, fp, _ in built if name == "assess_paths"]
+    assert sorted(enumerated) == sorted(members)
+    assert sorted(assessed) == sorted([*members] * (len(corpus.views) + 1))
 
 
 def test_rows_can_be_read_once(corpus):

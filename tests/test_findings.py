@@ -259,7 +259,7 @@ def test_analysis_enumerates_each_certificate_once(figure1, monkeypatch):
         return original(cert, *args, **kwargs)
 
     # Only the analysis module's binding is patched: analyze and lint both
-    # enumerate through its one path-table helper.
+    # enumerate through its one enumeration helper.
     monkeypatch.setattr(xsign.analysis, "enumerate_paths", counting)
     result = _analyzed(figure1)
     # The certificates that are not members are enumerated as the rows

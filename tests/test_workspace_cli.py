@@ -1070,3 +1070,55 @@ def test_undecodable_certificate_files_are_named(tmp_path, capsys, name):
     payload = json.loads(err)
     assert payload["error"] == "schema" and payload["path"] == str(path)
     assert payload["detail"].startswith("undecodable certificate")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("ingest", "missing.jsonl"), ("ingest", "missing.pem"),
+    ("ingest", "missing.json"), ("ingest", "missing"),
+    ("scenario", "afile"), ("scenario", "afile/sub"),
+])
+def test_a_path_given_that_cannot_be_used_is_a_usage_error(tmp_path, capsys,
+                                                          command, name):
+    (tmp_path / "afile").write_text("kept\n")
+    path = str(tmp_path / name)
+    if command == "ingest":
+        bundle = _write_crypto_bundle(tmp_path)
+        good = tmp_path / "one.der"
+        good.write_bytes(bundle.records[0].raw)
+        argv = ("ingest", "--ws", str(tmp_path / "ws"), str(good), path)
+    else:
+        argv = ("scenario", "figure1", "--out", path)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload.pop("detail")
+    assert payload == {"error": "usage", "path": path}
+    if command == "ingest":
+        # The input before the missing one stays, with its signature file,
+        # which `load_records` requires.
+        records = Workspace(tmp_path / "ws").load_records()
+        assert [r.fingerprint for r in records] == \
+            [bundle.records[0].fingerprint]
+    else:
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_workspace_files_are_read_as_utf8_in_any_locale(tmp_path, capsys):
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    config = ws_dir / "config"
+    (config / "views.json").write_text(json.dumps(
+        {"views": [{"consumer_id": "mü", "accepted_sources": []}]},
+        ensure_ascii=False), encoding="utf-8")
+    (config / "explanations.jsonl").write_text(
+        json.dumps({"explained": "Zürich"}, ensure_ascii=False) + "\n",
+        encoding="utf-8")
+    # An ASCII locale, with neither UTF-8 mode nor locale coercion.
+    env = dict(_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for _ in range(2):  # cold, then served from the stamp
+        proc = subprocess.run(
+            [sys.executable, "-m", "xsign.cli", "analyze", "--ws", str(ws_dir)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cached"] is True
+    rows = (ws_dir / "reports" / "assessments.jsonl").read_text("utf-8")
+    assert {json.loads(line)["view"] for line in rows.splitlines()} == {"mü"}
