@@ -42,6 +42,8 @@ _NO_EXTENSIONS: Mapping[str, xsext.XsExtension] = MappingProxyType({})
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """The options an analysis runs with, checked when they are made."""
+
     max_depth: int = DEFAULT_MAX_DEPTH
     overlap_min: int = DEFAULT_OVERLAP_MIN_DAYS
     mode: str = "structural"

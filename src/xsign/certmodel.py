@@ -98,6 +98,8 @@ class Subtree:
 
 @dataclass(frozen=True)
 class NameConstraints:
+    """A CA's name constraints: permitted and excluded subtrees."""
+
     permitted: tuple[Subtree, ...]
     excluded: tuple[Subtree, ...]
     critical: bool

@@ -47,6 +47,8 @@ class UnknownScenario(KeyError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """Which scenario to build, with its seed, mode and parameters."""
+
     scenario_id: str
     seed: int = 1
     mode: str = "structural"
@@ -55,6 +57,8 @@ class ScenarioSpec:
 
 @dataclass
 class Bundle:
+    """A built scenario: its certificates, configs and notes."""
+
     scenario_id: str
     seed: int
     mode: str
@@ -134,6 +138,8 @@ _NAME_OIDS = {"cn": "2.5.4.3", "o": "2.5.4.10", "ou": "2.5.4.11", "c": "2.5.4.6"
 
 @dataclass
 class _CertSpec:
+    """A certificate to build: its names, key, validity and extensions."""
+
     label: str
     subject: str
     issuer_label: Optional[str]     # None -> self-signed
@@ -319,6 +325,8 @@ def _subtree_to_general_name(subtree: Subtree):
 
 @dataclass
 class ScenarioDef:
+    """A scenario's PKI and the configs to write beside it."""
+
     builder: PkiBuilder
     store_specs: list[dict] = field(default_factory=list)
     revocation_specs: list[dict] = field(default_factory=list)

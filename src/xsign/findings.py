@@ -36,6 +36,8 @@ Paths = Mapping[str, PathEnumeration]
 
 @dataclass(frozen=True)
 class Finding:
+    """One finding about a cross-sign group, with its evidence."""
+
     category: str
     severity: str
     subject: str

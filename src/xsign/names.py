@@ -26,19 +26,26 @@ _SHORT_TO_OID = {
     "email": "1.2.840.113549.1.9.1",
 }
 _OID_TO_SHORT = {oid: short for short, oid in _SHORT_TO_OID.items()}
+# The OIDs of the spellings that names are written in: the canonical short
+# names, their upper case, and the dotted OIDs.
+_TYPE_OIDS = {spelling: oid for short, oid in _SHORT_TO_OID.items()
+              for spelling in (short, short.upper(), oid)}
 
-_WS_RUN = re.compile(r"\s+")
 _OID_RE = re.compile(r"^\d+(\.\d+)+$")
 
 
 def normalize_value(value: str) -> str:
-    """Trim, collapse inner whitespace runs to one space, case-fold."""
-    return _WS_RUN.sub(" ", value.strip()).casefold()
+    """Trim, collapse inner whitespace runs to one space, case-fold.
+    `str.split()` splits on the code points that the regex `\\s` matches."""
+    return " ".join(value.split()).casefold()
 
 
 def attr_oid(attr_type: str) -> str:
     """Resolve an attribute type (short name or dotted OID) to a dotted OID."""
     t = attr_type.strip()
+    oid = _TYPE_OIDS.get(t)
+    if oid is not None:
+        return oid
     if _OID_RE.match(t):
         return t
     short = t.casefold()
@@ -56,6 +63,13 @@ class NormalizedName:
     """Ordered sequence of RDNs, each a set of (attribute OID, value) pairs."""
 
     rdns: tuple[frozenset[tuple[str, str]], ...]
+
+    # Names key the index and the groupings: each hashes its RDNs once.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.rdns))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_empty(self) -> bool:

@@ -164,14 +164,13 @@ def _builds(records: Sequence[CertRecord], mode: str) -> bool:
     return True
 
 
-def _usable_validity(records: Sequence[CertRecord],
-                     mode: str) -> Optional[tuple[datetime, datetime]]:
-    """The window in which every member of the built chain `records` (leaf
-    first) is valid, or None when it is empty or the chain is unusable: an
-    issuer that is not CA-capable, an exceeded path length, or a violated
-    name constraint."""
-    start = max(r.not_before for r in records)
-    end = min(r.not_after for r in records)
+def _usable_validity(records: Sequence[CertRecord], mode: str,
+                     start: datetime,
+                     end: datetime) -> Optional[tuple[datetime, datetime]]:
+    """The window [`start`, `end`) in which every member of the built chain
+    `records` (leaf first) is valid, or None when it is empty or the chain
+    is unusable: an issuer that is not CA-capable, an exceeded path length,
+    or a violated name constraint."""
     if (start < end and all(r.ca_capable for r in records[1:])
             and _pathlen_ok(records)
             and not _nc_violated(records, mode == "strict")):
@@ -205,44 +204,55 @@ def enumerate_paths(cert: CertRecord, index: CertIndex,
         raise KeyError(f"certificate {cert.fingerprint} not in index")
 
     result = PathEnumeration(paths=[])
-    _walk([cert], {cert.spki_digest}, index, anchors, max_depth, mode, result)
+    _walk([cert], {cert.spki_digest}, index, anchors, max_depth, mode, result,
+          cert.not_before, cert.not_after)
     result.paths.sort(key=lambda p: (len(p.chain), p.chain))
     return result
 
 
 def _walk(records: list[CertRecord], spkis: set[str], index: CertIndex,
           anchors: frozenset[str], max_depth: int, mode: str,
-          result: PathEnumeration):
+          result: PathEnumeration, start: datetime, end: datetime):
     """Extend the chain `records` (leaf first) depth first, adding the root
     of each terminated chain the mode builds to `result`, and the chain too
-    when it is usable. A module-level function, not a closure:
-    a recursive closure is a reference cycle that would keep `result`
-    alive until the next garbage collection."""
+    when it is usable. [`start`, `end`) is the chain's window: its latest
+    not_before and earliest not_after. A module-level function, not a
+    closure: a recursive closure is a reference cycle that would keep
+    `result` alive until the next garbage collection."""
     current = records[-1]
     if (current.self_signed or current.fingerprint in anchors) \
             and _builds(records, mode):
         result.roots.add(current.fingerprint)
-        validity = _usable_validity(records, mode)
+        validity = _usable_validity(records, mode, start, end)
         if validity is not None:
             result.paths.append(TrustPath(
                 tuple(r.fingerprint for r in records), validity))
-    parents = [p for p in index.issuers_of(current)
-               if p.spki_digest not in spkis]
-    if not parents:
-        return
-    if len(records) >= max_depth:
-        result.truncated = True
-        return
-    for parent in parents:
-        spkis.add(parent.spki_digest)
+    # A parent whose key is on the chain already is skipped; at the depth
+    # bound, any other parent truncates the enumeration. The window is
+    # narrowed by comparisons: the builtin `max` and `min` are slower on
+    # datetimes.
+    deep = len(records) >= max_depth
+    for parent in index.issuers_of(current):
+        spki = parent.spki_digest
+        if spki in spkis:
+            continue
+        if deep:
+            result.truncated = True
+            return
+        spkis.add(spki)
         records.append(parent)
-        _walk(records, spkis, index, anchors, max_depth, mode, result)
+        not_before, not_after = parent.not_before, parent.not_after
+        _walk(records, spkis, index, anchors, max_depth, mode, result,
+              not_before if not_before > start else start,
+              not_after if not_after < end else end)
         records.pop()
-        spkis.discard(parent.spki_digest)
+        spkis.discard(spki)
 
 
 @dataclass
 class TrustInterval:
+    """A maximal span of trust in one store, its paths and what ends it."""
+
     start: datetime
     end: datetime
     paths: list[tuple[str, ...]] = field(default_factory=list)
@@ -259,6 +269,8 @@ class TrustInterval:
 
 @dataclass
 class TrustAssessment:
+    """One certificate's trust intervals per store, under one view."""
+
     fingerprint: str
     view_id: str
     stores: dict[str, list[TrustInterval]] = field(default_factory=dict)

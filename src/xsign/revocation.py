@@ -20,6 +20,8 @@ SOURCE_KINDS = ("ca_crl", "vendor")
 
 @dataclass(frozen=True)
 class RevocationSource:
+    """Who publishes a revocation: a CA CRL or a vendor list, by name."""
+
     kind: str
     name: str
 
@@ -30,6 +32,8 @@ class RevocationSource:
 
 @dataclass(frozen=True)
 class IssuerSerial:
+    """Selects the certificate with this issuer name and serial."""
+
     issuer: NormalizedName
     serial: str
 
@@ -43,6 +47,8 @@ class IssuerSerial:
 
 @dataclass(frozen=True)
 class SpkiDigest:
+    """Selects every certificate with this public key digest."""
+
     digest: str
 
     def matches(self, cert: CertRecord) -> bool:
@@ -55,6 +61,8 @@ class SpkiDigest:
 
 @dataclass(frozen=True)
 class Fingerprint:
+    """Selects the one certificate with this fingerprint."""
+
     digest: str
 
     def matches(self, cert: CertRecord) -> bool:
@@ -67,6 +75,8 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class RevocationRecord:
+    """One revocation: its source, selector, effective date and reason."""
+
     source: RevocationSource
     selector: object
     effective_date: datetime

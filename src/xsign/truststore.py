@@ -26,6 +26,8 @@ class UnknownStore(KeyError):
 
 @dataclass(frozen=True)
 class StoreSnapshot:
+    """The roots of a store from `effective_date` until the next snapshot."""
+
     effective_date: datetime
     roots: frozenset[str]
 
@@ -69,6 +71,8 @@ class DistrustRule:
 
 @dataclass
 class RootStoreTimeline:
+    """One root store over time: its snapshots and distrust rules."""
+
     store_id: str
     store_class: str = "other"
     snapshots: list[StoreSnapshot] = field(default_factory=list)
@@ -153,6 +157,8 @@ def combined_anchors(stores: Iterable[RootStoreTimeline]) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class OperatorSpan:
+    """An operator's control of subjects or certificates over a window."""
+
     operator_id: str
     subjects: tuple[NormalizedName, ...] = ()
     fingerprints: frozenset[str] = frozenset()
@@ -178,6 +184,8 @@ class OperatorSpan:
 
 @dataclass(frozen=True)
 class OwnershipEvent:
+    """The subjects that passed from one operator to another on a date."""
+
     date: datetime
     subjects: tuple[NormalizedName, ...]
     from_operator: str

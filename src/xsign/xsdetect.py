@@ -21,6 +21,8 @@ from .truststore import OperatorMap
 
 @dataclass(frozen=True)
 class QualifyingPair:
+    """Two members of a group whose validity overlaps by `overlap_days`."""
+
     a: str
     b: str
     overlap_days: int
@@ -28,6 +30,8 @@ class QualifyingPair:
 
 @dataclass(frozen=True)
 class XSCertGroup:
+    """Certificates sharing a subject and key, with their classification."""
+
     subject: NormalizedName
     spki_digest: str
     members: tuple[str, ...]

@@ -30,6 +30,8 @@ class MalformedExtension(ValueError):
 
 @dataclass(frozen=True)
 class Bootstrapping:
+    """Motivation: a new root is trusted through an established one."""
+
     bootstrapped_cert: str
     target_stores: tuple[str, ...]
     inclusion_request_ref: str
@@ -38,12 +40,16 @@ class Bootstrapping:
 
 @dataclass(frozen=True)
 class ExpandingTrust:
+    """Motivation: reach stores the certificate is not yet trusted in."""
+
     target_stores: tuple[str, ...]
     kind = "expanding_trust"
 
 
 @dataclass(frozen=True)
 class FallBack:
+    """Motivation: an alternative path should another fail."""
+
     target_stores: tuple[str, ...]
     fallback_for: str
     kind = "fall_back"
@@ -51,6 +57,8 @@ class FallBack:
 
 @dataclass(frozen=True)
 class MultipleAlgorithms:
+    """Motivation: paths with different signature algorithms."""
+
     algorithm_set: tuple[str, ...]
     path_certs: tuple[str, ...]
     kind = "multiple_algorithms"
@@ -72,12 +80,16 @@ Motivation = object
 
 @dataclass(frozen=True)
 class LogTimestamp:
+    """A log's timestamp of a member's issuance."""
+
     log_id: str
     timestamp: datetime
 
 
 @dataclass(frozen=True)
 class XsExtension:
+    """A cross-sign extension: its motivations and issuance timestamps."""
+
     motivations: tuple[Motivation, ...]
     issuance_timestamps: tuple[LogTimestamp, ...] = ()
 
@@ -197,6 +209,8 @@ VERDICTS = {
 
 @dataclass(frozen=True)
 class LintVerdict:
+    """One lint verdict about one member of a cross-sign group."""
+
     code: str
     member: str
     detail: str

@@ -90,6 +90,18 @@ def test_figure1_subject_map_groups_cross_sign(figure1):
         figure1.fp("I5"), figure1.fp("I5x")}
 
 
+def test_issuers_of_sees_an_issuer_added_after_a_lookup(figure1):
+    leaf = figure1.record("I5")
+    issuers = [r for r in figure1.records if r.subject == leaf.issuer]
+    assert issuers
+    index = build_index(r for r in figure1.records if r not in issuers)
+    assert index.issuers_of(leaf) == []
+    for issuer in issuers:
+        index.add(issuer)
+    assert index.issuers_of(leaf) == sorted(issuers,
+                                            key=lambda r: r.fingerprint)
+
+
 def test_duplicates_are_idempotent(figure1):
     index = build_index(list(figure1.records) + list(figure1.records))
     assert len(index) == len(figure1.records)

@@ -517,6 +517,19 @@ def test_a_der_copied_over_another_is_rejected(tmp_path, capsys):
     assert payload["error"] == "schema" and payload["path"] == str(second)
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_a_record_file_not_in_utf8_is_rejected(tmp_path, capsys, encoding):
+    # Workspace files are UTF-8 without a BOM; JSON parsed from bytes would
+    # detect these encodings and read the record.
+    ws_dir, _ = _make_ws(tmp_path, capsys, scenario="figure1")
+    path = min((ws_dir / "certs").glob("*.json"))
+    path.write_bytes(path.read_text("utf-8").encode(encoding))
+    code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir))
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "schema" and payload["path"] == str(path)
+
+
 def test_invalid_depth_rejected_on_corpus_without_groups(tmp_path, capsys):
     ws_dir = tmp_path / "ws"
     single = tmp_path / "single.jsonl"
