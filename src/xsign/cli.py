@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 _MODEL_MODULES = ("analysis", "findings", "pathengine", "xsdetect", "xsext",
                   "certmodel", "revocation", "truststore", "names",
@@ -54,7 +54,7 @@ def _register_lazily(names: tuple[str, ...]):
 # Before the package's own imports, so that none of them runs a model module.
 _register_lazily(_MODEL_MODULES)
 
-from . import analysis, pathengine, reports, revocation, truststore
+from . import analysis, pathengine, reports, revocation
 from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
                         DEFAULT_OVERLAP_MIN_DAYS, MODES)
 from .workspace import SchemaError, UsageError, Workspace, _write_atomic
@@ -77,13 +77,22 @@ def _err(payload: dict):
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _parse_views(spec: str,
+def _list_option(spec: Optional[str], flag: str) -> Optional[list[str]]:
+    """The entries of the comma list `spec` given to `flag`, each stripped,
+    blank ones dropped; None when the option is not given. A list that
+    names nothing is an analysis error."""
+    if spec is None:
+        return None
+    entries = [entry for entry in map(str.strip, spec.split(",")) if entry]
+    if not entries:
+        raise ValueError(f"{flag} names nothing: {spec!r}")
+    return entries
+
+
+def _parse_views(entries: list[str],
                  revocations: list[RevocationRecord]) -> list[RevocationView]:
     views = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in entries:
         if "=" in entry:
             name, _, srcs = entry.partition("=")
             views.append(revocation.RevocationView(
@@ -109,22 +118,25 @@ def _options_dict(args) -> dict:
 
 def _analysis_inputs(args, ws: Workspace) -> dict:
     """Every input an analysis reads, each loaded once, as the keywords of
-    both `analyze_corpus` and `lint_corpus`. With no view given by
-    `--views` or `views.json`, the run uses one view that accepts every
-    source. A view id given twice, or equal to the coverage view's, is an
-    analysis error.
+    both `analyze_corpus` and `lint_corpus`. Without `--views`, the views
+    are `views.json`'s, and with none there either, the run uses one view
+    that accepts every source. A `--views` or `--stores` list that names
+    nothing, and a view id given twice or equal to the coverage view's, are
+    analysis errors.
 
     Every model module runs first, before any input is read. Reading an
     attribute of a lazily registered module runs it; one first read
     mid-analysis (`xsext`, `intervals`) would compile while the inputs fill
     the heap, and that transient memory would add to the peak."""
+    view_entries = _list_option(args.views, "--views")
+    store_ids = _list_option(args.stores, "--stores")
     for name in _MODEL_MODULES:
         getattr(sys.modules[f"{__package__}.{name}"], "__dict__")
     revocations = ws.load_revocations()
-    views = (_parse_views(args.views, revocations) if args.views
+    views = (_parse_views(view_entries, revocations)
+             if view_entries is not None
              else ws.load_views()) or [revocation.all_sources_view(revocations)]
     revocation.check_view_ids(views)
-    store_ids = args.stores.split(",") if args.stores else None
     stores = pathengine.select_stores(ws.load_stores(), store_ids)
     return dict(
         records=ws.load_records(), stores=stores, revocations=revocations,
@@ -265,7 +277,7 @@ def cmd_report(args) -> int:
     elif args.kind == "findings":
         out = [reports.findings_csv(rows)]
     else:
-        out = reports.assessments_csv(rows)
+        out = reports.assessments_csv(lines)
     if args.out:
         try:
             _write_atomic(Path(args.out), (chunk.encode() for chunk in out))
@@ -361,7 +373,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _err(exc.to_json())
         return EXIT_SCHEMA
-    except (truststore.UnknownStore, ValueError) as exc:
+    except ValueError as exc:
         _err({"error": "analysis", "detail": str(exc)})
         return EXIT_ANALYSIS
 

@@ -311,9 +311,11 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
     """Per store, the maximal intervals during which some enumerated path
     makes `cert` trusted: path validity covers the instant, the path root is
     in the store, no member is revoked in the view, and no distrust rule
-    blocks the path."""
+    blocks the path. Without paths, every store's answer is empty."""
+    if not enumeration.paths:
+        return TrustAssessment(cert.fingerprint, view.consumer_id,
+                               {store.store_id: [] for store in stores})
     assessment = TrustAssessment(cert.fingerprint, view.consumer_id)
-
     for store in stores:
         per_path: list[tuple[TrustPath, list[intervals.Interval]]] = []
         # The instants at which a path that keeps trust can lose it, with

@@ -1,7 +1,7 @@
 """Report rendering: JSONL (canonical), CSV flattening, and the markdown
-category summary. The CSV and markdown renderers read the JSON rows of a
-written report. This module imports no model module, so that `report`
-over current reports runs none."""
+category summary. The findings renderers read the JSON rows of a written
+report, and the assessments CSV its lines. This module imports no model
+module, so that `report` over current reports runs none."""
 
 from __future__ import annotations
 
@@ -36,8 +36,21 @@ def groups_jsonl(groups: Sequence[XSCertGroup]) -> list[str]:
 
 def assessments_jsonl(assessments: Iterable[TrustAssessment]) -> Iterator[str]:
     """One line per assessment, encoded as the lines are taken, so that a
-    streamed assessment is dropped once its line is written."""
-    return (_ENCODER.encode(a.to_json()) for a in assessments)
+    streamed assessment is dropped once its line is written. A row without
+    a trusted interval is `to_json`'s encoding written from a template: its
+    `{store_id: []}` map depends only on the store ids, so it is encoded
+    once per set of ids."""
+    empty_stores: dict[tuple[str, ...], str] = {}
+    for a in assessments:
+        if any(a.stores.values()):
+            yield _ENCODER.encode(a.to_json())
+            continue
+        ids = tuple(a.stores)
+        stores = empty_stores.get(ids)
+        if stores is None:
+            stores = empty_stores[ids] = _ENCODER.encode(dict.fromkeys(ids, []))
+        yield (f'{{"fingerprint": {_ENCODER.encode(a.fingerprint)}, '
+               f'"stores": {stores}, "view": {_ENCODER.encode(a.view_id)}}}')
 
 
 def lint_jsonl(verdicts: Sequence[LintVerdict]) -> list[str]:
@@ -75,12 +88,18 @@ def findings_csv(rows: Iterable[dict]) -> str:
     return buf.getvalue()
 
 
-def assessments_csv(rows: Iterable[dict]) -> Iterator[str]:
+def assessments_csv(lines: Iterable[str]) -> Iterator[str]:
     """One line per (assessment, store, trusted interval) of the assessment
-    report's rows, rendered as they are taken. Fields are joined with
-    commas and not quoted."""
+    report's lines, rendered as they are taken. Fields are joined with
+    commas and not quoted. An interval is an object with the key `from`,
+    and a backslash is the only way to escape a key, so a line that holds
+    neither `"from"` nor a backslash holds no interval and is not
+    decoded."""
     yield "fingerprint,view,store,from,to,paths\n"
-    for row in rows:
+    for line in lines:
+        if '"from"' not in line and "\\" not in line:
+            continue
+        row = json.loads(line)
         for store_id, items in row["stores"].items():
             for item in items:
                 paths = ";".join(",".join(p) for p in item["paths"])

@@ -20,8 +20,8 @@ class AmbiguousOperator(ValueError):
     """Two operator spans match the same (matcher, instant)."""
 
 
-class UnknownStore(KeyError):
-    pass
+class UnknownStore(ValueError):
+    """A store id that no configured store has."""
 
 
 @dataclass(frozen=True)

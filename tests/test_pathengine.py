@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xsign import intervals
 from xsign.certmodel import dns_identities, record_from_json
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 from xsign.pathengine import (assess_paths, assess_trust, build_index,
@@ -13,7 +14,8 @@ from xsign.pathengine import (assess_paths, assess_trust, build_index,
 from xsign.revocation import (RevocationIndex, RevocationView,
                               all_sources_view, matching_records)
 from xsign.timeutil import DT_MAX, utc
-from xsign.truststore import UnknownStore, combined_anchors, rule_blocks_path
+from xsign.truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
+                              rule_blocks_path)
 
 
 def oracle_chains(cert, records, anchors, max_depth=64):
@@ -321,6 +323,33 @@ def test_assess_no_path_empty(figure1):
     index = build_index(list(figure1.records) + [orphan])
     a = assess_trust(orphan, index, figure1.stores, [], RevocationView("v", frozenset()))
     assert all(not items for items in a.stores.values())
+
+
+def test_assess_without_paths_answers_every_store_at_once(certinomis,
+                                                         monkeypatch):
+    # A certificate without paths gets an empty answer for every store in
+    # the order given, and the per-store loop, which looks up each path
+    # root's presence and merges the intervals, does not run.
+    orphan = record_from_json({
+        "fingerprint": "9" * 64, "subject": "CN=orphan", "issuer": "CN=missing",
+        "spki": "8" * 64, "serial": "1", "not_before": "2015-01-01T00:00:00Z",
+        "not_after": "2020-01-01T00:00:00Z", "is_ca": False})
+    index = build_index(list(certinomis.records) + [orphan])
+    stores = certinomis.stores    # mozilla, google: not sorted by id
+    enumeration = enumerate_paths(orphan, index,
+                                  anchors=combined_anchors(stores))
+    assert enumeration.paths == [] and len(stores) > 1
+
+    def per_store_loop(*args):
+        raise AssertionError("the per-store loop ran")
+
+    monkeypatch.setattr(RootStoreTimeline, "presence_intervals",
+                        per_store_loop)
+    monkeypatch.setattr(intervals, "normalize", per_store_loop)
+    a = assess_paths(orphan, enumeration, index, stores, RevocationIndex([]),
+                     RevocationView("v", frozenset()))
+    assert (a.fingerprint, a.view_id) == (orphan.fingerprint, "v")
+    assert list(a.stores.items()) == [(s.store_id, []) for s in stores]
 
 
 def test_determinism_of_assessments(certinomis):

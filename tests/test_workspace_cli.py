@@ -178,6 +178,19 @@ def test_views_flag_overrides_config(tmp_path, capsys):
     report = (ws_dir / "reports" / "assessments.jsonl").read_text()
     views = {json.loads(line)["view"] for line in report.splitlines()}
     assert views == {"isolated", "chrome"}
+    # Entries are stripped and blank ones dropped.
+    code, _, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
+                      "--views", " isolated= ,, chrome=chrome-blacklist ,")
+    assert code == 0
+    assert (ws_dir / "reports" / "assessments.jsonl").read_text() == report
+    # A list that names nothing is an error, not `views.json`'s views nor
+    # one all-sources view.
+    for spec in (",", "", " , "):
+        for command in ("analyze", "lint"):
+            code, out, err = _run(capsys, command, "--ws", str(ws_dir),
+                                  "--views", spec)
+            assert code == 1 and out == "", (command, spec)
+            assert json.loads(err)["error"] == "analysis"
 
 
 def test_pem_ingest_cryptographic_bundle(tmp_path, capsys):
@@ -234,10 +247,25 @@ def test_unknown_store_filter(tmp_path, capsys):
     code, _, err = _run(capsys, "analyze", "--ws", str(ws_dir),
                         "--stores", "web1,missing-store")
     assert code == 1
-    assert json.loads(err.strip())["error"] == "analysis"
+    assert json.loads(err.strip()) == {
+        "error": "analysis", "detail": "unknown store(s): missing-store"}
     code, out, _ = _run(capsys, "analyze", "--ws", str(ws_dir),
                         "--stores", "web1")
     assert code == 0
+    report = (ws_dir / "reports" / "assessments.jsonl").read_bytes()
+    # Entries are stripped and blank ones dropped, as `--views` does.
+    for spec in (" web1", "web1,", " web1 , ,"):
+        code, out, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                              "--stores", spec)
+        assert code == 0 and err == "", spec
+        assert (ws_dir / "reports" / "assessments.jsonl").read_bytes() == report
+    # A list that names nothing is an error, not every configured store.
+    for spec in (",", "", " "):
+        for command in ("analyze", "lint"):
+            code, out, err = _run(capsys, command, "--ws", str(ws_dir),
+                                  "--stores", spec)
+            assert code == 1 and out == "", (command, spec)
+            assert json.loads(err)["error"] == "analysis"
 
 
 def test_analyze_summary_counts_truncated_certificates(tmp_path, capsys):
@@ -603,8 +631,8 @@ def test_lint_rejects_unknown_store_like_analyze(tmp_path, capsys):
     assert code == 1
     assert out == ""
     payload = json.loads(err.strip())
-    assert payload["error"] == "analysis"
-    assert "bogus" in payload["detail"]
+    assert payload == {"error": "analysis",
+                       "detail": "unknown store(s): bogus"}
 
 
 def test_analysis_rejects_a_repeated_store_id(tmp_path, capsys):
