@@ -95,8 +95,8 @@ def _parse_views(entries: list[str],
     for entry in entries:
         if "=" in entry:
             name, _, srcs = entry.partition("=")
-            views.append(revocation.RevocationView(
-                name, frozenset(s for s in srcs.split("+") if s)))
+            views.append(revocation.RevocationView(name.strip(), frozenset(
+                s for s in map(str.strip, srcs.split("+")) if s)))
         elif entry == "all":
             views.append(revocation.all_sources_view(revocations))
         elif entry == "none":

@@ -5,6 +5,10 @@ Paths are built by name matching (child.issuer == parent.subject after
 normalization), never by shortest-path search: every candidate chain up to
 the depth bound is enumerated. Cycles are prevented by forbidding a repeated
 SPKI digest within one path, which also tames mutual cross-sign pairs.
+
+Trust is assessed per path: `path_trust` gives one path's fate in one
+store (its allowed intervals and the events that can end them), and
+`merge` combines such fates into the intervals of one assessment row.
 """
 
 from __future__ import annotations
@@ -303,6 +307,64 @@ def assess_trust(cert: CertRecord, index: CertIndex,
                         RevocationIndex(revocations), view)
 
 
+def path_trust(path: TrustPath, index: CertIndex, store: RootStoreTimeline,
+               revocations: RevocationIndex,
+               view: RevocationView) -> Optional[tuple]:
+    """One path's fate in one store: None when it keeps no trust there,
+    else its chain, the intervals in which it makes the leaf trusted
+    (validity ∩ the root's presence, cut at the earliest revocation in the
+    view or distrust rule), and the instants at which it can lose trust,
+    with their causes: expiry, revocation, distrust rule, store removal."""
+    presence = store.presence_intervals(path.root)
+    allowed = intervals.intersect([path.validity], presence)
+    if not allowed:
+        return None
+    records = [index.get(fp) for fp in path.chain]
+    cutoffs = [(rec.effective_date, {
+        "kind": "revocation", "member": member.fingerprint,
+        "source": rec.source.name, "reason": rec.reason or ""})
+        for member in records
+        for rec in matching_records(member, view, revocations)]
+    cutoffs += [(rule.effective_from, {
+        "kind": "distrust_rule", "description": rule.description})
+        for rule in store.distrust_rules
+        if rule_blocks_path(rule, records, rule.effective_from)]
+    cut = min((at for at, _ in cutoffs), default=DT_MAX)
+    allowed = [(start, min(end, cut)) for start, end in allowed if start < cut]
+    if not allowed:
+        return None
+    expiring = min(records, key=lambda r: r.not_after)
+    events = [(path.validity[1], {
+        "kind": "path_expiry", "member": expiring.fingerprint}), *cutoffs]
+    events += [(end, {"kind": "store_removal",
+                      "store": store.store_id, "root": path.root})
+               for _, end in presence if end != DT_MAX]
+    return path.chain, allowed, events
+
+
+def merge(trusts: Iterable[Optional[tuple]]) -> list[TrustInterval]:
+    """The maximal intervals in which some of `path_trust`'s results keeps
+    trust (None entries are skipped), each with the chains that support it
+    and the causes of the events at its end."""
+    trusts = [trust for trust in trusts if trust is not None]
+    if not trusts:
+        return []
+    out: list[TrustInterval] = []
+    for start, end in intervals.normalize(
+            [iv for _, allowed, _ in trusts for iv in allowed]):
+        supporting = sorted(
+            {chain for chain, allowed, _ in trusts
+             if intervals.intersect(allowed, [(start, end)])},
+            key=lambda c: (len(c), c))
+        causes = sorted({tuple(sorted(cause.items()))
+                         for _, _, events in trusts
+                         for at, cause in events if at == end})
+        out.append(TrustInterval(
+            start=start, end=end, paths=supporting,
+            blocked_by=[dict(c) for c in causes]))
+    return out
+
+
 def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
                  index: CertIndex,
                  stores: Sequence[RootStoreTimeline],
@@ -311,60 +373,12 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
     """Per store, the maximal intervals during which some enumerated path
     makes `cert` trusted: path validity covers the instant, the path root is
     in the store, no member is revoked in the view, and no distrust rule
-    blocks the path. Without paths, every store's answer is empty."""
-    if not enumeration.paths:
-        return TrustAssessment(cert.fingerprint, view.consumer_id,
-                               {store.store_id: [] for store in stores})
-    assessment = TrustAssessment(cert.fingerprint, view.consumer_id)
-    for store in stores:
-        per_path: list[tuple[TrustPath, list[intervals.Interval]]] = []
-        # The instants at which a path that keeps trust can lose it, with
-        # their causes: expiry, revocation, distrust rule, store removal.
-        events: list[tuple[datetime, dict]] = []
-        for path in enumeration.paths:
-            presence = store.presence_intervals(path.root)
-            allowed = intervals.intersect([path.validity], presence)
-            if not allowed:
-                continue
-            records = [index.get(fp) for fp in path.chain]
-            cutoffs = [(rec.effective_date, {
-                "kind": "revocation", "member": member.fingerprint,
-                "source": rec.source.name, "reason": rec.reason or ""})
-                for member in records
-                for rec in matching_records(member, view, revocations)]
-            cutoffs += [(rule.effective_from, {
-                "kind": "distrust_rule", "description": rule.description})
-                for rule in store.distrust_rules
-                if rule_blocks_path(rule, records, rule.effective_from)]
-            cut = min((at for at, _ in cutoffs), default=DT_MAX)
-            allowed = [(start, min(end, cut)) for start, end in allowed
-                       if start < cut]
-            if not allowed:
-                continue
-            per_path.append((path, allowed))
-            expiring = min(records, key=lambda r: r.not_after)
-            events.append((path.validity[1], {
-                "kind": "path_expiry", "member": expiring.fingerprint}))
-            events += cutoffs
-            events += [(end, {"kind": "store_removal",
-                              "store": store.store_id, "root": path.root})
-                       for _, end in presence if end != DT_MAX]
-
-        merged = intervals.normalize(
-            [iv for _, ivs in per_path for iv in ivs])
-        out: list[TrustInterval] = []
-        for start, end in merged:
-            supporting = sorted(
-                {p.chain for p, ivs in per_path
-                 if intervals.intersect(ivs, [(start, end)])},
-                key=lambda c: (len(c), c))
-            causes = sorted(
-                {tuple(sorted(cause.items())) for at, cause in events if at == end})
-            out.append(TrustInterval(
-                start=start, end=end, paths=list(supporting),
-                blocked_by=[dict(c) for c in causes]))
-        assessment.stores[store.store_id] = out
-    return assessment
+    blocks the path."""
+    return TrustAssessment(cert.fingerprint, view.consumer_id, {
+        store.store_id: merge([
+            path_trust(path, index, store, revocations, view)
+            for path in enumeration.paths])
+        for store in stores})
 
 
 def select_stores(stores: Sequence[RootStoreTimeline],

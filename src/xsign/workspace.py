@@ -379,6 +379,9 @@ class Workspace:
                                else [certmodel.parse_certificate(data)])
                 except certmodel.MalformedInput as exc:
                     raise SchemaError(str(exc), path=str(path)) from exc
+                if not records:
+                    raise SchemaError("undecodable certificate: no CERTIFICATE"
+                                      " block in the PEM input", path=str(path))
                 for record in records:
                     self._count_add(record, summary)
 

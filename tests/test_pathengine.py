@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from datetime import timedelta
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from xsign import intervals
 from xsign.certmodel import dns_identities, record_from_json
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
-from xsign.pathengine import (assess_paths, assess_trust, build_index,
-                              enumerate_paths, select_stores)
+from xsign.pathengine import (PathEnumeration, assess_paths, assess_trust,
+                              build_index, enumerate_paths, merge, path_trust,
+                              select_stores)
 from xsign.revocation import (RevocationIndex, RevocationView,
                               all_sources_view, matching_records)
 from xsign.timeutil import DT_MAX, utc
@@ -568,3 +570,153 @@ def test_assessed_intervals_match_an_instant_oracle(scenario_id, seed):
                     assert any(start <= t < end for start, end in found) == \
                         _trusted_at(chains, revoked_from, store, t), \
                         (cert.fingerprint, view.consumer_id, store.store_id, t)
+
+
+def _check_merge_of_path_trusts(bundle, subsets):
+    """For each certificate, store and view, and each subset of the
+    certificate's paths that `subsets(paths)` yields: `merge` over the
+    subset's `path_trust` results, taken in reverse, equals `assess_paths`
+    on an enumeration holding just that subset."""
+    index = build_index(bundle.records)
+    anchors = combined_anchors(bundle.stores)
+    revocations = RevocationIndex(bundle.revocations)
+    views = [all_sources_view(bundle.revocations), *bundle.views]
+    for cert in bundle.records:
+        paths = enumerate_paths(cert, index, anchors=anchors).paths
+        for subset in subsets(paths):
+            for view in views:
+                assessment = assess_paths(cert, PathEnumeration(list(subset)),
+                                          index, bundle.stores, revocations,
+                                          view)
+                for store in bundle.stores:
+                    merged = merge(path_trust(path, index, store, revocations,
+                                              view)
+                                   for path in reversed(subset))
+                    assert [ti.to_json() for ti in merged] == [
+                        ti.to_json()
+                        for ti in assessment.stores[store.store_id]], \
+                        (cert.fingerprint, view.consumer_id, store.store_id)
+
+
+@pytest.mark.parametrize("scenario_id", ["certinomis", "diginotar"])
+def test_merge_of_path_trusts_is_assess_paths_on_named_scenarios(scenario_id):
+    bundle = generate(ScenarioSpec(scenario_id, seed=1))
+    assert len(bundle.stores) > 1
+
+    def every_subset(paths):
+        return (subset for size in range(len(paths) + 1)
+                for subset in itertools.combinations(paths, size))
+
+    _check_merge_of_path_trusts(bundle, every_subset)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(5, 40), data=st.data())
+def test_merge_of_path_trusts_is_assess_paths_on_random_corpora(seed, n, data):
+    bundle = generate(ScenarioSpec("random", seed=seed, params={
+        "n": n, "xs_rate": 0.4, "revocation_rate": 0.3}))
+
+    def drawn_subset(paths):
+        picked = data.draw(st.sets(st.sampled_from(range(len(paths))))
+                           if paths else st.just(set()))
+        return [[path for i, path in enumerate(paths) if i in picked]]
+
+    _check_merge_of_path_trusts(bundle, drawn_subset)
+
+
+@pytest.mark.parametrize("scenario_id, seed", [
+    *((sid, 1) for sid in sorted(SCENARIOS) if sid != "random"),
+    *(("random", seed) for seed in (1, 2, 3))])
+def test_assessed_paths_and_causes_match_the_inputs(scenario_id, seed):
+    params = {"n": 80, "revocation_rate": 0.2} \
+        if scenario_id == "random" else {}
+    _check_paths_and_causes(generate(ScenarioSpec(scenario_id, seed=seed,
+                                                  params=params)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(20, 80))
+def test_assessed_paths_and_causes_match_the_inputs_with_dense_cross_signs(
+        seed, n):
+    # The scenarios above hold no certificate with two trust intervals in
+    # one store, one of which a trusting path misses; dense cross-signs in
+    # a store whose roots come and go make such certificates.
+    _check_paths_and_causes(generate(ScenarioSpec("random", seed=seed, params={
+        "n": n, "xs_rate": 0.5, "revocation_rate": 0.2})))
+
+
+def _check_paths_and_causes(bundle):
+    """Every certificate, view and store of `bundle`, at the instants the
+    interval oracle samples: an interval lists a chain iff that chain alone
+    makes the certificate trusted at some sampled instant inside it, and
+    every interval that ends names a cause, each of which the inputs
+    confirm."""
+    index = build_index(bundle.records)
+    anchors = combined_anchors(bundle.stores)
+    revocations = RevocationIndex(bundle.revocations)
+    views = {v.consumer_id: v for v in (all_sources_view(bundle.revocations),
+                                        *bundle.views)}
+    dates = {rec.effective_date for rec in bundle.revocations}
+    for store in bundle.stores:
+        dates |= {snap.effective_date for snap in store.snapshots}
+        dates |= {at for rule in store.distrust_rules
+                  for at in (rule.effective_from, rule.issued_after)}
+    for cert in bundle.records:
+        enumeration = enumerate_paths(cert, index, anchors=anchors)
+        chains = {path.chain: [index.get(fp) for fp in path.chain]
+                  for path in enumeration.paths}
+        bounds = dates | {at for path in enumeration.paths
+                          for at in path.validity}
+        for view in views.values():
+            revoked_from = {chain: [rec.effective_date for member in records
+                                    for rec in matching_records(member, view,
+                                                                revocations)]
+                            for chain, records in chains.items()}
+            assessment = assess_paths(cert, enumeration, index, bundle.stores,
+                                      revocations, view)
+            for store in bundle.stores:
+                found = assessment.stores[store.store_id]
+                instants = sorted({at + step
+                                   for at in bounds | {b for ti in found
+                                                       for b in (ti.start,
+                                                                 ti.end)}
+                                   for step in (-_SECOND, timedelta(0),
+                                                _SECOND)
+                                   if at < DT_MAX})
+                for ti in found:
+                    where = (cert.fingerprint, view.consumer_id,
+                             store.store_id, ti.start)
+                    inside = [t for t in instants if ti.start <= t < ti.end]
+                    assert ti.paths == sorted(
+                        (chain for chain, records in chains.items()
+                         if any(_trusted_at([records], [revoked_from[chain]],
+                                            store, t) for t in inside)),
+                        key=lambda c: (len(c), c)), where
+                    if ti.end == DT_MAX:
+                        continue
+                    assert ti.blocked_by, where
+                    for cause in ti.blocked_by:
+                        assert _confirms(cause, ti.end, index, store, view,
+                                         revocations), (where, cause)
+
+
+def _confirms(cause, end, index, store, view, revocations):
+    """Whether the inputs show that `cause` can end trust at `end`."""
+    kind = cause["kind"]
+    if kind == "path_expiry":
+        return index.get(cause["member"]).not_after == end
+    if kind == "revocation":
+        return any(rec.source.name == cause["source"]
+                   and (rec.reason or "") == cause["reason"]
+                   and rec.effective_date == end
+                   for rec in matching_records(index.get(cause["member"]),
+                                               view, revocations))
+    if kind == "distrust_rule":
+        return any(rule.description == cause["description"]
+                   and rule.effective_from == end
+                   for rule in store.distrust_rules)
+    if kind == "store_removal":
+        return (cause["store"] == store.store_id
+                and cause["root"] in store.active_roots(end - _SECOND)
+                and cause["root"] not in store.active_roots(end))
+    return False

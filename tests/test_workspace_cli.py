@@ -183,6 +183,25 @@ def test_views_flag_overrides_config(tmp_path, capsys):
                       "--views", " isolated= ,, chrome=chrome-blacklist ,")
     assert code == 0
     assert (ws_dir / "reports" / "assessments.jsonl").read_text() == report
+    # A view's name and sources are stripped too, and blank sources dropped:
+    # spaces around a source do not drop it.
+    spaced = {}
+    for spec in ("both=chrome-blacklist+ms-disallowed,none",
+                 " both = chrome-blacklist + + ms-disallowed , none"):
+        code, _, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                            "--views", spec)
+        assert code == 0, err
+        spaced[spec] = [(ws_dir / "reports" / name).read_text()
+                        for name in ("assessments.jsonl", "findings.jsonl")]
+    unspaced, spaced = spaced.values()
+    assert spaced == unspaced
+    # The sources take effect: the view's rows differ from `none`'s.
+    rows = {}
+    for line in unspaced[0].splitlines():
+        row = json.loads(line)
+        rows.setdefault(row["view"], []).append(
+            (row["fingerprint"], row["stores"]))
+    assert rows["both"] != rows["none"]
     # A list that names nothing is an error, not `views.json`'s views nor
     # one all-sources view.
     for spec in (",", "", " , "):
@@ -1092,12 +1111,24 @@ def test_der_files_ingest_as_their_pem_bundle_does(tmp_path, capsys):
             (tmp_path / "from-pem" / "certs" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("name", ["cut.der", "garbled.pem"])
+@pytest.mark.parametrize("name", ["cut.der", "garbled.pem",
+                                  # PEM inputs that hold no certificate.
+                                  "key.pem", "der-bytes.pem", "empty.pem"])
 def test_undecodable_certificate_files_are_named(tmp_path, capsys, name):
     bundle = _write_crypto_bundle(tmp_path)
-    if name.endswith(".der"):
-        raw = bundle.records[0].raw
+    raw = bundle.records[0].raw
+    if name == "cut.der":
         data = raw[:len(raw) // 2]
+    elif name == "key.pem":
+        from cryptography.hazmat.primitives import serialization
+        from cryptography.hazmat.primitives.asymmetric import ec
+        data = ec.generate_private_key(ec.SECP256R1()).private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption())
+    elif name == "der-bytes.pem":
+        data = raw
+    elif name == "empty.pem":
+        data = b""
     else:
         pem = (tmp_path / "bundle" / "certs.pem").read_text()
         block = pem[:pem.index("-----END CERTIFICATE-----\n") + 26]
