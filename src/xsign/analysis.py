@@ -69,7 +69,6 @@ class Run:
     anchors: frozenset[str]                  # every root ever in a store
     revocations: RevocationIndex
     every_source: RevocationView             # accepts every source
-    ca_sources: tuple[str, ...]              # the CA-CRL sources, sorted
     views: tuple[RevocationView, ...]        # in the order given
     operator_map: Optional[OperatorMap]
     options: AnalysisOptions
@@ -95,8 +94,6 @@ def build_run(records: Sequence[CertRecord],
     run = Run(
         index=index, stores=stores, anchors=combined_anchors(stores),
         revocations=revocations, every_source=all_sources_view(revocations),
-        ca_sources=tuple(sorted({r.source.name for r in revocations
-                                 if r.source.kind == "ca_crl"})),
         views=tuple(views), operator_map=operator_map, options=options,
         extensions=extensions, explanations=frozenset(explanations),
         lint_at=max((snapshot.effective_date for store in stores

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -156,9 +156,6 @@ class CertRecord:
     def ca_capable(self) -> bool:
         """May act as an issuer: declared CA, or self-signed X509v1 legacy."""
         return self.is_ca or (self.legacy_v1 and self.self_signed)
-
-    def without_raw(self) -> "CertRecord":
-        return replace(self, raw=None) if self.raw is not None else self
 
 
 # Interchange field names are part of the on-disk contract; unknown keys in

@@ -18,8 +18,8 @@ from . import intervals
 from .certmodel import CertRecord
 from .constants import CATEGORIES, SEVERITY
 from .pathengine import CertIndex, PathEnumeration, TrustAssessment
-from .revocation import (COVERAGE_VIEW_ID, IssuerSerial, RevocationIndex,
-                         RevocationView, matching_records, revocation_onset)
+from .revocation import (COVERAGE_VIEW_ID, RevocationView, matching_records,
+                         revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
 from .truststore import RootStoreTimeline, combined_anchors, rule_blocks_path
 from .xsdetect import XSCertGroup, overlap_days
@@ -54,11 +54,6 @@ class Finding:
             "members": list(self.members),
             "evidence": self.evidence,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Finding":
-        return cls(obj["category"], obj["severity"], obj["subject"],
-                   obj["spki"], tuple(obj["members"]), obj["evidence"])
 
 
 def _finding(category: str, group: XSCertGroup, evidence: dict) -> Finding:
@@ -410,26 +405,14 @@ def find_backdating(group: XSCertGroup, index: CertIndex,
 
 # --- revocation inconsistencies ----------------------------------------------
 
-def _source_can_cover(source_name: str, member: CertRecord,
-                      revocations: RevocationIndex) -> bool:
-    # A CA CRL can only list certificates of issuers it speaks for.
-    for rec in revocations:
-        if rec.source.name != source_name:
-            continue
-        if not isinstance(rec.selector, IssuerSerial):
-            return True
-        if rec.selector.issuer == member.issuer:
-            return True
-    return False
-
-
 def find_revocation_inconsistency(group: XSCertGroup,
                                   run: Run) -> list[Finding]:
     """Revoked-member sets differ across scopes (each vendor source, the CA
     CRLs together, each of the run's views in the order given), a revoked
     member has an unrevoked overlapping sibling, or siblings were revoked
     with a lag."""
-    index, revocations, ca_sources = run.index, run.revocations, run.ca_sources
+    index, revocations = run.index, run.revocations
+    ca_sources = revocations.ca_sources
     members = [index.get(fp) for fp in group.members]
     relevant = [r for m in members
                 for r in matching_records(m, run.every_source, revocations)]
@@ -466,7 +449,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
         for member in members:
             if member.fingerprint in onsets:
                 continue
-            if crls and not any(_source_can_cover(src, member, revocations)
+            if crls and not any(revocations.can_list(src, member)
                                 for src in crls):
                 continue
             overlapping = [fp for fp in onsets

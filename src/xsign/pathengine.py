@@ -345,22 +345,25 @@ def path_trust(path: TrustPath, index: CertIndex, store: RootStoreTimeline,
 def merge(trusts: Iterable[Optional[tuple]]) -> list[TrustInterval]:
     """The maximal intervals in which some of `path_trust`'s results keeps
     trust (None entries are skipped), each with the chains that support it
-    and the causes of the events at its end."""
+    and the causes at its end: the events there of the supporting chains
+    whose own trust ends there."""
     trusts = [trust for trust in trusts if trust is not None]
     if not trusts:
         return []
     out: list[TrustInterval] = []
     for start, end in intervals.normalize(
             [iv for _, allowed, _ in trusts for iv in allowed]):
-        supporting = sorted(
-            {chain for chain, allowed, _ in trusts
-             if intervals.intersect(allowed, [(start, end)])},
-            key=lambda c: (len(c), c))
+        supporting = [(chain, allowed, events)
+                      for chain, allowed, events in trusts
+                      if intervals.intersect(allowed, [(start, end)])]
         causes = sorted({tuple(sorted(cause.items()))
-                         for _, _, events in trusts
+                         for _, allowed, events in supporting
+                         if any(e == end for _, e in allowed)
                          for at, cause in events if at == end})
         out.append(TrustInterval(
-            start=start, end=end, paths=supporting,
+            start=start, end=end,
+            paths=sorted({chain for chain, _, _ in supporting},
+                         key=lambda c: (len(c), c)),
             blocked_by=[dict(c) for c in causes]))
     return out
 

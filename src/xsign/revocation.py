@@ -177,14 +177,29 @@ class RevocationIndex:
     """The revocations of one run, keyed by what their selectors name: a
     certificate's fingerprint, its SPKI digest, or its (issuer, serial).
     Iterates over the records in load order. Built once per run, so that a
-    lookup costs three dict probes instead of a scan of every record."""
+    lookup costs three dict probes instead of a scan of every record. The
+    same pass records the CA-CRL source names, sorted, and which issuers
+    each source name can list."""
 
     def __init__(self, records: Iterable[RevocationRecord]):
         self._records = list(records)
         self._by_key: dict[tuple, list[tuple[int, RevocationRecord]]] = {}
+        # Per source name, the issuers its issuer-and-serial records name,
+        # or None once one of its records selects by key or fingerprint.
+        self._issuers: dict[str, Optional[set[NormalizedName]]] = {}
+        ca_sources = set()
         for position, record in enumerate(self._records):
             self._by_key.setdefault(record.selector.key, []).append(
                 (position, record))
+            name = record.source.name
+            if record.source.kind == "ca_crl":
+                ca_sources.add(name)
+            issuers = self._issuers.setdefault(name, set())
+            if not isinstance(record.selector, IssuerSerial):
+                self._issuers[name] = None
+            elif issuers is not None:
+                issuers.add(record.selector.issuer)
+        self.ca_sources = tuple(sorted(ca_sources))
 
     def __iter__(self):
         return iter(self._records)
@@ -202,6 +217,13 @@ class RevocationIndex:
                  for hit in self._by_key.get(key, ())]
         found.sort(key=lambda hit: hit[0])
         return [record for _, record in found]
+
+    def can_list(self, source_name: str, cert: CertRecord) -> bool:
+        """Whether the source's list can hold `cert`: a CA CRL lists only
+        certificates of the issuers it speaks for, while a list that selects
+        by key or fingerprint can hold any certificate."""
+        issuers = self._issuers.get(source_name, ())
+        return issuers is None or cert.issuer in issuers
 
 
 def matching_records(cert: CertRecord, view: RevocationView,

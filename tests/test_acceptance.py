@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 from datetime import timedelta
 
+import oracles
 from xsign.analysis import AnalysisOptions, analyze_corpus, build_run
 from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
 from xsign.findings import find_revocation_inconsistency
@@ -136,39 +137,6 @@ def test_criterion_04_overlap_boundary_sweep():
     _ok(4, "overlap sweep 0..365: re-issuance below 121, cross-sign from 121")
 
 
-def _oracle_paths(cert, records, anchors, maxlen):
-    found = set()
-
-    def dfs(chain, spkis):
-        cur = chain[-1]
-        if cur.self_signed or cur.fingerprint in anchors:
-            found.add(tuple(c.fingerprint for c in chain))
-        if len(chain) >= maxlen:
-            return
-        for parent in records:
-            if parent.subject == cur.issuer and parent.spki_digest not in spkis:
-                dfs(chain + [parent], spkis | {parent.spki_digest})
-
-    dfs([cert], {cert.spki_digest})
-    return found
-
-
-def _usable(chain, records):
-    """A chain (fingerprints, leaf first) whose members share a validity
-    window and whose issuers are CAs within their path lengths, counting
-    the non-self-issued intermediates below each. The random corpora carry
-    no name constraints."""
-    certs = [records[fp] for fp in chain]
-    if max(c.not_before for c in certs) >= min(c.not_after for c in certs):
-        return False
-    for pos, ca in enumerate(certs[1:], start=1):
-        below = sum(1 for c in certs[1:pos] if c.subject != c.issuer)
-        if not ca.ca_capable or (ca.path_len_constraint is not None
-                                 and below > ca.path_len_constraint):
-            return False
-    return True
-
-
 def test_criterion_05_enumeration_oracle_and_scale(figure1):
     index = build_index(figure1.records)
     anchors = combined_anchors(figure1.stores)
@@ -189,9 +157,9 @@ def test_criterion_05_enumeration_oracle_and_scale(figure1):
         for record in bundle.records:
             got = {p.chain for p in enumerate_paths(
                 record, idx, max_depth=60, anchors=anch).paths}
-            want = {chain for chain in _oracle_paths(
-                record, bundle.records, anch, 60)
-                if _usable(chain, idx.records)}
+            chains, _ = oracles.chains(record, bundle.records, anch, 60)
+            want = {tuple(r.fingerprint for r in chain) for chain in chains
+                    if oracles.usable(chain)}
             assert got == want
 
     big = generate(ScenarioSpec("random", seed=9, mode="structural",
@@ -207,28 +175,6 @@ def test_criterion_05_enumeration_oracle_and_scale(figure1):
            f"match the DFS oracle; 10,000-cert corpus in {elapsed:.1f}s < 60s")
 
 
-def _oracle_xs_keys(records, overlap_min):
-    xs_keys, re_keys = set(), set()
-    qualifying = {}
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            a, b = records[i], records[j]
-            if a.subject != b.subject or a.spki_digest != b.spki_digest:
-                continue
-            if a.issuer == b.issuer:
-                continue
-            key = (a.subject, a.spki_digest)
-            start = max(a.not_before, b.not_before)
-            end = min(a.not_after, b.not_after)
-            days = int((end - start).total_seconds() // 86400) if start < end else 0
-            qualifying.setdefault(key, False)
-            if days >= overlap_min:
-                qualifying[key] = True
-    for key, has_pair in qualifying.items():
-        (xs_keys if has_pair else re_keys).add(key)
-    return xs_keys, re_keys
-
-
 def test_criterion_06_grouping_matches_brute_force():
     rng = random.Random(606)
     for trial in range(100):
@@ -239,7 +185,7 @@ def test_criterion_06_grouping_matches_brute_force():
         assert len(bundle.records) <= 500
         index = build_index(bundle.records)
         xs, re = group_xs(index)
-        want_xs, want_re = _oracle_xs_keys(bundle.records, 121)
+        want_xs, want_re, _ = oracles.groups(bundle.records, 121)
         assert {(g.subject, g.spki_digest) for g in xs} == want_xs, trial
         assert {(g.subject, g.spki_digest) for g in re} == want_re, trial
     _ok(6, "grouping equals the pairwise brute-force oracle on 100 random "

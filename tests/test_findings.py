@@ -1,6 +1,7 @@
 import random
 from datetime import timedelta
 
+import oracles
 import xsign.analysis
 import xsign.pathengine
 from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
@@ -62,46 +63,6 @@ def test_no_finding_when_all_members_revoked_everywhere():
     assert "valid_after_revocation" not in _by_category(result)
 
 
-def _oracle_chains(cert, records, anchors):
-    found = []
-
-    def dfs(chain, spkis):
-        cur = chain[-1]
-        if cur.self_signed or cur.fingerprint in anchors:
-            found.append(tuple(chain))
-        for parent in records:
-            if parent.subject == cur.issuer and parent.spki_digest not in spkis:
-                dfs(chain + [parent], spkis | {parent.spki_digest})
-
-    dfs([cert], {cert.spki_digest})
-    return found
-
-
-def _oracle_trusted_on(chains, store, revocations, view, day):
-    for chain in chains:
-        if not all(r.is_ca for r in chain[1:]):
-            continue
-        if not (max(r.not_before for r in chain) <= day
-                < min(r.not_after for r in chain)):
-            continue
-        roots = frozenset()
-        for snap in store.snapshots:  # linear scan
-            if snap.effective_date <= day:
-                roots = snap.roots
-        if chain[-1].fingerprint not in roots:
-            continue
-        revoked = False
-        for member in chain:
-            for rec in revocations:
-                if (rec.source.name in view.accepted_sources
-                        and rec.matches(member)
-                        and rec.effective_date <= day):
-                    revoked = True
-        if not revoked:
-            return True
-    return False
-
-
 def test_random_pkis_match_daily_sampled_oracle():
     rng = random.Random(31337)
     for trial in range(8):
@@ -125,9 +86,12 @@ def test_random_pkis_match_daily_sampled_oracle():
 
         for group in result.xs_groups:
             members = [index.get(fp) for fp in group.members]
-            chains = {m.fingerprint: _oracle_chains(m, records, anchors)
-                      for m in members}
+            chains = [chain for m in members
+                      for chain in oracles.chains(m, records, anchors)[0]]
             for view in views:
+                revoked = [oracles.revocation_instants(chain,
+                                                       bundle.revocations, view)
+                           for chain in chains]
                 events = []
                 for m in members:
                     hits = [r.effective_date for r in bundle.revocations
@@ -150,9 +114,8 @@ def test_random_pkis_match_daily_sampled_oracle():
                 day = first
                 while day < horizon:
                     oracle_says = any(
-                        _oracle_trusted_on(chains[m.fingerprint], store,
-                                           bundle.revocations, view, day)
-                        for m in members)
+                        oracles.trusted_at(chain, rev, store, day)
+                        for chain, rev in zip(chains, revoked))
                     impl_says = any(s <= day < e for s, e in windows)
                     assert impl_says == oracle_says, (trial, key, day)
                     day += timedelta(days=1)

@@ -16,8 +16,6 @@ SEARCHED = (LIBRARY, ROOT / "scripts", ROOT / "perfbench")
 
 # Unreferenced on purpose, one reason each.
 ALLOWED = {
-    "without_raw": "test helper: the interchange round-trip test compares "
-                   "a parsed record with its JSON twin through it",
     "XS_EXTENSION_OID": "the README gives its value as the motivation "
                         "extension's identifier",
 }

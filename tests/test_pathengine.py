@@ -4,77 +4,21 @@ import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from xsign import intervals
-from xsign.certmodel import dns_identities, record_from_json
+from xsign.certmodel import record_from_json
+from xsign.constants import DEFAULT_MAX_DEPTH
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 from xsign.pathengine import (PathEnumeration, assess_paths, assess_trust,
                               build_index, enumerate_paths, merge, path_trust,
                               select_stores)
-from xsign.revocation import (RevocationIndex, RevocationView,
-                              all_sources_view, matching_records)
+from xsign.revocation import RevocationIndex, RevocationView, all_sources_view
 from xsign.timeutil import DT_MAX, utc
 from xsign.truststore import (RootStoreTimeline, UnknownStore, combined_anchors,
                               rule_blocks_path)
-
-
-def oracle_chains(cert, records, anchors, max_depth=64):
-    """Brute-force DFS with an explicit visited set of key digests: every
-    name-matching chain (records, leaf first) ending at a terminal record,
-    and whether the depth bound cut off a further parent."""
-    found = []
-    truncated = False
-
-    def dfs(chain, spkis):
-        nonlocal truncated
-        cur = chain[-1]
-        if cur.self_signed or cur.fingerprint in anchors:
-            found.append(tuple(chain))
-        parents = [p for p in records
-                   if p.subject == cur.issuer and p.spki_digest not in spkis]
-        if parents and len(chain) >= max_depth:
-            truncated = True
-            return
-        for parent in parents:
-            dfs(chain + [parent], spkis | {parent.spki_digest})
-
-    dfs([cert], {cert.spki_digest})
-    return found, truncated
-
-
-def _within(identity, subtree):
-    return identity == subtree or identity.endswith("." + subtree)
-
-
-def oracle_usable(chain, strict=False):
-    """RFC 5280 path checks over a chain of records, leaf first: a common
-    validity window, CA-capable issuers, no exceeded path length (counting
-    the non-self-issued intermediates below each CA), and no DNS name below
-    a CA outside its permitted or inside its excluded subtrees, for
-    critical name constraints or, in strict mode, any."""
-    if max(c.not_before for c in chain) >= min(c.not_after for c in chain):
-        return False
-    for pos, ca in enumerate(chain[1:], start=1):
-        if not ca.ca_capable:
-            return False
-        intermediates = [c for c in chain[1:pos] if c.subject != c.issuer]
-        if (ca.path_len_constraint is not None
-                and len(intermediates) > ca.path_len_constraint):
-            return False
-        nc = ca.name_constraints
-        if nc is None or not (nc.critical or strict):
-            continue
-        permitted = [s.value for s in nc.permitted if s.kind == "dns"]
-        excluded = [s.value for s in nc.excluded if s.kind == "dns"]
-        for below in chain[:pos]:
-            for name in dns_identities(below):
-                if permitted and not any(_within(name, p) for p in permitted):
-                    return False
-                if any(_within(name, e) for e in excluded):
-                    return False
-    return True
 
 
 def fingerprints(chain):
@@ -153,9 +97,9 @@ def test_random_dags_match_dfs_oracle():
         for record in records:
             result = enumerate_paths(record, index, max_depth=64,
                                      anchors=anchors)
-            chains, _ = oracle_chains(record, records, anchors)
+            chains, _ = oracles.chains(record, records, anchors)
             assert {p.chain for p in result.paths} == {
-                fingerprints(c) for c in chains if oracle_usable(c)}, \
+                fingerprints(c) for c in chains if oracles.usable(c)}, \
                 record.fingerprint
             assert result.roots == {c[-1].fingerprint for c in chains}, \
                 record.fingerprint
@@ -453,52 +397,74 @@ _DAG_CONSTRAINTS = (
     {"permitted": [{"kind": "dns", "value": "a.example"}], "excluded": []},
     {"permitted": [], "excluded": [{"kind": "dns", "value": "a.example"}]},
 )
+# A DAG record's fields besides its names, each with its values; a
+# repeated value is a weight.
+_DAG_RECORD_FIELDS = {
+    "key": range(4), "start": range(2010, 2017), "length": range(1, 5),
+    "is_ca": (True, True, False), "path_len": (None, 0, 1),
+    "nc": _DAG_CONSTRAINTS, "critical": (False, True),
+    "self_signed": (False, True), "unknown_critical": (False, False, True),
+    "anchor": (False, True),
+}
 
 
 @st.composite
-def _dag_records(draw):
-    """Up to 7 metadata records over 4 names and 4 keys: shared names make
+def _dags(draw):
+    """Up to 7 metadata records over 4 names and 4 keys, the fingerprints
+    anchored among them, a depth bound and a mode: shared names make
     cross-signs and mutual pairs, a record naming itself as issuer is a
-    self-loop, and windows over a few years are sometimes disjoint."""
-    records = []
+    self-loop, and windows over a few years are sometimes disjoint.
+
+    A record is three draws: its subject, its issuer, and 4 uniform bytes
+    for its other fields. One draw per field made the generator cost more
+    than the test. The names stay separate draws because hypothesis often
+    repeats a drawn value, which links records into chains, loops and
+    mutual pairs. The depth bound comes from one more byte: as its own
+    integer draw, hypothesis tended to pair the bound 1 with trivial
+    records, whose enumerations it cannot truncate."""
+    records, anchors = [], set()
     for i in range(draw(st.integers(1, 7))):
         subject = draw(st.sampled_from(_DAG_NAMES))
         issuer = draw(st.sampled_from(_DAG_NAMES))
-        start = draw(st.integers(2010, 2016))
-        nc = draw(st.sampled_from(_DAG_CONSTRAINTS))
+        # The bytes read as a mixed-radix number, one digit per field.
+        value = int.from_bytes(draw(st.binary(min_size=4, max_size=4)), "big")
+        f = {}
+        for name, choices in _DAG_RECORD_FIELDS.items():
+            value, pick = divmod(value, len(choices))
+            f[name] = choices[pick]
         records.append(record_from_json({
             "fingerprint": f"{i:064x}", "subject": subject, "issuer": issuer,
-            "spki": f"{draw(st.integers(0, 3)):064x}", "serial": str(i),
-            "not_before": f"{start}-01-01T00:00:00Z",
-            "not_after": f"{start + draw(st.integers(1, 4))}-01-01T00:00:00Z",
-            "is_ca": draw(st.sampled_from((True, True, False))),
-            "path_len": draw(st.sampled_from((None, 0, 1))),
-            "name_constraints": nc and {**nc, "critical": draw(st.booleans())},
-            "self_signed": subject == issuer and draw(st.booleans()),
-            "unknown_critical": draw(st.sampled_from((False, False, True))),
+            "spki": f"{f['key']:064x}", "serial": str(i),
+            "not_before": f"{f['start']}-01-01T00:00:00Z",
+            "not_after": f"{f['start'] + f['length']}-01-01T00:00:00Z",
+            "is_ca": f["is_ca"], "path_len": f["path_len"],
+            "name_constraints": f["nc"] and {**f["nc"],
+                                             "critical": f["critical"]},
+            "self_signed": subject == issuer and f["self_signed"],
+            "unknown_critical": f["unknown_critical"],
         }))
-    return records
+        if f["anchor"]:
+            anchors.add(records[-1].fingerprint)
+    max_depth = 1 + draw(st.binary(min_size=1, max_size=1))[0] % 6
+    mode = draw(st.sampled_from(("structural", "strict")))
+    return records, frozenset(anchors), max_depth, mode
 
 
 @settings(max_examples=1000, deadline=None)
-@given(records=_dag_records(), data=st.data(),
-       max_depth=st.integers(1, 6),
-       mode=st.sampled_from(("structural", "strict")))
-def test_paths_and_roots_match_oracle_on_random_dags(records, data, max_depth,
-                                                     mode):
+@given(dag=_dags())
+def test_paths_and_roots_match_oracle_on_random_dags(dag):
+    records, anchors, max_depth, mode = dag
     index = build_index(records)
-    anchors = frozenset(data.draw(st.sets(st.sampled_from(
-        [r.fingerprint for r in records]))))
     for record in records:
         result = enumerate_paths(record, index, max_depth=max_depth,
                                  mode=mode, anchors=anchors)
-        chains, truncated = oracle_chains(record, records, anchors, max_depth)
+        chains, truncated = oracles.chains(record, records, anchors, max_depth)
         # Strict mode builds no chain with an unknown critical extension.
         built = [c for c in chains
                  if mode != "strict" or not any(r.unknown_critical for r in c)]
         assert [p.chain for p in result.paths] == sorted(
             (fingerprints(c) for c in built
-             if oracle_usable(c, strict=mode == "strict")),
+             if oracles.usable(c, strict=mode == "strict")),
             key=lambda chain: (len(chain), chain))
         assert result.roots == {c[-1].fingerprint for c in built}
         assert result.truncated == truncated
@@ -511,19 +477,58 @@ def test_paths_and_roots_match_oracle_on_random_dags(records, data, max_depth,
 _SECOND = timedelta(seconds=1)
 
 
-def _trusted_at(chains, revoked_from, store, t):
-    """The instant oracle: whether some chain (records, leaf first) is
-    valid at `t`, ends in a root of the store's snapshot at `t`, has no
-    member revoked at or before `t` (`revoked_from`: each chain's matching
-    revocation dates) and is blocked by no distrust rule at `t`."""
-    roots = store.active_roots(t)
-    return any(
-        max(r.not_before for r in chain) <= t < min(r.not_after for r in chain)
-        and chain[-1].fingerprint in roots
-        and not any(at <= t for at in revoked)
-        and not any(rule_blocks_path(rule, chain, t)
-                    for rule in store.distrust_rules)
-        for chain, revoked in zip(chains, revoked_from))
+def _sampled_rows(bundle):
+    """Each certificate, view and store of `bundle`, under the all-sources
+    view and each of the bundle's own (also one that shares its id), with
+    the assessed intervals, the certificate's usable chains from the chain
+    oracle, each with its revocation instants in the view, and the sorted
+    instants the answer can change at and one second either side."""
+    index = build_index(bundle.records)
+    anchors = combined_anchors(bundle.stores)
+    revocations = RevocationIndex(bundle.revocations)
+    views = [all_sources_view(bundle.revocations), *bundle.views]
+    dates = {rec.effective_date for rec in bundle.revocations}
+    for store in bundle.stores:
+        dates |= {snap.effective_date for snap in store.snapshots}
+        dates |= {at for rule in store.distrust_rules
+                  for at in (rule.effective_from, rule.issued_after)}
+    for cert in bundle.records:
+        found, truncated = oracles.chains(cert, bundle.records, anchors,
+                                          DEFAULT_MAX_DEPTH)
+        chains = [chain for chain in found if oracles.usable(chain)]
+        enumeration = enumerate_paths(cert, index, anchors=anchors)
+        assert enumeration.truncated == truncated, cert.fingerprint
+        bounds = dates | {at for chain in chains
+                          for at in (max(r.not_before for r in chain),
+                                     min(r.not_after for r in chain))}
+        for view in views:
+            revoked = [oracles.revocation_instants(chain, bundle.revocations,
+                                                   view)
+                       for chain in chains]
+            assessment = assess_paths(cert, enumeration, index, bundle.stores,
+                                      revocations, view)
+            for store in bundle.stores:
+                rows = assessment.stores[store.store_id]
+                instants = sorted({at + step
+                                   for at in bounds | {b for ti in rows
+                                                       for b in (ti.start,
+                                                                 ti.end)}
+                                   for step in (-_SECOND, timedelta(0),
+                                                _SECOND)
+                                   if at < DT_MAX})
+                yield (cert, view, store, rows, list(zip(chains, revoked)),
+                       instants)
+
+
+def _check_instants(bundle):
+    """An instant lies in an assessed interval iff some chain makes the
+    certificate trusted at that instant."""
+    for cert, view, store, rows, chains, instants in _sampled_rows(bundle):
+        for t in instants:
+            assert any(ti.start <= t < ti.end for ti in rows) == any(
+                oracles.trusted_at(chain, revoked, store, t)
+                for chain, revoked in chains), \
+                (cert.fingerprint, view.consumer_id, store.store_id, t)
 
 
 @pytest.mark.parametrize("scenario_id, seed", [
@@ -531,45 +536,13 @@ def _trusted_at(chains, revoked_from, store, t):
     *(("random", seed) for seed in (1, 2, 3))])
 def test_assessed_intervals_match_an_instant_oracle(scenario_id, seed):
     """Every certificate, view and store: an instant lies in an assessed
-    interval iff some enumerated path makes the certificate trusted at that
-    instant, sampled at every bound the answer can change at and one second
-    either side."""
+    interval iff some chain makes the certificate trusted at that instant,
+    sampled at every bound the answer can change at and one second either
+    side."""
     params = {"n": 80, "revocation_rate": 0.2} \
         if scenario_id == "random" else {}
-    bundle = generate(ScenarioSpec(scenario_id, seed=seed, params=params))
-    index = build_index(bundle.records)
-    anchors = combined_anchors(bundle.stores)
-    revocations = RevocationIndex(bundle.revocations)
-    views = {v.consumer_id: v for v in (all_sources_view(bundle.revocations),
-                                        *bundle.views)}
-    dates = {rec.effective_date for rec in bundle.revocations}
-    for store in bundle.stores:
-        dates |= {snap.effective_date for snap in store.snapshots}
-        dates |= {at for rule in store.distrust_rules
-                  for at in (rule.effective_from, rule.issued_after)}
-    for cert in bundle.records:
-        enumeration = enumerate_paths(cert, index, anchors=anchors)
-        chains = [[index.get(fp) for fp in path.chain]
-                  for path in enumeration.paths]
-        bounds = dates | {at for path in enumeration.paths
-                          for at in path.validity}
-        for view in views.values():
-            revoked_from = [[rec.effective_date for member in chain
-                             for rec in matching_records(member, view,
-                                                         revocations)]
-                            for chain in chains]
-            assessment = assess_paths(cert, enumeration, index, bundle.stores,
-                                      revocations, view)
-            for store in bundle.stores:
-                found = assessment.intervals_for(store.store_id)
-                instants = {at + step
-                            for at in bounds | {b for iv in found for b in iv}
-                            for step in (-_SECOND, timedelta(0), _SECOND)
-                            if at < DT_MAX}
-                for t in sorted(instants):
-                    assert any(start <= t < end for start, end in found) == \
-                        _trusted_at(chains, revoked_from, store, t), \
-                        (cert.fingerprint, view.consumer_id, store.store_id, t)
+    _check_instants(generate(ScenarioSpec(scenario_id, seed=seed,
+                                          params=params)))
 
 
 def _check_merge_of_path_trusts(bundle, subsets):
@@ -636,6 +609,9 @@ def test_assessed_paths_and_causes_match_the_inputs(scenario_id, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(20, 80))
+# Seed 25 holds an interval whose end is also the expiry of a member of a
+# chain that does not support it.
+@example(seed=25, n=80)
 def test_assessed_paths_and_causes_match_the_inputs_with_dense_cross_signs(
         seed, n):
     # The scenarios above hold no certificate with two trust intervals in
@@ -645,78 +621,101 @@ def test_assessed_paths_and_causes_match_the_inputs_with_dense_cross_signs(
         "n": n, "xs_rate": 0.5, "revocation_rate": 0.2})))
 
 
+def test_a_distrust_rule_ends_trust_at_its_effective_date():
+    # No scenario ends a trust interval at a distrust rule: here the rule
+    # takes effect inside the leaf's trusted interval.
+    from xsign.corpus import PkiBuilder, ScenarioDef
+    b = PkiBuilder("distrust-mid-interval")
+    b.root("root", "CN=Root, O=T", nb=utc(2010), na=utc(2040))
+    b.ca("ica", "CN=Issuing CA, O=T", issuer="root", nb=utc(2012),
+         na=utc(2030))
+    b.leaf("early", "CN=early.example, O=T", issuer="ica", nb=utc(2014),
+           na=utc(2020))
+    b.leaf("late", "CN=late.example, O=T", issuer="ica", nb=utc(2016),
+           na=utc(2020))
+    d = ScenarioDef(b)
+    rule = {"anchors": ["root"], "issued_after": utc(2015),
+            "effective_from": utc(2017), "description": "root: late leaves"}
+    d.store("web", "web", [(utc(2010), ["root"])], rules=[rule])
+    d.view("none")
+    bundle = d.realize(ScenarioSpec("distrust-mid-interval"))
+    index = build_index(bundle.records)
+    early, late = (assess_trust(bundle.record(label), index, bundle.stores,
+                                bundle.revocations, bundle.views[0])
+                   for label in ("early", "late"))
+    # The leaf issued before the rule's cutoff keeps its trust.
+    assert early.intervals_for("web") == [(utc(2014), utc(2020))]
+    assert late.intervals_for("web") == [(utc(2016), utc(2017))]
+    assert late.stores["web"][0].blocked_by == [
+        {"kind": "distrust_rule", "description": "root: late leaves"}]
+    _check_instants(bundle)
+    _check_paths_and_causes(bundle)
+
+
 def _check_paths_and_causes(bundle):
     """Every certificate, view and store of `bundle`, at the instants the
     interval oracle samples: an interval lists a chain iff that chain alone
     makes the certificate trusted at some sampled instant inside it, and
     every interval that ends names a cause, each of which the inputs
-    confirm."""
-    index = build_index(bundle.records)
-    anchors = combined_anchors(bundle.stores)
-    revocations = RevocationIndex(bundle.revocations)
-    views = {v.consumer_id: v for v in (all_sources_view(bundle.revocations),
-                                        *bundle.views)}
-    dates = {rec.effective_date for rec in bundle.revocations}
-    for store in bundle.stores:
-        dates |= {snap.effective_date for snap in store.snapshots}
-        dates |= {at for rule in store.distrust_rules
-                  for at in (rule.effective_from, rule.issued_after)}
-    for cert in bundle.records:
-        enumeration = enumerate_paths(cert, index, anchors=anchors)
-        chains = {path.chain: [index.get(fp) for fp in path.chain]
-                  for path in enumeration.paths}
-        bounds = dates | {at for path in enumeration.paths
-                          for at in path.validity}
-        for view in views.values():
-            revoked_from = {chain: [rec.effective_date for member in records
-                                    for rec in matching_records(member, view,
-                                                                revocations)]
-                            for chain, records in chains.items()}
-            assessment = assess_paths(cert, enumeration, index, bundle.stores,
-                                      revocations, view)
-            for store in bundle.stores:
-                found = assessment.stores[store.store_id]
-                instants = sorted({at + step
-                                   for at in bounds | {b for ti in found
-                                                       for b in (ti.start,
-                                                                 ti.end)}
-                                   for step in (-_SECOND, timedelta(0),
-                                                _SECOND)
-                                   if at < DT_MAX})
-                for ti in found:
-                    where = (cert.fingerprint, view.consumer_id,
-                             store.store_id, ti.start)
-                    inside = [t for t in instants if ti.start <= t < ti.end]
-                    assert ti.paths == sorted(
-                        (chain for chain, records in chains.items()
-                         if any(_trusted_at([records], [revoked_from[chain]],
-                                            store, t) for t in inside)),
-                        key=lambda c: (len(c), c)), where
-                    if ti.end == DT_MAX:
-                        continue
-                    assert ti.blocked_by, where
-                    for cause in ti.blocked_by:
-                        assert _confirms(cause, ti.end, index, store, view,
-                                         revocations), (where, cause)
+    confirm and each of which names a member or the root of a listed chain
+    whose own trust ends there."""
+    records = {r.fingerprint: r for r in bundle.records}
+    for cert, view, store, rows, chains, instants in _sampled_rows(bundle):
+        for ti in rows:
+            where = (cert.fingerprint, view.consumer_id, store.store_id,
+                     ti.start)
+            inside = [t for t in instants if ti.start <= t < ti.end]
+            supporting = [(chain, revoked) for chain, revoked in chains
+                          if any(oracles.trusted_at(chain, revoked, store, t)
+                                 for t in inside)]
+            assert ti.paths == sorted(
+                (fingerprints(chain) for chain, _ in supporting),
+                key=lambda c: (len(c), c)), where
+            if ti.end == DT_MAX:
+                continue
+            assert ti.blocked_by, where
+            ending = [chain for chain, revoked in supporting
+                      if oracles.trusted_at(chain, revoked, store,
+                                            ti.end - _SECOND)
+                      and not oracles.trusted_at(chain, revoked, store,
+                                                 ti.end)]
+            for cause in ti.blocked_by:
+                assert _confirms(cause, ti.end, records, store, view,
+                                 bundle.revocations), (where, cause)
+                assert any(_names(cause, chain, store, ti.end)
+                           for chain in ending), (where, cause)
 
 
-def _confirms(cause, end, index, store, view, revocations):
+def _confirms(cause, end, records, store, view, revocations):
     """Whether the inputs show that `cause` can end trust at `end`."""
     kind = cause["kind"]
     if kind == "path_expiry":
-        return index.get(cause["member"]).not_after == end
+        return records[cause["member"]].not_after == end
     if kind == "revocation":
         return any(rec.source.name == cause["source"]
                    and (rec.reason or "") == cause["reason"]
                    and rec.effective_date == end
-                   for rec in matching_records(index.get(cause["member"]),
-                                               view, revocations))
+                   and rec.source.name in view.accepted_sources
+                   and rec.matches(records[cause["member"]])
+                   for rec in revocations)
     if kind == "distrust_rule":
         return any(rule.description == cause["description"]
                    and rule.effective_from == end
                    for rule in store.distrust_rules)
     if kind == "store_removal":
         return (cause["store"] == store.store_id
-                and cause["root"] in store.active_roots(end - _SECOND)
-                and cause["root"] not in store.active_roots(end))
+                and cause["root"] in oracles.roots_at(store, end - _SECOND)
+                and cause["root"] not in oracles.roots_at(store, end))
     return False
+
+
+def _names(cause, chain, store, end):
+    """Whether `cause` names a member or the root of `chain` (records,
+    leaf first), or a distrust rule that blocks it at `end`."""
+    if cause["kind"] == "store_removal":
+        return cause["root"] == chain[-1].fingerprint
+    if cause["kind"] == "distrust_rule":
+        return any(rule.description == cause["description"]
+                   and rule_blocks_path(rule, chain, end)
+                   for rule in store.distrust_rules)
+    return cause["member"] in fingerprints(chain)

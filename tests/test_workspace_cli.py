@@ -15,7 +15,7 @@ from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                             build_run)
 from xsign.cli import main
 from xsign.corpus import ScenarioSpec, generate
-from xsign.findings import Finding, find_revocation_inconsistency
+from xsign.findings import find_revocation_inconsistency
 from xsign.workspace import Workspace
 from xsign.xsext import ExpandingTrust, XsExtension, lint_cross_sign
 
@@ -258,7 +258,8 @@ def test_golden_certinomis_findings(tmp_path, capsys):
     golden = Path(__file__).parent / "golden" / "certinomis_findings.jsonl"
     assert got == golden.read_bytes()
     for line in got.decode().splitlines():
-        assert Finding.from_json(json.loads(line)).to_json() == json.loads(line)
+        assert sorted(json.loads(line)) == ["category", "evidence", "members",
+                                            "severity", "spki", "subject"]
 
 
 def test_unknown_store_filter(tmp_path, capsys):

@@ -4,6 +4,7 @@ from datetime import timedelta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.pathengine import build_index
 from xsign.timeutil import utc
@@ -67,31 +68,6 @@ def test_same_issuer_renewal_is_not_a_group():
     assert not xs and not re
 
 
-def oracle_groups(records, overlap_min):
-    """O(n^2) pairwise scan; groups keyed by (subject, key digest)."""
-    keys = {}
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            if a.subject != b.subject or a.spki_digest != b.spki_digest:
-                continue
-            if a.issuer == b.issuer:
-                continue
-            key = (a.subject, a.spki_digest)
-            start = max(a.not_before, b.not_before)
-            end = min(a.not_after, b.not_after)
-            days = max(0, int((end - start).total_seconds() // 86400)) \
-                if start < end else 0
-            entry = keys.setdefault(key, {"pairs": set(), "qualifying": set()})
-            entry["pairs"].add((a.fingerprint, b.fingerprint))
-            if days >= overlap_min:
-                entry["qualifying"].add(
-                    tuple(sorted((a.fingerprint, b.fingerprint))))
-    xs_keys, re_keys = set(), set()
-    for key, entry in keys.items():
-        (xs_keys if entry["qualifying"] else re_keys).add(key)
-    return xs_keys, re_keys, keys
-
-
 def test_group_detection_matches_pairwise_oracle():
     rng = random.Random(99)
     for trial in range(30):
@@ -102,11 +78,11 @@ def test_group_detection_matches_pairwise_oracle():
                                                "mutual_pairs": trial % 2}))
         index = build_index(bundle.records)
         xs, re = group_xs(index)
-        xs_keys, re_keys, details = oracle_groups(bundle.records, 121)
+        xs_keys, re_keys, qualifying = oracles.groups(bundle.records, 121)
         assert {(g.subject, g.spki_digest) for g in xs} == xs_keys
         assert {(g.subject, g.spki_digest) for g in re} == re_keys
         for group in xs:
-            oracle_pairs = details[(group.subject, group.spki_digest)]["qualifying"]
+            oracle_pairs = qualifying[(group.subject, group.spki_digest)]
             got_pairs = {tuple(sorted((p.a, p.b)))
                          for p in group.qualifying_pairs}
             assert got_pairs == oracle_pairs
