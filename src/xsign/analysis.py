@@ -25,7 +25,7 @@ from . import xsext
 from .certmodel import CertRecord
 from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
                         DEFAULT_OVERLAP_MIN_DAYS)
-from .findings import AssessmentSet, Finding, Paths
+from .findings import Assessments, Finding, Paths
 from .pathengine import (CertIndex, PathEnumeration, TrustAssessment,
                          assess_paths, build_index, check_options,
                          enumerate_paths)
@@ -120,7 +120,7 @@ class AssessmentRows:
     enumeration the depth bound cut short; it is complete once the rows
     have been read."""
 
-    def __init__(self, run: Run, paths: Paths, assessments: AssessmentSet):
+    def __init__(self, run: Run, paths: Paths, assessments: Assessments):
         self._inputs = (run, paths, assessments)
         self.truncated: list[str] = []
 
@@ -131,7 +131,7 @@ class AssessmentRows:
         return self._stream(*inputs)
 
     def _stream(self, run: Run, paths: Paths,
-                assessments: AssessmentSet) -> Iterator[TrustAssessment]:
+                assessments: Assessments) -> Iterator[TrustAssessment]:
         views = sorted(run.views, key=lambda v: v.consumer_id)
         for record in run.index.sorted_records():
             fp = record.fingerprint
@@ -142,8 +142,7 @@ class AssessmentRows:
                                      run.stores, run.revocations, view)
                         for view in views)
             else:
-                rows = (assessments.get(fp, view.consumer_id)
-                        for view in views)
+                rows = (assessments[fp, view.consumer_id] for view in views)
             if enumeration.truncated:
                 self.truncated.append(fp)
             yield from rows
@@ -152,14 +151,13 @@ class AssessmentRows:
 @dataclass
 class AnalysisResult:
     """`assessments` holds the cross-sign members' assessments only, under
-    every view and the coverage view; `rows` yields every certificate's."""
-    index: CertIndex
+    every view and the coverage view, keyed by (fingerprint, view id);
+    `rows` yields every certificate's."""
     xs_groups: list[XSCertGroup]
     reissuance_groups: list[XSCertGroup]
-    assessments: AssessmentSet
+    assessments: Assessments
     rows: AssessmentRows
     findings: list[Finding]
-    views: list[RevocationView]
     verdicts: list[xsext.LintVerdict]
     truncated_members: list[str]
 
@@ -189,14 +187,14 @@ def analyze_corpus(records: Sequence[CertRecord],
     members = {fp: run.index.get(fp)
                for group in xs_groups for fp in group.members}
     paths = {fp: _enumerate(run, record) for fp, record in members.items()}
-    assessments = AssessmentSet(
-        assess_paths(record, paths[fp], run.index, run.stores,
-                     run.revocations, view)
+    assessments = {
+        (fp, view.consumer_id): assess_paths(record, paths[fp], run.index,
+                                             run.stores, run.revocations, view)
         for view in (COVERAGE_VIEW, *run.views)
-        for fp, record in members.items())
+        for fp, record in members.items()}
 
     all_findings = findings_mod.run_all(xs_groups, run, assessments, paths)
-    covered = {fp: assessments.covered_stores(fp, COVERAGE_VIEW_ID)
+    covered = {fp: assessments[fp, COVERAGE_VIEW_ID].covered_stores()
                for fp in members}
     inconsistent = {(f.subject, f.spki) for f in all_findings
                     if f.category == "revocation_inconsistency"}
@@ -206,20 +204,21 @@ def analyze_corpus(records: Sequence[CertRecord],
              group, run, covered, group.key in inconsistent)),
         key=lambda v: (v.code, v.member, v.detail))
     return AnalysisResult(
-        index=run.index, xs_groups=xs_groups, reissuance_groups=reissuance,
+        xs_groups=xs_groups, reissuance_groups=reissuance,
         assessments=assessments,
         rows=AssessmentRows(run, paths, assessments),
-        findings=all_findings, views=list(views), verdicts=verdicts,
+        findings=all_findings, verdicts=verdicts,
         truncated_members=[fp for fp in members if paths[fp].truncated])
 
 
 def lint_corpus(records: Sequence[CertRecord],
                 stores: Sequence[RootStoreTimeline],
                 revocations: Sequence[RevocationRecord],
-                extensions: Mapping[str, xsext.XsExtension],
                 views: Sequence[RevocationView],
                 operator_map: Optional[OperatorMap] = None,
                 options: AnalysisOptions = AnalysisOptions(),
+                extensions: Mapping[str,
+                                    xsext.XsExtension] = _NO_EXTENSIONS,
                 explanations: Sequence[str] = ()
                 ) -> tuple[list[xsext.LintVerdict], list[str]]:
     """Lint every cross-sign group: `analyze_corpus`, whose rows are never

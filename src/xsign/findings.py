@@ -32,6 +32,8 @@ DEFAULT_BACKDATING_SLACK_DAYS = 365
 # Enumerated paths keyed by certificate fingerprint; built once per
 # analysis run with its depth bound, mode and anchors.
 Paths = Mapping[str, PathEnumeration]
+# Trust assessments keyed by (certificate fingerprint, view id).
+Assessments = Mapping[tuple[str, str], TrustAssessment]
 
 
 @dataclass(frozen=True)
@@ -67,38 +69,14 @@ def _finding(category: str, group: XSCertGroup, evidence: dict) -> Finding:
     )
 
 
-class AssessmentSet:
-    """Trust assessments keyed by (certificate fingerprint, view id)."""
-
-    def __init__(self, items: Iterable[TrustAssessment] = ()):
-        self._by_key: dict[tuple[str, str], TrustAssessment] = {}
-        for item in items:
-            self.add(item)
-
-    def add(self, assessment: TrustAssessment):
-        self._by_key[(assessment.fingerprint, assessment.view_id)] = assessment
-
-    def get(self, fingerprint: str, view_id: str) -> Optional[TrustAssessment]:
-        return self._by_key.get((fingerprint, view_id))
-
-    def trusted(self, fingerprint: str, view_id: str,
-                store_id: str) -> list[intervals.Interval]:
-        item = self.get(fingerprint, view_id)
-        return item.intervals_for(store_id) if item else []
-
-    def union_trusted(self, fingerprints: Iterable[str], view_id: str,
-                      store_id: str) -> list[intervals.Interval]:
-        out: list[intervals.Interval] = []
-        for fp in fingerprints:
-            out.extend(self.trusted(fp, view_id, store_id))
-        return intervals.normalize(out)
-
-    def covered_stores(self, fingerprint: str, view_id: str) -> set[str]:
-        item = self.get(fingerprint, view_id)
-        return item.covered_stores() if item else set()
-
-    def all(self) -> list[TrustAssessment]:
-        return [self._by_key[k] for k in sorted(self._by_key)]
+def _union_trusted(assessments: Assessments, fingerprints: Iterable[str],
+                   view_id: str, store_id: str) -> list[intervals.Interval]:
+    """The instants at which any of the certificates is trusted in the
+    store under the view."""
+    out: list[intervals.Interval] = []
+    for fp in fingerprints:
+        out.extend(assessments[fp, view_id].intervals_for(store_id))
+    return intervals.normalize(out)
 
 
 def _iv_json(items: list[intervals.Interval]) -> list[dict]:
@@ -141,7 +119,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
 
 
 def find_valid_after_revocation(group: XSCertGroup, run: Run,
-                                assessments: AssessmentSet,
+                                assessments: Assessments,
                                 paths: Paths) -> list[Finding]:
     """One finding per (view, store) where a member is revoked, rule-blocked
     or store-removed at t while the group's key stays trusted afterwards
@@ -156,8 +134,8 @@ def find_valid_after_revocation(group: XSCertGroup, run: Run,
                     member, view, store, run, paths))
             if not events:
                 continue
-            trusted = assessments.union_trusted(group.members, view.consumer_id,
-                                                store.store_id)
+            trusted = _union_trusted(assessments, group.members,
+                                     view.consumer_id, store.store_id)
             windows = []
             hits = []
             for event in sorted(events, key=lambda e: (e["at"], e["kind"], e["member"])):
@@ -197,47 +175,45 @@ def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
     return "nc_critical" if all(f == "nc_critical" for f in flags) else "nc_noncritical"
 
 
-def find_barrier_breach(groups: Sequence[XSCertGroup], run: Run,
-                        assessments: AssessmentSet,
+def find_barrier_breach(group: XSCertGroup, run: Run,
+                        assessments: Assessments,
                         paths: Paths) -> list[Finding]:
     """A member reaches a store class the group's earliest member (its
     native anchoring) never reaches, under the coverage view. Empty native
     coverage is bootstrapping territory, not a breach."""
     index, view_id = run.index, COVERAGE_VIEW_ID
     class_of = {s.store_id: s.store_class for s in run.stores}
+    members = group.chronological(index)
+    native = members[0]
+    native_stores = assessments[native.fingerprint, view_id].covered_stores()
+    native_classes = {class_of[s] for s in native_stores}
+    if not native_classes:
+        return []
     findings = []
-    for group in groups:
-        members = group.chronological(index)
-        native = members[0]
-        native_stores = assessments.covered_stores(native.fingerprint, view_id)
-        native_classes = {class_of[s] for s in native_stores}
-        if not native_classes:
+    for member in members[1:]:
+        covered = assessments[member.fingerprint, view_id].covered_stores()
+        new_stores = {s for s in covered if class_of[s] not in native_classes}
+        if not new_stores:
             continue
-        for member in members[1:]:
-            covered = assessments.covered_stores(member.fingerprint, view_id)
-            new_stores = {s for s in covered
-                          if class_of[s] not in native_classes}
-            if not new_stores:
-                continue
-            target_roots = combined_anchors(
-                st for st in run.stores if st.store_id in new_stores)
-            mitigation = _path_nc_mitigation(member, index, paths, target_roots)
-            findings.append(_finding("barrier_breach", group, {
-                "member": member.fingerprint,
-                "native_member": native.fingerprint,
-                "native_classes": sorted(native_classes),
-                "breached_classes": sorted({class_of[s] for s in new_stores}),
-                "breached_stores": sorted(new_stores),
-                "view": view_id,
-                "mitigation": mitigation,
-            }))
+        target_roots = combined_anchors(
+            st for st in run.stores if st.store_id in new_stores)
+        mitigation = _path_nc_mitigation(member, index, paths, target_roots)
+        findings.append(_finding("barrier_breach", group, {
+            "member": member.fingerprint,
+            "native_member": native.fingerprint,
+            "native_classes": sorted(native_classes),
+            "breached_classes": sorted({class_of[s] for s in new_stores}),
+            "breached_stores": sorted(new_stores),
+            "view": view_id,
+            "mitigation": mitigation,
+        }))
     return findings
 
 
 # --- trust deltas: bootstrapping / expansion / extension / alternatives ----
 
 def find_trust_deltas(group: XSCertGroup, run: Run,
-                      assessments: AssessmentSet,
+                      assessments: Assessments,
                       paths: Paths) -> list[Finding]:
     """Exactly one finding per XS group under the coverage view, with
     precedence: new stores beat longer validity beat alternative paths; a
@@ -254,10 +230,10 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
         new_stores: list[str] = []
         extensions: dict[str, list[dict]] = {}
         for sid in store_ids:
-            own = assessments.trusted(member.fingerprint, view_id, sid)
+            own = assessments[member.fingerprint, view_id].intervals_for(sid)
             if not own:
                 continue
-            rest_cover = assessments.union_trusted(rest, view_id, sid)
+            rest_cover = _union_trusted(assessments, rest, view_id, sid)
             if not rest_cover:
                 new_stores.append(sid)
             else:
@@ -486,24 +462,24 @@ def find_revocation_inconsistency(group: XSCertGroup,
 # --- orchestration -----------------------------------------------------------
 
 def run_all(groups: Sequence[XSCertGroup], run: Run,
-            assessments: AssessmentSet, paths: Paths) -> list[Finding]:
-    """Run every analyzer over the cross-sign groups; deterministic order
-    (category, then group key).
+            assessments: Assessments, paths: Paths) -> list[Finding]:
+    """Run every analyzer over each cross-sign group; the findings are
+    sorted by category, subject, key and evidence.
 
-    `paths` holds every member's enumerated paths, the ones the
-    assessments were built from. The barrier-breach and trust-delta
-    analyzers read the assessments under the revocation-free coverage
-    view."""
+    `assessments` holds every member's assessment under every view and the
+    revocation-free coverage view, which the barrier-breach and
+    trust-delta analyzers read; `paths` holds the enumerated paths they
+    were built from."""
     findings: list[Finding] = []
     for group in groups:
         findings.extend(find_valid_after_revocation(
             group, run, assessments, paths))
+        findings.extend(find_barrier_breach(group, run, assessments, paths))
         findings.extend(find_trust_deltas(group, run, assessments, paths))
         findings.extend(find_multi_algorithm(group, run.index, paths))
         findings.extend(find_ownership_span(group, run))
         findings.extend(find_backdating(group, run.index))
         findings.extend(find_revocation_inconsistency(group, run))
-    findings.extend(find_barrier_breach(groups, run, assessments, paths))
     findings.sort(key=lambda f: (CATEGORIES.index(f.category),
                                  f.subject, f.spki,
                                  json.dumps(f.evidence, sort_keys=True)))

@@ -55,9 +55,6 @@ def attr_oid(attr_type: str) -> str:
     return short
 
 
-RDN = frozenset  # of (oid, normalized value) pairs
-
-
 @dataclass(frozen=True)
 class NormalizedName:
     """Ordered sequence of RDNs, each a set of (attribute OID, value) pairs."""

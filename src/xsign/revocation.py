@@ -82,9 +82,6 @@ class RevocationRecord:
     effective_date: datetime
     reason: Optional[str] = None
 
-    def matches(self, cert: CertRecord) -> bool:
-        return self.selector.matches(cert)
-
     def to_json(self) -> dict:
         if isinstance(self.selector, IssuerSerial):
             sel = {"type": "issuer_serial", "issuer": str(self.selector.issuer),
@@ -208,9 +205,9 @@ class RevocationIndex:
         return len(self._records)
 
     def candidates(self, cert: CertRecord) -> list[RevocationRecord]:
-        """The records whose selector key is one of the certificate's (the
-        keys `IssuerSerial`, `SpkiDigest` and `Fingerprint` give), in load
-        order; `matching_records` applies the selectors."""
+        """The records whose selectors match the certificate, in load
+        order: those whose selector key is one of the certificate's (the
+        keys `IssuerSerial`, `SpkiDigest` and `Fingerprint` give)."""
         found = [hit for key in (("fingerprint", cert.fingerprint),
                                  ("spki", cert.spki_digest),
                                  ("issuer_serial", cert.issuer, cert.serial))
@@ -229,8 +226,7 @@ class RevocationIndex:
 def matching_records(cert: CertRecord, view: RevocationView,
                      revocations: RevocationIndex) -> list[RevocationRecord]:
     """Accepted records matching the certificate, regardless of date."""
-    hits = [r for r in revocations.candidates(cert)
-            if view.accepts(r) and r.matches(cert)]
+    hits = [r for r in revocations.candidates(cert) if view.accepts(r)]
     hits.sort(key=lambda r: (r.effective_date, r.source.name))
     return hits
 

@@ -100,7 +100,8 @@ def revocation_instants(chain, revocations, view):
     accepts and that match a member of `chain`, by a linear scan: computed
     once per chain and view, and passed to `trusted_at`."""
     return [rec.effective_date for member in chain for rec in revocations
-            if rec.source.name in view.accepted_sources and rec.matches(member)]
+            if rec.source.name in view.accepted_sources
+            and rec.selector.matches(member)]
 
 
 def roots_at(store, t):

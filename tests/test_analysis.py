@@ -63,7 +63,8 @@ def test_only_one_non_member_is_alive_at_a_time(corpus, monkeypatch):
     # coverage view, and no other certificate is enumerated or assessed.
     del built[:]
     lint_corpus(corpus.records, corpus.stores, corpus.revocations,
-                corpus.extensions, corpus.views, corpus.operator_map)
+                corpus.views, corpus.operator_map,
+                extensions=corpus.extensions)
     enumerated = [fp for name, fp, _ in built if name == "enumerate_paths"]
     assessed = [fp for name, fp, _ in built if name == "assess_paths"]
     assert sorted(enumerated) == sorted(members)
@@ -132,8 +133,9 @@ def test_each_fact_of_a_run_is_built_once(corpus, monkeypatch):
 
     del every_source_views[:], unions[:], inconsistency_runs[:]
     verdicts, _ = lint_corpus(corpus.records, corpus.stores,
-                              corpus.revocations, corpus.extensions,
-                              corpus.views, corpus.operator_map)
+                              corpus.revocations, corpus.views,
+                              corpus.operator_map,
+                              extensions=corpus.extensions)
     assert verdicts == result.verdicts
     assert (len(every_source_views), len(unions),
             len(inconsistency_runs)) == (1, 1, groups)

@@ -220,8 +220,8 @@ def test_each_issuer_edge_is_verified_once(figure1_crypto, monkeypatch):
     options = AnalysisOptions(mode="cryptographic")
     analyze_corpus(b.records, b.stores, b.revocations, b.views,
                    b.operator_map, options)
-    lint_corpus(b.records, b.stores, b.revocations, b.extensions, b.views,
-                b.operator_map, options)
+    lint_corpus(b.records, b.stores, b.revocations, b.views,
+                b.operator_map, options, b.extensions)
     # Paths, groups and lint ask for the same edges many times over.
     assert sum(requested.values()) > len(requested)
     assert verified == Counter(dict.fromkeys(requested, 1))

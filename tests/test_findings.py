@@ -10,7 +10,8 @@ from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
 from xsign.pathengine import build_index
-from xsign.revocation import IssuerSerial, RevocationRecord, RevocationSource
+from xsign.revocation import (IssuerSerial, RevocationRecord,
+                              RevocationSource, RevocationView)
 from xsign.timeutil import parse_rfc3339, utc
 from xsign.truststore import combined_anchors
 from xsign.xsdetect import group_xs
@@ -70,12 +71,21 @@ def test_random_pkis_match_daily_sampled_oracle():
             "random", seed=31000 + trial, mode="structural",
             params={"n": 30, "xs_rate": 0.6, "revocation_rate": 0.35,
                     "mutual_pairs": 0}))
-        result = _analyzed(bundle)
-        index = result.index
+        # The scenario's `all` view accepts no source, so the windows are
+        # compared under a view that accepts every source as well.
+        every_source = RevocationView(
+            "every-source",
+            frozenset(r.source.name for r in bundle.revocations))
+        views = [v for v in bundle.views if v.consumer_id == "all"]
+        views.append(every_source)
+        result = analyze_corpus(bundle.records, bundle.stores,
+                                bundle.revocations,
+                                [*bundle.views, every_source],
+                                bundle.operator_map)
+        index = build_index(bundle.records)
         anchors = combined_anchors(bundle.stores)
         records = bundle.records
         store = bundle.stores[0]
-        views = [v for v in bundle.views if v.consumer_id == "all"]
         impl = {}
         for f in result.findings:
             if f.category != "valid_after_revocation":
@@ -96,7 +106,7 @@ def test_random_pkis_match_daily_sampled_oracle():
                 for m in members:
                     hits = [r.effective_date for r in bundle.revocations
                             if r.source.name in view.accepted_sources
-                            and r.matches(m)]
+                            and r.selector.matches(m)]
                     if hits:
                         events.append(min(hits))
                     for i, snap in enumerate(store.snapshots[:-1]):
@@ -208,8 +218,9 @@ def test_trust_deltas_use_the_analysis_depth_bound(figure1):
                   if r.fingerprint == expansion["member"])
     others = [fp for fp in finding.members if fp != member.fingerprint]
     for store_id in expansion["new_stores"]:
-        native = result.assessments.union_trusted(others, COVERAGE_VIEW_ID,
-                                                  store_id)
+        native = [iv for fp in others
+                  for iv in result.assessments[fp, COVERAGE_VIEW_ID]
+                  .intervals_for(store_id)]
         assert not any(s <= member.not_before < e for s, e in native)
 
 
@@ -232,12 +243,13 @@ def test_analysis_enumerates_each_certificate_once(figure1, monkeypatch):
     members = sorted(fp for group in result.xs_groups for fp in group.members)
     assert 0 < len(members) < len(figure1.records)
     # Coverage is assessed for the cross-sign members only.
-    assert sorted(a.fingerprint for a in result.assessments.all()
-                  if a.view_id == COVERAGE_VIEW_ID) == members
+    assert sorted(fp for fp, view_id in result.assessments
+                  if view_id == COVERAGE_VIEW_ID) == members
 
     calls.clear()
     lint_corpus(figure1.records, figure1.stores, figure1.revocations,
-                figure1.extensions, figure1.views, figure1.operator_map)
+                figure1.views, figure1.operator_map,
+                extensions=figure1.extensions)
     assert sorted(calls) == members
 
 
@@ -466,5 +478,6 @@ def test_finding_windows_replay_through_assessments(actalis):
         for w in f.evidence["window"]:
             start = parse_rfc3339(w["from"])
             mid = start + (parse_rfc3339(w["to"]) - start) / 2
-            trusted = result.assessments.union_trusted(f.members, view, store)
-            assert any(s <= mid < e for s, e in trusted)
+            assert any(s <= mid < e for fp in f.members
+                       for s, e in result.assessments[fp, view]
+                       .intervals_for(store))

@@ -27,8 +27,8 @@ def _outputs(bundle, records, revocations, stores, max_depth: int) -> dict:
                             bundle.operator_map, options, bundle.extensions)
     rows = [row.to_json() for row in result.rows]
     verdicts, lint_truncated = lint_corpus(
-        records, stores, revocations, bundle.extensions, bundle.views,
-        bundle.operator_map, options)
+        records, stores, revocations, bundle.views, bundle.operator_map,
+        options, bundle.extensions)
     return {
         "groups": [g.to_json() for g in result.xs_groups],
         "reissuance": [g.to_json() for g in result.reissuance_groups],

@@ -696,7 +696,7 @@ def _confirms(cause, end, records, store, view, revocations):
                    and (rec.reason or "") == cause["reason"]
                    and rec.effective_date == end
                    and rec.source.name in view.accepted_sources
-                   and rec.matches(records[cause["member"]])
+                   and rec.selector.matches(records[cause["member"]])
                    for rec in revocations)
     if kind == "distrust_rule":
         return any(rule.description == cause["description"]

@@ -90,17 +90,19 @@ def test_spki_matches_superset_of_fingerprint_selector(figure1):
     fp_rec = RevocationRecord(RevocationSource("vendor", "l"),
                               Fingerprint(i5.fingerprint), utc(2016))
     for cert in figure1.records:
-        if fp_rec.matches(cert):
-            assert spki_rec.matches(cert)
-    assert spki_rec.matches(i5x) and not fp_rec.matches(i5x)
+        if fp_rec.selector.matches(cert):
+            assert spki_rec.selector.matches(cert)
+    assert spki_rec.selector.matches(i5x)
+    assert not fp_rec.selector.matches(i5x)
 
 
 def test_issuer_serial_selector_is_exact(figure1):
     i5 = figure1.record("I5")
     rec = RevocationRecord(RevocationSource("ca_crl", "crl"),
                            IssuerSerial(i5.issuer, i5.serial), utc(2016))
-    assert rec.matches(i5)
-    assert not rec.matches(figure1.record("I5x"))  # same subject, other issuer
+    assert rec.selector.matches(i5)
+    # Same subject, other issuer.
+    assert not rec.selector.matches(figure1.record("I5x"))
 
 
 def test_sources_gate_acceptance(actalis):
@@ -151,7 +153,8 @@ def test_index_lookup_equals_linear_scan(certs, records, views):
     assert list(index) == records and len(index) == len(records)
     for cert in certs:
         for view in views:
-            scan = [r for r in records if view.accepts(r) and r.matches(cert)]
+            scan = [r for r in records
+                    if view.accepts(r) and r.selector.matches(cert)]
             scan.sort(key=lambda r: (r.effective_date, r.source.name))
             assert matching_records(cert, view, index) == scan
             assert revocation_onset(cert, view, index) == (

@@ -57,8 +57,9 @@ def cold_lint_digest(scenario_id: str) -> str:
     """The lint report's digest from `lint_corpus`, the cold-lint route."""
     bundle = _bundle(scenario_id)
     verdicts, _ = lint_corpus(bundle.records, bundle.stores,
-                              bundle.revocations, bundle.extensions,
-                              bundle.views, bundle.operator_map)
+                              bundle.revocations, bundle.views,
+                              bundle.operator_map,
+                              extensions=bundle.extensions)
     return _digest(reports.lint_jsonl(verdicts))
 
 

@@ -603,14 +603,14 @@ def _lint_from_full_analysis(ws: Workspace, options: AnalysisOptions):
     revocations, operator_map = ws.load_revocations(), ws.load_operator_map()
     result = analyze_corpus(records, stores, revocations, ws.load_views(),
                             operator_map, options)
-    run, _, _ = build_run(records, stores, revocations, result.views,
+    run, _, _ = build_run(records, stores, revocations, ws.load_views(),
                           operator_map, options, ws.load_extensions(),
                           ws.load_explanations())
     verdicts = []
     for group in result.xs_groups:
         verdicts.extend(lint_cross_sign(
             group, run,
-            {fp: result.assessments.covered_stores(fp, COVERAGE_VIEW_ID)
+            {fp: result.assessments[fp, COVERAGE_VIEW_ID].covered_stores()
              for fp in group.members},
             bool(find_revocation_inconsistency(group, run))))
     verdicts.sort(key=lambda v: (v.code, v.member, v.detail))

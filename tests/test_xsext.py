@@ -290,8 +290,9 @@ def test_v7_unexplained_inconsistency():
 def test_letsencrypt_bundle_lints_clean_until_inclusion(letsencrypt):
     from xsign.analysis import lint_corpus
     verdicts, _ = lint_corpus(letsencrypt.records, letsencrypt.stores,
-                              letsencrypt.revocations, letsencrypt.extensions,
-                              letsencrypt.views, letsencrypt.operator_map)
+                              letsencrypt.revocations, letsencrypt.views,
+                              letsencrypt.operator_map,
+                              extensions=letsencrypt.extensions)
     codes = _codes(verdicts)
     assert "V2" not in codes  # the cross-sign carries its declaration
     assert "V3" not in codes  # the subject's root is not in the stores yet
