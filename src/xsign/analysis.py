@@ -30,7 +30,7 @@ from .pathengine import (CertIndex, PathEnumeration, TrustAssessment,
                          assess_paths, build_index, check_options,
                          enumerate_paths)
 from .revocation import (COVERAGE_VIEW_ID, RevocationIndex, RevocationRecord,
-                         RevocationView, all_sources_view, check_view_ids)
+                         RevocationView, check_view_ids)
 from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
 from .xsdetect import XSCertGroup, classify_groups, group_xs
 
@@ -68,7 +68,6 @@ class Run:
     stores: tuple[RootStoreTimeline, ...]    # sorted by store id
     anchors: frozenset[str]                  # every root ever in a store
     revocations: RevocationIndex
-    every_source: RevocationView             # accepts every source
     views: tuple[RevocationView, ...]        # in the order given
     operator_map: Optional[OperatorMap]
     options: AnalysisOptions
@@ -93,8 +92,8 @@ def build_run(records: Sequence[CertRecord],
     revocations = RevocationIndex(revocations)
     run = Run(
         index=index, stores=stores, anchors=combined_anchors(stores),
-        revocations=revocations, every_source=all_sources_view(revocations),
-        views=tuple(views), operator_map=operator_map, options=options,
+        revocations=revocations, views=tuple(views),
+        operator_map=operator_map, options=options,
         extensions=extensions, explanations=frozenset(explanations),
         lint_at=max((snapshot.effective_date for store in stores
                      for snapshot in store.snapshots), default=None))

@@ -333,7 +333,8 @@ class ScenarioDef:
     operator_spans: list[dict] = field(default_factory=list)
     ownership_events: list[dict] = field(default_factory=list)
     views: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    extension_specs: list[dict] = field(default_factory=list)
+    # (member label, label -> fingerprint map -> the member's extension)
+    extension_specs: list[tuple[str, Callable]] = field(default_factory=list)
     notes: dict[str, str] = field(default_factory=dict)
 
     def store(self, store_id: str, store_class: str,
@@ -397,22 +398,8 @@ class ScenarioDef:
                 from_operator=ev["from"], to_operator=ev["to"],
             ) for ev in self.ownership_events]
             operator_map = OperatorMap(spans, events)
-        extensions = {}
-        for ex in self.extension_specs:
-            motivations = []
-            for mot in ex["motivations"]:
-                if mot["kind"] == "bootstrapping":
-                    motivations.append(Bootstrapping(
-                        bootstrapped_cert=fp[mot["bootstrapped"]],
-                        target_stores=tuple(mot["target_stores"]),
-                        inclusion_request_ref=mot["ref"]))
-                else:
-                    raise ValueError(f"unsupported fixture motivation {mot}")
-            extensions[fp[ex["member"]]] = XsExtension(
-                motivations=tuple(motivations),
-                issuance_timestamps=tuple(
-                    LogTimestamp(log_id, ts)
-                    for log_id, ts in ex.get("timestamps", ())))
+        extensions = {fp[label]: make(fp)
+                      for label, make in self.extension_specs}
         return Bundle(
             scenario_id=spec.scenario_id, seed=spec.seed, mode=spec.mode,
             records=sorted(records.values(), key=lambda r: r.fingerprint),
@@ -658,14 +645,11 @@ def _scn_letsencrypt(spec: ScenarioSpec) -> ScenarioDef:
         {"operator_id": "identrust", "subjects": [
             "CN=DST Root CA X3, O=Digital Signature Trust Co."]},
     ]
-    d.extension_specs = [{
-        "member": "x3_xs",
-        "motivations": [{"kind": "bootstrapping", "bootstrapped": "isrg_root",
-                         "target_stores": ["mozilla", "microsoft"],
-                         "ref": "root-inclusion-ticket-1204656"}],
-        "timestamps": [("ct-log-argon", utc(2016, 3, 17)),
-                       ("ct-log-xenon", utc(2016, 3, 17))],
-    }]
+    d.extension_specs = [("x3_xs", lambda fp: XsExtension(
+        motivations=(Bootstrapping(fp["isrg_root"], ("mozilla", "microsoft"),
+                                   "root-inclusion-ticket-1204656"),),
+        issuance_timestamps=(LogTimestamp("ct-log-argon", utc(2016, 3, 17)),
+                             LogTimestamp("ct-log-xenon", utc(2016, 3, 17)))))]
     d.notes["dates"] = ("cross-sign 2016-03-17 and original 2016-10 per the "
                         "published issuance records; the subject's own root "
                         "is absent from every store in this bundle horizon")

@@ -342,11 +342,11 @@ def find_ownership_span(group: XSCertGroup, run: Run) -> list[Finding]:
 
 # --- backdating ----------------------------------------------------------------
 
-def find_backdating(group: XSCertGroup, index: CertIndex,
-                    slack_days: int = DEFAULT_BACKDATING_SLACK_DAYS) -> list[Finding]:
+def find_backdating(group: XSCertGroup, index: CertIndex) -> list[Finding]:
     """Flags members whose not_before predates their issuer's certificate,
-    and members predating the rest of the group by more than the slack while
-    their issuing CA's certificate post-dates them."""
+    and members predating the rest of the group by more than
+    `DEFAULT_BACKDATING_SLACK_DAYS` while their issuing CA's certificate
+    post-dates them."""
     members = [index.get(fp) for fp in group.members]
     findings = []
     for member in members:
@@ -365,7 +365,8 @@ def find_backdating(group: XSCertGroup, index: CertIndex,
         earliest_other = min((m.not_before for m in others), default=None)
         if (earliest_other is not None and issuer_nb is not None
                 and issuer_nb > member.not_before
-                and (earliest_other - member.not_before) > timedelta(days=slack_days)):
+                and (earliest_other - member.not_before)
+                > timedelta(days=DEFAULT_BACKDATING_SLACK_DAYS)):
             gap = (earliest_other - member.not_before).days
             reasons.append({"kind": "predates_group", "gap_days": gap,
                             "earliest_sibling": format_rfc3339(earliest_other)})
@@ -390,8 +391,7 @@ def find_revocation_inconsistency(group: XSCertGroup,
     index, revocations = run.index, run.revocations
     ca_sources = revocations.ca_sources
     members = [index.get(fp) for fp in group.members]
-    relevant = [r for m in members
-                for r in matching_records(m, run.every_source, revocations)]
+    relevant = [r for m in members for r in revocations.candidates(m)]
     if not relevant:
         return []
 

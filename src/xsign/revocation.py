@@ -104,6 +104,8 @@ class RevocationRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "RevocationRecord":
         sel = obj["selector"]
+        if not isinstance(sel, dict):
+            raise ValueError("selector must be an object")
         sel_type = sel.get("type")
         if sel_type == "issuer_serial":
             selector = IssuerSerial(normalize_name(sel["issuer"]),

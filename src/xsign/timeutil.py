@@ -24,17 +24,18 @@ def to_utc(dt: datetime) -> datetime:
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp ('2017-04-13T00:00:00Z' or with offset).
 
-    A bare date ('2017-04-13') is accepted and means midnight UTC.
+    A bare date ('2017-04-13') is accepted and means midnight UTC. Any
+    other value, a non-string included, raises ValueError.
     """
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
     try:
-        dt = datetime.fromisoformat(text)
-    except ValueError as exc:
+        text = value.strip()  # AttributeError when not a string
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        return to_utc(datetime.fromisoformat(text))
+    except (AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid RFC 3339 timestamp: {value!r}") from exc
-    return to_utc(dt)
 
 
 def format_rfc3339(dt: datetime) -> str:
-    return to_utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # isoformat, unlike strftime's %Y, pads a year below 1000 to 4 digits.
+    return to_utc(dt).isoformat()[:19] + "Z"

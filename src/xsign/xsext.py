@@ -4,13 +4,13 @@ lints.
 The payload is canonical UTF-8 JSON (sorted keys, no insignificant
 whitespace) carried under a fixed private extension identifier, which makes
 round-trips byte-exact. Unknown motivation kinds survive decode/re-encode
-unchanged.
+unchanged; a payload the codec could not re-encode is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Mapping
 
@@ -28,8 +28,27 @@ class MalformedExtension(ValueError):
     pass
 
 
+class Motivation:
+    """A known motivation kind, tagged `kind` in JSON. Each field is
+    declared `str` (a non-blank JSON string) or `tuple[str, ...]` (a
+    non-empty JSON list of strings), and is checked on construction."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str":  # a string, as annotations are postponed
+                ok = isinstance(value, str) and value.strip()
+            else:
+                ok = (isinstance(value, tuple) and value
+                      and all(isinstance(v, str) for v in value))
+            if not ok:
+                raise MalformedExtension(
+                    f"{self.kind} motivation requires {f.name} as a non-empty "
+                    f"{'string' if f.type == 'str' else 'list of strings'}")
+
+
 @dataclass(frozen=True)
-class Bootstrapping:
+class Bootstrapping(Motivation):
     """Motivation: a new root is trusted through an established one."""
 
     bootstrapped_cert: str
@@ -39,7 +58,7 @@ class Bootstrapping:
 
 
 @dataclass(frozen=True)
-class ExpandingTrust:
+class ExpandingTrust(Motivation):
     """Motivation: reach stores the certificate is not yet trusted in."""
 
     target_stores: tuple[str, ...]
@@ -47,7 +66,7 @@ class ExpandingTrust:
 
 
 @dataclass(frozen=True)
-class FallBack:
+class FallBack(Motivation):
     """Motivation: an alternative path should another fail."""
 
     target_stores: tuple[str, ...]
@@ -56,12 +75,16 @@ class FallBack:
 
 
 @dataclass(frozen=True)
-class MultipleAlgorithms:
+class MultipleAlgorithms(Motivation):
     """Motivation: paths with different signature algorithms."""
 
     algorithm_set: tuple[str, ...]
     path_certs: tuple[str, ...]
     kind = "multiple_algorithms"
+
+
+_KINDS = {cls.kind: cls for cls in (Bootstrapping, ExpandingTrust, FallBack,
+                                    MultipleAlgorithms)}
 
 
 @dataclass(frozen=True)
@@ -72,10 +95,7 @@ class OpaqueMotivation:
 
     @property
     def kind(self) -> str:
-        return json.loads(self.payload_json).get("kind", "unknown")
-
-
-Motivation = object
+        return json.loads(self.payload_json)["kind"]
 
 
 @dataclass(frozen=True)
@@ -90,72 +110,36 @@ class LogTimestamp:
 class XsExtension:
     """A cross-sign extension: its motivations and issuance timestamps."""
 
-    motivations: tuple[Motivation, ...]
+    motivations: tuple[Motivation | OpaqueMotivation, ...]
     issuance_timestamps: tuple[LogTimestamp, ...] = ()
 
     def __post_init__(self):
         if not self.motivations:
             raise MalformedExtension("extension requires at least one motivation")
-        for m in self.motivations:
-            if isinstance(m, (Bootstrapping, ExpandingTrust, FallBack)):
-                if not m.target_stores:
-                    raise MalformedExtension(
-                        f"{m.kind} motivation requires target stores")
-            if isinstance(m, MultipleAlgorithms):
-                if not m.algorithm_set:
-                    raise MalformedExtension(
-                        "multiple_algorithms requires an algorithm set")
-                if not m.path_certs:
-                    raise MalformedExtension(
-                        "multiple_algorithms requires path certificates")
-            if isinstance(m, Bootstrapping) and not m.inclusion_request_ref.strip():
-                raise MalformedExtension(
-                    "bootstrapping requires an inclusion request reference")
 
     def log_ids(self) -> frozenset[str]:
         return frozenset(ts.log_id for ts in self.issuance_timestamps)
 
 
-def _motivation_to_obj(m: Motivation) -> dict:
-    if isinstance(m, Bootstrapping):
-        return {"kind": m.kind, "bootstrapped_cert": m.bootstrapped_cert,
-                "target_stores": list(m.target_stores),
-                "inclusion_request_ref": m.inclusion_request_ref}
-    if isinstance(m, ExpandingTrust):
-        return {"kind": m.kind, "target_stores": list(m.target_stores)}
-    if isinstance(m, FallBack):
-        return {"kind": m.kind, "target_stores": list(m.target_stores),
-                "fallback_for": m.fallback_for}
-    if isinstance(m, MultipleAlgorithms):
-        return {"kind": m.kind, "algorithm_set": list(m.algorithm_set),
-                "path_certs": list(m.path_certs)}
+def _motivation_to_obj(m: Motivation | OpaqueMotivation) -> dict:
     if isinstance(m, OpaqueMotivation):
         return json.loads(m.payload_json)
-    raise MalformedExtension(f"unknown motivation object {m!r}")
+    return {"kind": m.kind, **asdict(m)}
 
 
-def _motivation_from_obj(obj: dict) -> Motivation:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise MalformedExtension("motivation requires a 'kind' tag")
-    kind = obj["kind"]
+def _motivation_from_obj(obj) -> Motivation | OpaqueMotivation:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str):
+        raise MalformedExtension("motivation requires a string 'kind' tag")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        return OpaqueMotivation(_canonical(obj))
     try:
-        if kind == "bootstrapping":
-            return Bootstrapping(
-                bootstrapped_cert=str(obj["bootstrapped_cert"]),
-                target_stores=tuple(obj["target_stores"]),
-                inclusion_request_ref=str(obj["inclusion_request_ref"]))
-        if kind == "expanding_trust":
-            return ExpandingTrust(target_stores=tuple(obj["target_stores"]))
-        if kind == "fall_back":
-            return FallBack(target_stores=tuple(obj["target_stores"]),
-                            fallback_for=str(obj["fallback_for"]))
-        if kind == "multiple_algorithms":
-            return MultipleAlgorithms(
-                algorithm_set=tuple(obj["algorithm_set"]),
-                path_certs=tuple(obj["path_certs"]))
+        values = {f.name: obj[f.name] for f in fields(cls)}
     except KeyError as exc:
         raise MalformedExtension(f"{kind} motivation missing {exc}") from exc
-    return OpaqueMotivation(_canonical(obj))
+    return cls(**{name: tuple(v) if isinstance(v, list) else v
+                  for name, v in values.items()})
 
 
 def _canonical(obj) -> str:
@@ -177,21 +161,28 @@ def encode_xs_extension(ext: XsExtension) -> bytes:
 def decode_xs_extension(data: bytes) -> XsExtension:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        _canonical(doc).encode("utf-8")  # fails on a lone surrogate
+    except ValueError as exc:  # also UnicodeError and JSONDecodeError
         raise MalformedExtension(f"undecodable extension payload: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedExtension("extension payload must be a JSON object")
-    motivations = tuple(_motivation_from_obj(m)
-                        for m in doc.get("motivations", []))
+    motivations = doc.get("motivations", [])
+    stamps = doc.get("issuance_timestamps", [])
+    if not (isinstance(motivations, list) and isinstance(stamps, list)):
+        raise MalformedExtension(
+            "motivations and issuance_timestamps must be lists")
     timestamps = []
-    for ts in doc.get("issuance_timestamps", []):
+    for ts in stamps:
         try:
-            timestamps.append(LogTimestamp(str(ts["log_id"]),
+            if not isinstance(ts["log_id"], str):
+                raise TypeError("log_id must be a string")
+            timestamps.append(LogTimestamp(ts["log_id"],
                                            parse_rfc3339(ts["timestamp"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedExtension(f"bad issuance timestamp: {ts!r}") from exc
-    return XsExtension(motivations=motivations,
-                       issuance_timestamps=tuple(timestamps))
+    return XsExtension(
+        motivations=tuple(_motivation_from_obj(m) for m in motivations),
+        issuance_timestamps=tuple(timestamps))
 
 
 # --- linting ------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_each_fact_of_a_run_is_built_once(corpus, monkeypatch):
                           for f in result.findings)
     assert any(v.code == "V7" for v in result.verdicts)
     assert (len(every_source_views), len(unions),
-            len(inconsistency_runs)) == (1, 1, groups)
+            len(inconsistency_runs)) == (0, 1, groups)
 
     del every_source_views[:], unions[:], inconsistency_runs[:]
     verdicts, _ = lint_corpus(corpus.records, corpus.stores,
@@ -138,4 +138,4 @@ def test_each_fact_of_a_run_is_built_once(corpus, monkeypatch):
                               extensions=corpus.extensions)
     assert verdicts == result.verdicts
     assert (len(every_source_views), len(unions),
-            len(inconsistency_runs)) == (1, 1, groups)
+            len(inconsistency_runs)) == (0, 1, groups)

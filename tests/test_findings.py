@@ -3,6 +3,7 @@ from datetime import timedelta
 
 import oracles
 import xsign.analysis
+import xsign.findings
 import xsign.pathengine
 from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                             build_run, lint_corpus)
@@ -359,7 +360,7 @@ def test_not_before_equal_to_issuer_not_flagged():
     assert not findings
 
 
-def test_gap_exactly_slack_not_flagged():
+def test_gap_exactly_slack_not_flagged(monkeypatch):
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
@@ -368,10 +369,11 @@ def test_gap_exactly_slack_not_flagged():
     # The control group's cross-sign predates its sibling by exactly 365
     # days and does not predate its issuer: silent at any slack.
     assert not find_backdating(boundary, index)
-    assert not find_backdating(boundary, index, slack_days=1)
+    monkeypatch.setattr(xsign.findings, "DEFAULT_BACKDATING_SLACK_DAYS", 1)
+    assert not find_backdating(boundary, index)
 
 
-def test_group_gap_comparison_is_strict():
+def test_group_gap_comparison_is_strict(monkeypatch):
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
@@ -379,8 +381,10 @@ def test_group_gap_comparison_is_strict():
               if g.spki_digest == bundle.record("usertrust_ecc").spki_digest)
 
     def group_gap_reasons(slack):
+        monkeypatch.setattr(xsign.findings, "DEFAULT_BACKDATING_SLACK_DAYS",
+                            slack)
         out = set()
-        for f in find_backdating(ut, index, slack_days=slack):
+        for f in find_backdating(ut, index):
             out |= {r["kind"] for r in f.evidence["reasons"]}
         return out
 

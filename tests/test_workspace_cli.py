@@ -89,10 +89,19 @@ _BAD_VIEW_IDS = [
     ("ext.jsonl", {"member": "ab" * 32, "extension": {"motivations": []}}, 1),
     ("explanations.jsonl", {"explained": 5}, 1),
     *[("views.json", {"views": views}, None) for views in _BAD_VIEW_IDS],
+    # Accepted, "web" would be stored as the three stores "w", "e" and "b".
+    ("extensions.jsonl", {"member": "ab" * 32, "extension": {"motivations": [
+        {"kind": "expanding_trust", "target_stores": "web"}]}}, 1),
 ])
 def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
                                                         name, text, line):
     # Ingested, each of these would break every later command.
+    _assert_ingest_rejects(tmp_path, capsys, name, text, line)
+
+
+def _assert_ingest_rejects(tmp_path, capsys, name, text, line):
+    """Ingesting `text` as the file `name` is one schema error, naming the
+    file and `line`, and adds nothing."""
     path = tmp_path / name
     path.write_text(json.dumps(text) + "\n")
     ws_dir = tmp_path / "ws"
@@ -102,6 +111,33 @@ def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
     assert payload["error"] == "schema" and payload["path"] == str(path)
     assert payload.get("line") == line
     assert not any((ws_dir / "config").iterdir())
+    assert not any((ws_dir / "certs").iterdir())
+
+
+_RECORD = {"fingerprint": "ab" * 32, "subject": "CN=x", "issuer": "CN=x",
+           "spki": "cd" * 32, "serial": "1", "not_before": "2015-01-01",
+           "not_after": "2030-01-01", "is_ca": True}
+_REVOCATION = {"source": {"kind": "vendor", "name": "onecrl"},
+               "selector": {"type": "fingerprint", "digest": "ab" * 32},
+               "effective": "2016-01-01"}
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("certs.jsonl", {**_RECORD, "not_before": 5}, 1),
+    ("revocations.jsonl", {**_REVOCATION, "effective": 5}, 1),
+    ("revocations.jsonl", {**_REVOCATION, "selector": 5}, 1),
+    ("stores.json", {"stores": [{"store_id": "s", "snapshots": [
+        {"date": 5, "roots": []}]}]}, None),
+    ("operators.json", {"operators": [{"operator_id": "o",
+                                       "valid_from": 5}]}, None),
+    ("ext.jsonl", {"member": "ab" * 32, "extension": {
+        **_EXPANDING, "issuance_timestamps": [{"log_id": "l",
+                                               "timestamp": 5}]}}, 1),
+], ids=["record-not-before", "revocation-effective", "revocation-selector",
+        "snapshot-date", "operator-valid-from", "extension-timestamp"])
+def test_ingest_rejects_a_non_string_timestamp_or_selector(tmp_path, capsys,
+                                                          name, text, line):
+    _assert_ingest_rejects(tmp_path, capsys, name, text, line)
 
 
 def test_unknown_scenario_exit_code(tmp_path, capsys):

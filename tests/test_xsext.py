@@ -74,6 +74,76 @@ def test_malformed_bytes_rejected():
             b'{"motivations":[{"kind":"bootstrapping","target_stores":["a"]}]}')
 
 
+_STORES = {"kind": "expanding_trust", "target_stores": ["web"]}
+_STAMP = {"log_id": "log-a", "timestamp": "2016-03-17T00:00:00Z"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"motivations": [{**_STORES, "target_stores": "web"}]},
+    {"motivations": [{**_STORES, "target_stores": 5}]},
+    {"motivations": [{**_STORES, "target_stores": ["web", 5]}]},
+    {"motivations": [{"kind": "fall_back", "target_stores": ["web"],
+                      "fallback_for": 5}]},
+    {"motivations": [{"kind": "bootstrapping", "bootstrapped_cert": 5,
+                      "target_stores": ["web"],
+                      "inclusion_request_ref": "ticket-1"}]},
+    {"motivations": [{"kind": [1]}]},
+    {"motivations": [{"kind": 5}]},
+    {"motivations": [{"kind": "quantum_migration\ud800"}]},
+    {"motivations": 5},
+    {"motivations": [_STORES], "issuance_timestamps": 5},
+    {"motivations": [_STORES], "issuance_timestamps": [{**_STAMP,
+                                                        "log_id": 5}]},
+    {"motivations": [_STORES], "issuance_timestamps": [{**_STAMP,
+                                                        "timestamp": 5}]},
+    {"motivations": [_STORES], "issuance_timestamps": [
+        {**_STAMP, "timestamp": "9999-12-31T23:59:59-01:00"}]},
+], ids=["string-for-list", "number-for-list", "number-in-list",
+        "number-for-string", "number-for-fingerprint", "list-kind",
+        "number-kind", "lone-surrogate", "motivations-not-a-list",
+        "timestamps-not-a-list", "number-log-id", "number-timestamp",
+        "timestamp-past-year-9999"])
+def test_decoder_rejects_what_it_cannot_re_encode(doc):
+    with pytest.raises(MalformedExtension):
+        decode_xs_extension(json.dumps(doc).encode())
+
+
+def test_a_timestamp_before_year_1000_round_trips():
+    ext = _ext(ExpandingTrust(("web",)),
+               timestamps=[LogTimestamp("log-a", utc(999, 3, 17))])
+    raw = encode_xs_extension(ext)
+    assert b'"0999-03-17T00:00:00Z"' in raw
+    assert decode_xs_extension(raw) == ext
+
+
+_NAMES = st.sampled_from(
+    ["motivations", "issuance_timestamps", "kind", "log_id", "timestamp",
+     "bootstrapped_cert", "target_stores", "inclusion_request_ref",
+     "fallback_for", "algorithm_set", "path_certs"])
+_TAGS = st.sampled_from(
+    ["bootstrapping", "expanding_trust", "fall_back", "multiple_algorithms",
+     "quantum_migration", "0001-01-01T00:00:00Z", "2016-03-17T00:00:00+01:00",
+     "9999-12-31T23:59:59-01:00"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4) | _TAGS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(st.dictionaries(_NAMES, _JSON, max_size=3))
+def test_any_json_object_decodes_or_is_malformed(doc):
+    """Decoding raises nothing but MalformedExtension, and what it accepts
+    re-encodes to a payload that decodes to the same extension."""
+    try:
+        ext = decode_xs_extension(json.dumps(doc).encode())
+    except MalformedExtension:
+        return
+    assert decode_xs_extension(encode_xs_extension(ext)) == ext
+
+
 def random_extension(rng: random.Random) -> XsExtension:
     def fp():
         return "".join(rng.choice("0123456789abcdef") for _ in range(64))
