@@ -5,10 +5,10 @@ CLI, the scenario scripts, and the test suites.
 There is one route, `analyze_corpus`; `lint_corpus` is that route with
 its assessment rows left unread. It starts from one `Run`, built by
 `build_run`: the index, the stores sorted by id, their anchor union, the
-revocation index, the all-sources view, the CA-CRL source names, the views
-in the order given, the operator map, the options, the extensions and the
-explanations. Each is built once per run, and every analyzer and lint
-reads it from there. The analyzers and the lints read paths and
+revocation index (which also holds the CA-CRL source names), the views in
+the order given, the operator map, the options, the extensions, the
+explanations and the lint instant. Each is built once per run, and every
+analyzer and lint reads it from there. The analyzers and the lints read paths and
 assessments of cross-sign members only, so those are all an analysis
 keeps; every other certificate is enumerated and assessed when its
 assessment rows are read, and dropped after them."""

@@ -113,6 +113,8 @@ class NameConstraints:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NameConstraints":
+        if not isinstance(obj, dict):
+            raise ValueError("name_constraints must be an object")
         return cls(
             permitted=tuple(Subtree.from_json(s) for s in obj.get("permitted", [])),
             excluded=tuple(Subtree.from_json(s) for s in obj.get("excluded", [])),
@@ -193,6 +195,13 @@ def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
         raise MalformedInput(f"interchange record missing {missing}")
     try:
         nc = obj.get("name_constraints")
+        usages = obj.get("key_usages") or []
+        if not (isinstance(usages, list)
+                and all(isinstance(u, str) for u in usages)):
+            raise ValueError("key_usages must be a list of strings")
+        path_len = obj.get("path_len")
+        if path_len is not None and type(path_len) is not int:
+            raise ValueError("path_len must be an integer")
         return CertRecord(
             fingerprint=str(obj["fingerprint"]).lower(),
             subject=normalize_name(obj["subject"]),
@@ -202,9 +211,9 @@ def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
             not_before=parse_rfc3339(obj["not_before"]),
             not_after=parse_rfc3339(obj["not_after"]),
             is_ca=bool(obj["is_ca"]),
-            path_len_constraint=obj.get("path_len"),
+            path_len_constraint=path_len,
             name_constraints=NameConstraints.from_json(nc) if nc else None,
-            key_usages=frozenset(obj.get("key_usages") or ()),
+            key_usages=frozenset(usages),
             signature_algorithm=str(obj.get("sig_alg") or "unknown"),
             self_signed=bool(obj.get("self_signed", False)),
             legacy_v1=bool(obj.get("legacy_v1", False)),

@@ -62,7 +62,7 @@ class Bundle:
     scenario_id: str
     seed: int
     mode: str
-    records: list[CertRecord]
+    records: list[CertRecord]       # in fingerprint order
     stores: list[RootStoreTimeline]
     revocations: list[RevocationRecord]
     operator_map: Optional[OperatorMap]
@@ -82,14 +82,16 @@ class Bundle:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "certs.jsonl", "w", encoding="utf-8") as fh:
-            for record in sorted(self.records, key=lambda r: r.fingerprint):
+            for record in self.records:
                 fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
         if self.mode == "cryptographic":
-            from cryptography.hazmat.primitives.serialization import Encoding
-            from .certmodel import _load_cached
-            with open(out / "certs.pem", "wb") as fh:
-                for record in sorted(self.records, key=lambda r: r.fingerprint):
-                    fh.write(_load_cached(record.raw).public_bytes(Encoding.PEM))
+            import base64  # PEM: the DER's base64 in 64-column lines, RFC 7468
+            with open(out / "certs.pem", "w", encoding="ascii") as fh:
+                for record in self.records:
+                    b64 = base64.b64encode(record.raw).decode("ascii")
+                    fh.write("-----BEGIN CERTIFICATE-----\n")
+                    fh.writelines(b64[i:i + 64] + "\n" for i in range(0, len(b64), 64))
+                    fh.write("-----END CERTIFICATE-----\n")
         with open(out / "stores.json", "w", encoding="utf-8") as fh:
             json.dump({"stores": [s.to_json() for s in self.stores]},
                       fh, sort_keys=True, indent=1)
@@ -118,19 +120,14 @@ class Bundle:
 
 _SIG_DEFAULT = "ecdsa-sha256"
 
-_SIG_TO_KEYTYPE = {
-    "sha1-rsa": "rsa", "sha256-rsa": "rsa", "sha384-rsa": "rsa",
-    "sha512-rsa": "rsa",
-    "ecdsa-sha1": "ec256", "ecdsa-sha256": "ec256", "ecdsa-sha384": "ec384",
-    "ecdsa-sha512": "ec256",
-}
-# Modern toolchains refuse SHA-1 signatures; cryptographic mode substitutes
-# SHA-256 and the parsed record reflects that.
-_SIG_TO_HASH = {
-    "sha1-rsa": "SHA256", "sha256-rsa": "SHA256",
-    "sha384-rsa": "SHA384", "sha512-rsa": "SHA512",
-    "ecdsa-sha1": "SHA256", "ecdsa-sha256": "SHA256",
-    "ecdsa-sha384": "SHA384", "ecdsa-sha512": "SHA512",
+# Signature algorithm -> (key type, hash) in cryptographic mode; an unlisted
+# algorithm gets the default's. Modern toolchains refuse SHA-1 signatures, so
+# SHA-256 stands in for it and the parsed record reflects that.
+_SIG_ALGS = {
+    "sha1-rsa": ("rsa", "SHA256"), "sha256-rsa": ("rsa", "SHA256"),
+    "sha384-rsa": ("rsa", "SHA384"), "sha512-rsa": ("rsa", "SHA512"),
+    "ecdsa-sha1": ("ec256", "SHA256"), "ecdsa-sha256": ("ec256", "SHA256"),
+    "ecdsa-sha384": ("ec384", "SHA384"), "ecdsa-sha512": ("ec256", "SHA512"),
 }
 
 _NAME_OIDS = {"cn": "2.5.4.3", "o": "2.5.4.10", "ou": "2.5.4.11", "c": "2.5.4.6"}
@@ -154,12 +151,20 @@ class _CertSpec:
 
 
 class PkiBuilder:
-    """Declarative synthetic-PKI assembly; realized per mode."""
+    """A scenario declared by label: its certificates and the configs and
+    notes to write beside them, realized per mode by `realize`."""
 
     def __init__(self, scenario_id: str):
         self.scenario_id = scenario_id
         self.specs: dict[str, _CertSpec] = {}
-        self._counter = 0
+        self.store_specs: list[dict] = []
+        self.revocation_specs: list[dict] = []
+        self.operator_spans: list[dict] = []
+        self.ownership_events: list[dict] = []
+        self.views: list[tuple[str, tuple[str, ...]]] = []
+        # (member label, label -> fingerprint map -> the member's extension)
+        self.extension_specs: list[tuple[str, Callable]] = []
+        self.notes: dict[str, str] = {}
 
     def cert(self, label: str, subject: str, *, issuer: Optional[str] = None,
              key: Optional[str] = None, nb: datetime, na: datetime,
@@ -170,12 +175,11 @@ class PkiBuilder:
             raise ValueError(f"duplicate label {label}")
         if issuer is not None and issuer not in self.specs:
             raise ValueError(f"issuer {issuer} not defined before {label}")
-        self._counter += 1
         self.specs[label] = _CertSpec(
             label=label, subject=subject, issuer_label=issuer,
             key_label=key or label, not_before=nb, not_after=na,
             is_ca=is_ca, path_len=path_len, name_constraints=name_constraints,
-            sig_alg=sig_alg, serial=0x1000 + self._counter)
+            sig_alg=sig_alg, serial=0x1001 + len(self.specs))
         return label
 
     def root(self, label: str, subject: str, *, nb: datetime, na: datetime,
@@ -202,6 +206,22 @@ class PkiBuilder:
                          nb=nb, na=na, is_ca=orig.is_ca, path_len=orig.path_len,
                          name_constraints=name_constraints or orig.name_constraints,
                          sig_alg=sig_alg)
+
+    def store(self, store_id: str, store_class: str,
+              snapshots: list[tuple[datetime, list[str]]],
+              rules: list[dict] = ()) -> None:
+        self.store_specs.append({
+            "store_id": store_id, "store_class": store_class,
+            "snapshots": snapshots, "rules": list(rules)})
+
+    def revoke(self, source_kind: str, source_name: str, selector_type: str,
+               label: str, effective: datetime, reason: Optional[str] = None):
+        self.revocation_specs.append({
+            "kind": source_kind, "name": source_name, "type": selector_type,
+            "label": label, "effective": effective, "reason": reason})
+
+    def view(self, consumer_id: str, *sources: str):
+        self.views.append((consumer_id, sources))
 
     # -- realization --
 
@@ -244,7 +264,7 @@ class PkiBuilder:
 
     def _make_key(self, sig_alg: str):
         from cryptography.hazmat.primitives.asymmetric import ec, rsa
-        kind = _SIG_TO_KEYTYPE.get(sig_alg, "ec256")
+        kind, _ = _SIG_ALGS.get(sig_alg, _SIG_ALGS[_SIG_DEFAULT])
         if kind == "rsa":
             return rsa.generate_private_key(65537, 2048)
         if kind == "ec384":
@@ -256,8 +276,9 @@ class PkiBuilder:
         from cryptography.hazmat.primitives import hashes, serialization
         keys: dict[str, object] = {}
         # A key must suit every signature algorithm requested of its owner
-        # as an issuer; the first issuance (or the cert's own algorithm for
-        # never-issuing keys) decides the key type.
+        # as an issuer: its first issuance (else the default) decides its
+        # type. `cert` declares an issuer before its children, so an
+        # issuer's key exists when it signs.
         demanded: dict[str, str] = {}
         for spec in self.specs.values():
             issuer_key = (self.specs[spec.issuer_label].key_label
@@ -269,9 +290,6 @@ class PkiBuilder:
                 keys[spec.key_label] = self._make_key(
                     demanded.get(spec.key_label, _SIG_DEFAULT))
             issuer_spec = self.specs[spec.issuer_label] if spec.issuer_label else spec
-            if issuer_spec.key_label not in keys:
-                keys[issuer_spec.key_label] = self._make_key(
-                    demanded.get(issuer_spec.key_label, _SIG_DEFAULT))
             builder = (x509.CertificateBuilder()
                        .subject_name(self._x509_name(spec.subject))
                        .issuer_name(self._x509_name(issuer_spec.subject))
@@ -299,8 +317,9 @@ class PkiBuilder:
                     x509.NameConstraints(permitted_subtrees=permitted,
                                          excluded_subtrees=excluded),
                     critical=spec.name_constraints.critical)
-            hash_cls = getattr(hashes, _SIG_TO_HASH.get(spec.sig_alg, "SHA256"))
-            cert = builder.sign(keys[issuer_spec.key_label], hash_cls())
+            _, hash_name = _SIG_ALGS.get(spec.sig_alg, _SIG_ALGS[_SIG_DEFAULT])
+            cert = builder.sign(keys[issuer_spec.key_label],
+                                getattr(hashes, hash_name)())
             records[spec.label] = parse_certificate(
                 cert.public_bytes(serialization.Encoding.DER))
         return records
@@ -311,60 +330,16 @@ class PkiBuilder:
         return {label: self._structural_record(spec)
                 for label, spec in self.specs.items()}
 
-
-def _subtree_to_general_name(subtree: Subtree):
-    from cryptography import x509
-    if subtree.kind == "dns":
-        return x509.DNSName(str(subtree.value))
-    if subtree.kind == "dirname":
-        return x509.DirectoryName(PkiBuilder._x509_name(str(subtree.value)))
-    raise ValueError(f"unsupported subtree kind {subtree.kind}")
-
-
-# --- scenario definition layer ---------------------------------------------
-
-@dataclass
-class ScenarioDef:
-    """A scenario's PKI and the configs to write beside it."""
-
-    builder: PkiBuilder
-    store_specs: list[dict] = field(default_factory=list)
-    revocation_specs: list[dict] = field(default_factory=list)
-    operator_spans: list[dict] = field(default_factory=list)
-    ownership_events: list[dict] = field(default_factory=list)
-    views: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    # (member label, label -> fingerprint map -> the member's extension)
-    extension_specs: list[tuple[str, Callable]] = field(default_factory=list)
-    notes: dict[str, str] = field(default_factory=dict)
-
-    def store(self, store_id: str, store_class: str,
-              snapshots: list[tuple[datetime, list[str]]],
-              rules: list[dict] = ()) -> None:
-        self.store_specs.append({
-            "store_id": store_id, "store_class": store_class,
-            "snapshots": snapshots, "rules": list(rules)})
-
-    def revoke(self, source_kind: str, source_name: str, selector_type: str,
-               label: str, effective: datetime, reason: Optional[str] = None):
-        self.revocation_specs.append({
-            "kind": source_kind, "name": source_name, "type": selector_type,
-            "label": label, "effective": effective, "reason": reason})
-
-    def view(self, consumer_id: str, *sources: str):
-        self.views.append((consumer_id, sources))
-
     def realize(self, spec: ScenarioSpec) -> Bundle:
-        records = self.builder.build(spec.mode)
+        records = self.build(spec.mode)
         fp = {label: rec.fingerprint for label, rec in records.items()}
         stores = []
         for st in self.store_specs:
             rules = [DistrustRule(
-                anchors=frozenset(fp[lb] for lb in rule.get("anchors", [])),
-                anchor_subjects=tuple(normalize_name(s)
-                                      for s in rule.get("anchor_subjects", [])),
+                anchors=frozenset(fp[lb] for lb in rule["anchors"]),
                 issued_after=rule["issued_after"],
                 effective_from=rule["effective_from"],
-                description=rule.get("description", ""),
+                description=rule["description"],
             ) for rule in st["rules"]]
             stores.append(RootStoreTimeline(
                 store_id=st["store_id"], store_class=st["store_class"],
@@ -388,9 +363,7 @@ class ScenarioDef:
         if self.operator_spans or self.ownership_events:
             spans = [OperatorSpan(
                 operator_id=sp["operator_id"],
-                subjects=tuple(normalize_name(s) for s in sp.get("subjects", [])),
-                fingerprints=frozenset(fp[lb] for lb in sp.get("labels", [])),
-                valid_from=sp.get("valid_from"), valid_to=sp.get("valid_to"),
+                subjects=tuple(normalize_name(s) for s in sp["subjects"]),
             ) for sp in self.operator_spans]
             events = [OwnershipEvent(
                 date=ev["date"],
@@ -409,9 +382,18 @@ class ScenarioDef:
             extensions=extensions, labels=fp, notes=self.notes)
 
 
+def _subtree_to_general_name(subtree: Subtree):
+    from cryptography import x509
+    if subtree.kind == "dns":
+        return x509.DNSName(str(subtree.value))
+    if subtree.kind == "dirname":
+        return x509.DirectoryName(PkiBuilder._x509_name(str(subtree.value)))
+    raise ValueError(f"unsupported subtree kind {subtree.kind}")
+
+
 # --- named scenarios ----------------------------------------------------------
 
-def _scn_figure1(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_figure1(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     nb, na = utc(2015, 1, 1), utc(2030, 1, 1)
     for i in (1, 2, 3):
@@ -428,15 +410,14 @@ def _scn_figure1(spec: ScenarioSpec) -> ScenarioDef:
     b.leaf("L4", "CN=leaf4.example", issuer="I3", nb=nb, na=na)
     b.leaf("L5", "CN=leaf5.example", issuer="I4", nb=nb, na=na)
     b.leaf("L6", "CN=leaf6.example", issuer="I5", nb=nb, na=na)
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(nb, ["R1", "R2", "R3"])])
-    d.view("all")
-    d.notes["topology"] = ("three CAs; intermediate 5 is cross-signed by "
+    b.store("web1", "web", [(nb, ["R1", "R2", "R3"])])
+    b.view("all")
+    b.notes["topology"] = ("three CAs; intermediate 5 is cross-signed by "
                            "intermediate 4, so leaf 6 validates via two chains")
-    return d
+    return b
 
 
-def _scn_mutual(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_mutual(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     nb, na = utc(2012, 1, 1), utc(2032, 1, 1)
     b.root("R1", "CN=Mutual Root 1, O=PairWise", nb=nb, na=na)
@@ -444,14 +425,13 @@ def _scn_mutual(spec: ScenarioSpec) -> ScenarioDef:
     b.cross_sign("R1x", "R1", issuer="R2", nb=nb, na=na)
     b.cross_sign("R2x", "R2", issuer="R1", nb=nb, na=na)
     b.leaf("L", "CN=mutual-leaf.example", issuer="R1", nb=nb, na=na)
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(nb, ["R1", "R2"])])
-    d.view("all")
-    d.notes["topology"] = "two roots cross-sign each other"
-    return d
+    b.store("web1", "web", [(nb, ["R1", "R2"])])
+    b.view("all")
+    b.notes["topology"] = "two roots cross-sign each other"
+    return b
 
 
-def _scn_certinomis(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_certinomis(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("wosign_root", "CN=Certification Authority of WoSign, O=WoSign CA Limited",
            nb=utc(2006, 8, 1), na=utc(2039, 8, 1))
@@ -469,56 +449,55 @@ def _scn_certinomis(spec: ScenarioSpec) -> ScenarioDef:
            issuer="ica", nb=utc(2016, 11, 1), na=utc(2019, 11, 1))
     b.leaf("leaf_spring", "CN=portal.spring-era.example, O=Customer",
            issuer="ica", nb=utc(2017, 5, 1), na=utc(2019, 5, 1))
-    d = ScenarioDef(b)
     rule = {
         "anchors": ["wosign_root", "startcom_root", "startcom_g3"],
         "issued_after": utc(2016, 10, 21),
         "effective_from": utc(2016, 10, 21),
         "description": "distrust of new WoSign/StartCom-anchored certificates",
     }
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2015, 1, 1), ["wosign_root", "startcom_root", "startcom_g3",
                            "certinomis_root"]),
         (utc(2018, 1, 1), ["certinomis_root"]),
         (utc(2019, 7, 1), []),
     ], rules=[rule])
-    d.store("google", "web", [
+    b.store("google", "web", [
         (utc(2015, 1, 1), ["wosign_root", "startcom_root", "startcom_g3",
                            "certinomis_root"]),
         (utc(2017, 9, 26), ["certinomis_root"]),
     ], rules=[rule])
-    d.revoke("vendor", "onecrl", "issuer_serial", "ica_xs", utc(2017, 9, 26),
+    b.revoke("vendor", "onecrl", "issuer_serial", "ica_xs", utc(2017, 9, 26),
              "cross-sign of banned CA")
-    d.revoke("vendor", "crlset", "issuer_serial", "ica_xs", utc(2017, 9, 26),
+    b.revoke("vendor", "crlset", "issuer_serial", "ica_xs", utc(2017, 9, 26),
              "cross-sign of banned CA")
-    d.revoke("ca_crl", "certinomis-crl", "issuer_serial", "ica_xs",
+    b.revoke("ca_crl", "certinomis-crl", "issuer_serial", "ica_xs",
              utc(2017, 10, 18), "superseded")
-    d.view("mozilla", "onecrl")
-    d.view("google", "crlset")
-    d.view("none")
-    d.operator_spans = [
+    b.view("mozilla", "onecrl")
+    b.view("google", "crlset")
+    b.view("none")
+    b.operator_spans = [
         {"operator_id": "wosign", "subjects": [
             "CN=Certification Authority of WoSign, O=WoSign CA Limited"]},
         {"operator_id": "certinomis", "subjects": [
             "CN=Certinomis - Root CA, O=Certinomis"]},
     ]
-    d.ownership_events = [{
+    b.ownership_events = [{
         "date": utc(2015, 11, 1),
         "subjects": ["CN=StartCom Certification Authority, O=StartCom Ltd.",
                      "CN=StartCom Certification Authority G3, O=StartCom Ltd.",
                      "CN=StartCom EV SSL ICA, O=StartCom Ltd."],
         "from": "startcom", "to": "wosign",
     }]
-    d.notes["dates"] = (
+    b.notes["dates"] = (
         "not-before rule cutoff 2016-10-21 (day from the public timeline); "
         "cross-sign issued 2017-04-13; the September 2017 vendor-list entries "
         "use day 26, matching the only day-precise event that month in the "
         "incident timeline; CA CRL entry 2017-10-18; root removals 2018-01-01 "
         "and mid-2019 as 2019-07-01")
-    return d
+    return b
 
 
-def _scn_diginotar(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_diginotar(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("entrust_root",
            "CN=Entrust.net Secure Server Certification Authority, O=Entrust.net",
@@ -529,30 +508,29 @@ def _scn_diginotar(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2007, 7, 1), na=utc(2013, 8, 1))
     b.leaf("leaf", "CN=www.targeted.example, O=Victim", issuer="dn_root",
            nb=utc(2010, 6, 1), na=utc(2014, 6, 1))
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2008, 1, 1), ["entrust_root", "dn_root"]),
         (utc(2011, 9, 1), ["entrust_root"]),
         (utc(2015, 6, 1), []),
     ])
-    d.store("microsoft", "web", [
+    b.store("microsoft", "web", [
         (utc(2008, 1, 1), ["entrust_root", "dn_root"]),
         (utc(2011, 9, 1), ["entrust_root"]),
     ])
-    d.revoke("vendor", "chrome-blacklist", "spki", "dn_root", utc(2011, 9, 1),
+    b.revoke("vendor", "chrome-blacklist", "spki", "dn_root", utc(2011, 9, 1),
              "compromised CA key")
-    d.revoke("vendor", "ms-disallowed", "fingerprint", "dn_xs", utc(2011, 9, 1),
+    b.revoke("vendor", "ms-disallowed", "fingerprint", "dn_xs", utc(2011, 9, 1),
              "compromised CA")
-    d.view("legacy")
-    d.view("chrome", "chrome-blacklist")
-    d.view("microsoft", "ms-disallowed")
-    d.notes["dates"] = (
+    b.view("legacy")
+    b.view("chrome", "chrome-blacklist")
+    b.view("microsoft", "ms-disallowed")
+    b.notes["dates"] = (
         "incident and root removal September 2011 as 2011-09-01; cross-sign "
         "issued 2007 as 2007-07-01; cross-sign expiry August 2013 as 2013-08-01")
-    return d
+    return b
 
 
-def _scn_actalis(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_actalis(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("baltimore_root", "CN=Baltimore CyberTrust Root, O=Baltimore",
            nb=utc(2000, 5, 1), na=utc(2025, 5, 1))
@@ -564,28 +542,27 @@ def _scn_actalis(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2011, 9, 22), na=utc(2018, 11, 1))
     b.leaf("leaf", "CN=pay.actalis-customer.example, O=Customer", issuer="g2",
            nb=utc(2014, 1, 1), na=utc(2019, 1, 1))
-    d = ScenarioDef(b)
     for sid in ("mozilla", "google"):
-        d.store(sid, "web", [
+        b.store(sid, "web", [
             (utc(2010, 1, 1), ["baltimore_root"]),
             (utc(2013, 1, 1), ["baltimore_root", "actalis_root"]),
         ])
-    d.revoke("ca_crl", "actalis-crl", "issuer_serial", "g2", utc(2016, 11, 1),
+    b.revoke("ca_crl", "actalis-crl", "issuer_serial", "g2", utc(2016, 11, 1),
              "cessation of operation")
-    d.revoke("ca_crl", "cybertrust-crl", "issuer_serial", "g2_xs",
+    b.revoke("ca_crl", "cybertrust-crl", "issuer_serial", "g2_xs",
              utc(2016, 11, 1), "cessation of operation")
-    d.revoke("vendor", "onecrl", "issuer_serial", "g2", utc(2016, 11, 1))
-    d.revoke("vendor", "onecrl", "issuer_serial", "g2_xs", utc(2016, 11, 1))
-    d.revoke("vendor", "crlset", "issuer_serial", "g2", utc(2016, 11, 1))
-    d.view("mozilla", "onecrl")
-    d.view("google", "crlset")
-    d.notes["dates"] = (
+    b.revoke("vendor", "onecrl", "issuer_serial", "g2", utc(2016, 11, 1))
+    b.revoke("vendor", "onecrl", "issuer_serial", "g2_xs", utc(2016, 11, 1))
+    b.revoke("vendor", "crlset", "issuer_serial", "g2", utc(2016, 11, 1))
+    b.view("mozilla", "onecrl")
+    b.view("google", "crlset")
+    b.notes["dates"] = (
         "revocations November 2016 as 2016-11-01; the cross-sign expires "
         "2018-11-01, exactly two years after the revocation")
-    return d
+    return b
 
 
-def _scn_swiss(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_swiss(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("swiss_root", "CN=Swiss Government Root CA II, O=Swiss Government PKI",
            nb=utc(2011, 1, 1), na=utc(2035, 1, 1))
@@ -606,23 +583,22 @@ def _scn_swiss(spec: ScenarioSpec) -> ScenarioDef:
            issuer="sg02", nb=utc(2017, 6, 1), na=utc(2019, 6, 1))
     b.leaf("leaf_offlist", "CN=shop.unrelated.example, O=Off List",
            issuer="sg02", nb=utc(2017, 6, 1), na=utc(2019, 6, 1))
-    d = ScenarioDef(b)
-    d.store("swiss-gov", "government", [(utc(2011, 1, 1), ["swiss_root"])])
-    d.store("mozilla", "web", [(utc(2013, 1, 1), ["qv_root"])])
-    d.revoke("ca_crl", "quovadis-crl", "issuer_serial", "sg02_xs",
+    b.store("swiss-gov", "government", [(utc(2011, 1, 1), ["swiss_root"])])
+    b.store("mozilla", "web", [(utc(2013, 1, 1), ["qv_root"])])
+    b.revoke("ca_crl", "quovadis-crl", "issuer_serial", "sg02_xs",
              utc(2019, 7, 1), "no longer required")
-    d.revoke("vendor", "crlset", "issuer_serial", "sg02_xs", utc(2019, 7, 1))
-    d.view("mozilla", "onecrl")
-    d.view("google", "crlset")
-    d.notes["dates"] = ("cross-sign 2017 as 2017-03-01; CRL revocation mid "
+    b.revoke("vendor", "crlset", "issuer_serial", "sg02_xs", utc(2019, 7, 1))
+    b.view("mozilla", "onecrl")
+    b.view("google", "crlset")
+    b.notes["dates"] = ("cross-sign 2017 as 2017-03-01; CRL revocation mid "
                         "2019 as 2019-07-01")
-    d.notes["name_constraints"] = (
+    b.notes["name_constraints"] = (
         "the cross-sign white-lists government domains via a NON-critical "
         "name-constraint extension; leaf_offlist sits outside the white-list")
-    return d
+    return b
 
 
-def _scn_letsencrypt(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_letsencrypt(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("isrg_root", "CN=ISRG Root X1, O=Internet Security Research Group",
            nb=utc(2015, 6, 1), na=utc(2035, 6, 1))
@@ -634,29 +610,28 @@ def _scn_letsencrypt(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2016, 3, 17), na=utc(2021, 3, 17))
     b.leaf("leaf", "CN=blog.acme-user.example", issuer="x3",
            nb=utc(2017, 1, 1), na=utc(2017, 4, 1))
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [(utc(2005, 1, 1), ["dst_root"])])
-    d.store("microsoft", "web", [(utc(2005, 1, 1), ["dst_root"])])
-    d.view("all")
-    d.operator_spans = [
+    b.store("mozilla", "web", [(utc(2005, 1, 1), ["dst_root"])])
+    b.store("microsoft", "web", [(utc(2005, 1, 1), ["dst_root"])])
+    b.view("all")
+    b.operator_spans = [
         {"operator_id": "isrg", "subjects": [
             "CN=ISRG Root X1, O=Internet Security Research Group",
             "CN=Let's Encrypt Authority X3, O=Let's Encrypt"]},
         {"operator_id": "identrust", "subjects": [
             "CN=DST Root CA X3, O=Digital Signature Trust Co."]},
     ]
-    d.extension_specs = [("x3_xs", lambda fp: XsExtension(
+    b.extension_specs = [("x3_xs", lambda fp: XsExtension(
         motivations=(Bootstrapping(fp["isrg_root"], ("mozilla", "microsoft"),
                                    "root-inclusion-ticket-1204656"),),
         issuance_timestamps=(LogTimestamp("ct-log-argon", utc(2016, 3, 17)),
                              LogTimestamp("ct-log-xenon", utc(2016, 3, 17)))))]
-    d.notes["dates"] = ("cross-sign 2016-03-17 and original 2016-10 per the "
+    b.notes["dates"] = ("cross-sign 2016-03-17 and original 2016-10 per the "
                         "published issuance records; the subject's own root "
                         "is absent from every store in this bundle horizon")
-    return d
+    return b
 
 
-def _scn_backdating(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_backdating(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("addtrust_root", "CN=AddTrust External CA Root, O=AddTrust AB",
            nb=utc(2000, 5, 30), na=utc(2020, 5, 30))
@@ -677,21 +652,20 @@ def _scn_backdating(spec: ScenarioSpec) -> ScenarioDef:
            nb=utc(2010, 1, 1), na=utc(2030, 1, 1))
     b.cross_sign("bd_xs", "bd_root", issuer="bd_issuer",
                  nb=utc(2009, 1, 1), na=utc(2025, 1, 1))
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2005, 1, 1), ["addtrust_root", "aaa_root", "bd_issuer"]),
         (utc(2012, 1, 1), ["addtrust_root", "aaa_root", "bd_issuer",
                            "usertrust_ecc", "bd_root"]),
     ])
-    d.view("all")
-    d.notes["dates"] = (
+    b.view("all")
+    b.notes["dates"] = (
         "the AddTrust-issued cross-sign claims a May 2000 start although the "
         "cross-signed root begins 2010-02; the boundary group's cross-sign "
         "predates its sibling by exactly 365 days")
-    return d
+    return b
 
 
-def _scn_leafmix(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_leafmix(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     nb, na = utc(2014, 1, 1), utc(2026, 1, 1)
     b.root("root_a", "CN=Shape Root A, O=Taxonomy", nb=nb, na=na)
@@ -710,15 +684,14 @@ def _scn_leafmix(spec: ScenarioSpec) -> ScenarioDef:
          nb=nb, na=na)
     b.cert("mix_leaf", "CN=Shared Mix Identity, O=Taxonomy", issuer="root_b",
            key="mix_ca", nb=nb, na=na, is_ca=False)
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(nb, ["root_a", "root_b"])])
-    d.view("all")
-    d.notes["topology"] = ("one group of each shape: root, intermediate, "
+    b.store("web1", "web", [(nb, ["root_a", "root_b"])])
+    b.view("all")
+    b.notes["topology"] = ("one group of each shape: root, intermediate, "
                            "leaf, and the theoretical CA/leaf key-sharing mix")
-    return d
+    return b
 
 
-def _scn_globalsign(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_globalsign(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("gs_root", "CN=GlobalSign Root CA, O=GlobalSign",
            nb=utc(1998, 9, 1), na=utc(2028, 1, 28))
@@ -734,26 +707,25 @@ def _scn_globalsign(spec: ScenarioSpec) -> ScenarioDef:
          issuer="r3", nb=utc(2014, 2, 1), na=utc(2024, 2, 1))
     b.cross_sign("dv_xs", "dv", issuer="gs_root",
                  nb=utc(2014, 2, 1), na=utc(2027, 2, 1))
-    d = ScenarioDef(b)
     for sid in ("mozilla", "google"):
-        d.store(sid, "web", [(utc(2010, 1, 1), ["gs_root", "r2", "r3"])])
-    d.revoke("ca_crl", "globalsign-crl", "issuer_serial", "ev",
+        b.store(sid, "web", [(utc(2010, 1, 1), ["gs_root", "r2", "r3"])])
+    b.revoke("ca_crl", "globalsign-crl", "issuer_serial", "ev",
              utc(2019, 9, 1), "cessation of operation")
-    d.revoke("vendor", "onecrl", "issuer_serial", "ev", utc(2019, 9, 1))
-    d.revoke("vendor", "crlset", "issuer_serial", "ev", utc(2019, 9, 1))
-    d.view("mozilla", "onecrl")
-    d.view("google", "crlset")
-    d.operator_spans = [{"operator_id": "globalsign", "subjects": [
+    b.revoke("vendor", "onecrl", "issuer_serial", "ev", utc(2019, 9, 1))
+    b.revoke("vendor", "crlset", "issuer_serial", "ev", utc(2019, 9, 1))
+    b.view("mozilla", "onecrl")
+    b.view("google", "crlset")
+    b.operator_spans = [{"operator_id": "globalsign", "subjects": [
         "CN=GlobalSign Root CA, O=GlobalSign",
         "CN=GlobalSign Root CA - R2, O=GlobalSign",
         "CN=GlobalSign Root CA - R3, O=GlobalSign",
         "CN=GlobalSign Extended Validation CA - SHA256 - G2, O=GlobalSign",
         "CN=GlobalSign Domain Validation CA - SHA256 - G2, O=GlobalSign"]}]
-    d.notes["dates"] = "first EV member revoked September 2019 as 2019-09-01"
-    return d
+    b.notes["dates"] = "first EV member revoked September 2019 as 2019-09-01"
+    return b
 
 
-def _scn_fpki(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_fpki(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("fpki_root", "CN=Federal Common Policy CA, O=U.S. Government",
            nb=utc(2010, 12, 1), na=utc(2030, 12, 1))
@@ -767,21 +739,20 @@ def _scn_fpki(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2015, 8, 1), na=utc(2017, 11, 1))
     b.leaf("leaf", "CN=services.agency.example, O=U.S. Government",
            issuer="fbca", nb=utc(2015, 9, 1), na=utc(2018, 9, 1))
-    d = ScenarioDef(b)
-    d.store("us-fpki", "government", [(utc(2011, 1, 1), ["fpki_root"])])
-    d.store("mozilla", "web", [(utc(2005, 1, 1), ["dst_aces"])])
-    d.revoke("ca_crl", "identrust-crl", "issuer_serial", "fbca_xs",
+    b.store("us-fpki", "government", [(utc(2011, 1, 1), ["fpki_root"])])
+    b.store("mozilla", "web", [(utc(2005, 1, 1), ["dst_aces"])])
+    b.revoke("ca_crl", "identrust-crl", "issuer_serial", "fbca_xs",
              utc(2016, 2, 1), "superseded")
-    d.revoke("vendor", "onecrl", "issuer_serial", "fbca_xs", utc(2017, 11, 1))
-    d.view("mozilla", "onecrl")
-    d.view("crl-aware", "identrust-crl")
-    d.notes["dates"] = ("cross-signed 2015 as 2015-08-01; the CA CRL entry "
+    b.revoke("vendor", "onecrl", "issuer_serial", "fbca_xs", utc(2017, 11, 1))
+    b.view("mozilla", "onecrl")
+    b.view("crl-aware", "identrust-crl")
+    b.notes["dates"] = ("cross-signed 2015 as 2015-08-01; the CA CRL entry "
                         "February 2016 reached the vendor list only November "
                         "2017, when the cross-sign had already expired")
-    return d
+    return b
 
 
-def _scn_entrust(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_entrust(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("entrust_root", "CN=Entrust Root Certification Authority, O=Entrust Inc.",
            nb=utc(2006, 11, 1), na=utc(2026, 11, 1))
@@ -792,21 +763,20 @@ def _scn_entrust(spec: ScenarioSpec) -> ScenarioDef:
          issuer="entrust_root", nb=utc(2009, 8, 1), na=utc(2019, 8, 1))
     b.cross_sign("l1e_xs", "l1e", issuer="entrust_2048",
                  nb=utc(2009, 8, 1), na=utc(2019, 8, 1))
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2008, 1, 1), ["entrust_root", "entrust_2048"])])
-    d.revoke("ca_crl", "entrust-root-crl", "issuer_serial", "l1e",
+    b.revoke("ca_crl", "entrust-root-crl", "issuer_serial", "l1e",
              utc(2018, 7, 1), "superseded")
-    d.revoke("ca_crl", "entrust-2048-crl", "issuer_serial", "l1e_xs",
+    b.revoke("ca_crl", "entrust-2048-crl", "issuer_serial", "l1e_xs",
              utc(2019, 2, 1), "superseded")
-    d.view("crl-aware", "entrust-root-crl", "entrust-2048-crl")
-    d.notes["dates"] = ("original revoked July 2018 as 2018-07-01, the "
+    b.view("crl-aware", "entrust-root-crl", "entrust-2048-crl")
+    b.notes["dates"] = ("original revoked July 2018 as 2018-07-01, the "
                         "cross-sign only February 2019 as 2019-02-01: a "
                         "seven-month lag")
-    return d
+    return b
 
 
-def _scn_netsol(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_netsol(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     ns_subject = ("CN=Network Solutions Certificate Authority, "
                   "O=Network Solutions L.L.C.")
@@ -817,27 +787,26 @@ def _scn_netsol(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2006, 11, 1), na=utc(2020, 3, 1))
     b.cross_sign("ns_xs2", "ns_root", issuer="utn_hw",
                  nb=utc(2006, 12, 1), na=utc(2019, 7, 1))
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2007, 1, 1), ["utn_hw", "ns_root"])])
-    d.view("all")
-    d.operator_spans = [
+    b.view("all")
+    b.operator_spans = [
         {"operator_id": "comodo", "subjects": [
             "CN=UTN-USERFirst-Hardware, O=The USERTRUST Network"]},
     ]
-    d.ownership_events = [
+    b.ownership_events = [
         {"date": utc(2007, 3, 1), "subjects": [ns_subject],
          "from": "pivotal-equity", "to": "general-atlantic"},
         {"date": utc(2011, 8, 1), "subjects": [ns_subject],
          "from": "general-atlantic", "to": "web-com"},
     ]
-    d.notes["dates"] = ("sale to General Atlantic 2007-03-01 and to web.com "
+    b.notes["dates"] = ("sale to General Atlantic 2007-03-01 and to web.com "
                         "2011-08-01, both inside the cross-signs' joint "
                         "validity window")
-    return d
+    return b
 
 
-def _scn_virginia_tech(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_virginia_tech(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("trusted_g2", "CN=Trusted Root CA G2, O=GlobalSign nv-sa",
            nb=utc(2008, 1, 1), na=utc(2028, 1, 1), sig_alg="sha256-rsa")
@@ -848,20 +817,19 @@ def _scn_virginia_tech(spec: ScenarioSpec) -> ScenarioDef:
          sig_alg="sha1-rsa")
     b.cross_sign("vt_xs", "vt", issuer="trusted_sha256_g2",
                  nb=utc(2014, 12, 1), na=utc(2022, 7, 1), sig_alg="sha256-rsa")
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [
+    b.store("mozilla", "web", [
         (utc(2009, 1, 1), ["trusted_g2"]),
         (utc(2014, 3, 1), ["trusted_g2", "trusted_sha256_g2"])])
-    d.revoke("ca_crl", "globalsign-crl", "issuer_serial", "vt",
+    b.revoke("ca_crl", "globalsign-crl", "issuer_serial", "vt",
              utc(2017, 1, 1), "superseded by stronger algorithm")
-    d.view("all")
-    d.notes["algorithms"] = ("the original carries a weak-hash signature, "
+    b.view("all")
+    b.notes["algorithms"] = ("the original carries a weak-hash signature, "
                              "its cross-sign a modern one; cryptographic "
                              "bundles substitute sha256 for the weak hash")
-    return d
+    return b
 
 
-def _scn_keynectis(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_keynectis(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     subj = "CN=KEYNECTIS Extended Validation CA, O=KEYNECTIS"
     b.root("certplus", "CN=Class 2 Primary CA, O=Certplus",
@@ -880,16 +848,15 @@ def _scn_keynectis(spec: ScenarioSpec) -> ScenarioDef:
                  nb=utc(2015, 1, 1), na=utc(2019, 7, 1), sig_alg="ecdsa-sha384")
     b.cross_sign("kn_xs_sha512", "kn", issuer="opentrust_g1",
                  nb=utc(2015, 1, 1), na=utc(2019, 7, 1), sig_alg="sha512-rsa")
-    d = ScenarioDef(b)
-    d.store("mozilla", "web", [(utc(2010, 1, 1), ["certplus"]),
+    b.store("mozilla", "web", [(utc(2010, 1, 1), ["certplus"]),
                                (utc(2015, 6, 1), ["certplus", "certplus_g2",
                                                   "opentrust_aatl",
                                                   "opentrust_g1"])])
-    d.view("all")
-    return d
+    b.view("all")
+    return b
 
 
-def _scn_twin(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_twin(spec: ScenarioSpec) -> PkiBuilder:
     b = PkiBuilder(spec.scenario_id)
     b.root("t_root_a", "CN=Twin Root A, O=Twin", nb=utc(2010, 1, 1),
            na=utc(2030, 1, 1))
@@ -899,15 +866,14 @@ def _scn_twin(spec: ScenarioSpec) -> ScenarioDef:
          nb=utc(2012, 1, 1), na=utc(2022, 1, 1))
     b.cross_sign("tw_xs", "tw", issuer="t_root_b",
                  nb=utc(2012, 1, 1), na=utc(2022, 1, 1))
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(utc(2010, 1, 1), ["t_root_a", "t_root_b"])])
-    d.view("all")
-    d.notes["topology"] = ("both members reach the same store over the same "
+    b.store("web1", "web", [(utc(2010, 1, 1), ["t_root_a", "t_root_b"])])
+    b.view("all")
+    b.notes["topology"] = ("both members reach the same store over the same "
                            "window: pure alternative paths")
-    return d
+    return b
 
 
-def _scn_random(spec: ScenarioSpec) -> ScenarioDef:
+def _scn_random(spec: ScenarioSpec) -> PkiBuilder:
     params = dict(spec.params)
     n = int(params.get("n", 50))
     xs_rate = float(params.get("xs_rate", 0.15))
@@ -959,14 +925,13 @@ def _scn_random(spec: ScenarioSpec) -> ScenarioDef:
             b.cross_sign(f"leaf{i}x", label, issuer=other, nb=nb, na=na)
         i += 1
 
-    d = ScenarioDef(b)
     snap_dates = sorted({horizon + timedelta(days=rng.randrange(0, 4000))
                          for _ in range(rng.randrange(1, 4))})
     snapshots = []
     for date in snap_dates:
         chosen = [r for r in roots if rng.random() < 0.8]
         snapshots.append((date, chosen or roots[:1]))
-    d.store("web1", "web", snapshots)
+    b.store("web1", "web", snapshots)
     if revocation_rate > 0:
         labels = list(b.specs)
         for label in labels:
@@ -975,13 +940,13 @@ def _scn_random(spec: ScenarioSpec) -> ScenarioDef:
                 src = rng.choice([("vendor", "onecrl"), ("vendor", "crlset"),
                                   ("ca_crl", "rand-crl")])
                 when = horizon + timedelta(days=rng.randrange(0, 4500))
-                d.revoke(src[0], src[1], sel, label, when)
-    d.view("all")
-    d.view("none")
-    return d
+                b.revoke(src[0], src[1], sel, label, when)
+    b.view("all")
+    b.view("none")
+    return b
 
 
-SCENARIOS: dict[str, Callable[[ScenarioSpec], ScenarioDef]] = {
+SCENARIOS: dict[str, Callable[[ScenarioSpec], PkiBuilder]] = {
     "figure1": _scn_figure1,
     "mutual": _scn_mutual,
     "certinomis": _scn_certinomis,

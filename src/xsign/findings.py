@@ -178,19 +178,20 @@ def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
 def find_barrier_breach(group: XSCertGroup, run: Run,
                         assessments: Assessments,
                         paths: Paths) -> list[Finding]:
-    """A member reaches a store class the group's earliest member (its
+    """A member reaches a store class the group's native member (its
     native anchoring) never reaches, under the coverage view. Empty native
     coverage is bootstrapping territory, not a breach."""
     index, view_id = run.index, COVERAGE_VIEW_ID
     class_of = {s.store_id: s.store_class for s in run.stores}
-    members = group.chronological(index)
-    native = members[0]
+    native = group.native(index, run.operator_map)
     native_stores = assessments[native.fingerprint, view_id].covered_stores()
     native_classes = {class_of[s] for s in native_stores}
     if not native_classes:
         return []
     findings = []
-    for member in members[1:]:
+    for member in group.chronological(index):
+        if member.fingerprint == native.fingerprint:
+            continue
         covered = assessments[member.fingerprint, view_id].covered_stores()
         new_stores = {s for s in covered if class_of[s] not in native_classes}
         if not new_stores:

@@ -123,6 +123,10 @@ class RootStoreTimeline:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RootStoreTimeline":
+        rules = obj.get("distrust_rules", [])
+        if not (isinstance(rules, list)
+                and all(isinstance(r, dict) for r in rules)):
+            raise ValueError("distrust_rules must be a list of objects")
         return cls(
             store_id=obj["store_id"],
             store_class=obj.get("store_class", "other"),
@@ -131,8 +135,7 @@ class RootStoreTimeline:
                               frozenset(str(fp).lower() for fp in s["roots"]))
                 for s in obj.get("snapshots", [])
             ],
-            distrust_rules=[DistrustRule.from_json(r)
-                            for r in obj.get("distrust_rules", [])],
+            distrust_rules=[DistrustRule.from_json(r) for r in rules],
         )
 
 

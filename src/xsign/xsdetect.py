@@ -46,9 +46,21 @@ class XSCertGroup:
 
     def chronological(self, index: CertIndex) -> list[CertRecord]:
         """The members' records in issuance order: by not_before, then by
-        fingerprint. The first is the group's native member."""
+        fingerprint."""
         return sorted((index.get(fp) for fp in self.members),
                       key=lambda r: (r.not_before, r.fingerprint))
+
+    def native(self, index: CertIndex,
+               operator_map: Optional[OperatorMap]) -> CertRecord:
+        """The group's native member: the earliest issued within the
+        subject's own operator, else the earliest issued."""
+        members = self.chronological(index)
+        if operator_map is not None:
+            for m in members:
+                subj_op, issuer_op = operator_map.issuance_operators(m)
+                if subj_op is not None and subj_op == issuer_op:
+                    return m
+        return members[0]
 
     def to_json(self) -> dict:
         return {

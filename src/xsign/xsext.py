@@ -134,12 +134,12 @@ def _motivation_from_obj(obj) -> Motivation | OpaqueMotivation:
     cls = _KINDS.get(kind)
     if cls is None:
         return OpaqueMotivation(_canonical(obj))
-    try:
-        values = {f.name: obj[f.name] for f in fields(cls)}
-    except KeyError as exc:
-        raise MalformedExtension(f"{kind} motivation missing {exc}") from exc
-    return cls(**{name: tuple(v) if isinstance(v, list) else v
-                  for name, v in values.items()})
+    names = {f.name for f in fields(cls)}
+    if set(obj) != {"kind", *names}:
+        raise MalformedExtension(
+            f"{kind} motivation requires exactly the keys {sorted(names)}")
+    return cls(**{name: tuple(obj[name]) if isinstance(obj[name], list)
+                  else obj[name] for name in names})
 
 
 def _canonical(obj) -> str:
@@ -164,21 +164,25 @@ def decode_xs_extension(data: bytes) -> XsExtension:
         _canonical(doc).encode("utf-8")  # fails on a lone surrogate
     except ValueError as exc:  # also UnicodeError and JSONDecodeError
         raise MalformedExtension(f"undecodable extension payload: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedExtension("extension payload must be a JSON object")
-    motivations = doc.get("motivations", [])
-    stamps = doc.get("issuance_timestamps", [])
+    if not (isinstance(doc, dict)
+            and set(doc) == {"motivations", "issuance_timestamps"}):
+        raise MalformedExtension("extension payload must be a JSON object "
+                                 "of motivations and issuance_timestamps")
+    motivations, stamps = doc["motivations"], doc["issuance_timestamps"]
     if not (isinstance(motivations, list) and isinstance(stamps, list)):
         raise MalformedExtension(
             "motivations and issuance_timestamps must be lists")
     timestamps = []
     for ts in stamps:
         try:
-            if not isinstance(ts["log_id"], str):
-                raise TypeError("log_id must be a string")
-            timestamps.append(LogTimestamp(ts["log_id"],
-                                           parse_rfc3339(ts["timestamp"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not (isinstance(ts, dict) and set(ts) == {"log_id", "timestamp"}
+                    and isinstance(ts["log_id"], str)):
+                raise TypeError("a timestamp is {log_id: string, timestamp}")
+            when = parse_rfc3339(ts["timestamp"])
+            if format_rfc3339(when) != ts["timestamp"]:
+                raise ValueError("timestamp must read YYYY-MM-DDTHH:MM:SSZ")
+            timestamps.append(LogTimestamp(ts["log_id"], when))
+        except (TypeError, ValueError) as exc:
             raise MalformedExtension(f"bad issuance timestamp: {ts!r}") from exc
     return XsExtension(
         motivations=tuple(_motivation_from_obj(m) for m in motivations),
@@ -247,18 +251,10 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
                 "V1", member.fingerprint,
                 f"validity {days}d exceeds limit {max_validity_days}d"))
 
-    # The "original" member needs no motivation extension: self-signed
-    # members, plus the earliest member issued within the subject's own
-    # operator (earliest overall when no operator data is available).
+    # The "original" members need no motivation extension: the self-signed
+    # ones and the group's native member.
     exempt = {m.fingerprint for m in members if m.self_signed}
-    internal = []
-    operator_map = run.operator_map
-    if operator_map is not None:
-        for m in members:
-            subj_op, issuer_op = operator_map.issuance_operators(m)
-            if subj_op is not None and subj_op == issuer_op:
-                internal.append(m)
-    exempt.add((internal[0] if internal else members[0]).fingerprint)
+    exempt.add(group.native(index, run.operator_map).fingerprint)
     for member in members:
         if (member.fingerprint in qualified
                 and member.fingerprint not in exempt

@@ -12,7 +12,7 @@ from datetime import timedelta
 
 import oracles
 from xsign.analysis import AnalysisOptions, analyze_corpus, build_run
-from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
+from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import find_revocation_inconsistency
 from xsign.pathengine import assess_trust, build_index, enumerate_paths
 from xsign.revocation import RevocationIndex, RevocationView, revocation_onset
@@ -323,11 +323,10 @@ def test_criterion_11_extension_and_lints():
          na=utc(2016, 1, 1))
     b.cross_sign("m2", "m1", issuer="root_b", nb=utc(2015, 3, 1),
                  na=utc(2025, 3, 1))
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(utc(2005), ["root_a", "root_b"])])
-    d.store("web2", "web", [(utc(2005), ["root_b"])])
-    d.view("all")
-    bundle = d.realize(ScenarioSpec("acc-lint"))
+    b.store("web1", "web", [(utc(2005), ["root_a", "root_b"])])
+    b.store("web2", "web", [(utc(2005), ["root_b"])])
+    b.view("all")
+    bundle = b.realize(ScenarioSpec("acc-lint"))
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
     group = xs[0]

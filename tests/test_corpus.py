@@ -107,6 +107,17 @@ def test_cryptographic_bundle_reload_keeps_raw(tmp_path, figure1_crypto):
         r.raw for r in figure1_crypto.records)
 
 
+def test_cryptographic_pem_is_each_record_der_as_pem(tmp_path, figure1_crypto):
+    # certs.pem is written from the DER without parsing it: the bytes are
+    # cryptography's own PEM encoding, in fingerprint order.
+    from cryptography import x509
+    from cryptography.hazmat.primitives.serialization import Encoding
+    figure1_crypto.write(tmp_path)
+    assert (tmp_path / "certs.pem").read_bytes() == b"".join(
+        x509.load_der_x509_certificate(r.raw).public_bytes(Encoding.PEM)
+        for r in sorted(figure1_crypto.records, key=lambda r: r.fingerprint))
+
+
 def test_scenario_notes_document_date_conventions(certinomis, diginotar):
     assert "2017-04-13" in certinomis.notes["dates"]
     assert "2013-08-01" in diginotar.notes["dates"]

@@ -54,13 +54,11 @@ def test_no_finding_when_all_members_revoked_everywhere():
     b.root("B", "CN=Root B, O=T", nb=utc(2000), na=utc(2040))
     b.ca("m1", "CN=Shared, O=T", issuer="A", nb=utc(2014), na=utc(2024))
     b.cross_sign("m2", "m1", issuer="B", nb=utc(2014), na=utc(2024))
-    from xsign.corpus import ScenarioDef
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(utc(2010), ["A", "B"])])
-    d.revoke("vendor", "onecrl", "issuer_serial", "m1", utc(2018))
-    d.revoke("vendor", "onecrl", "issuer_serial", "m2", utc(2018))
-    d.view("mozilla", "onecrl")
-    bundle = d.realize(ScenarioSpec("uniform-revoked"))
+    b.store("web1", "web", [(utc(2010), ["A", "B"])])
+    b.revoke("vendor", "onecrl", "issuer_serial", "m1", utc(2018))
+    b.revoke("vendor", "onecrl", "issuer_serial", "m2", utc(2018))
+    b.view("mozilla", "onecrl")
+    bundle = b.realize(ScenarioSpec("uniform-revoked"))
     result = _analyzed(bundle)
     assert "valid_after_revocation" not in _by_category(result)
 
@@ -152,6 +150,33 @@ def test_swiss_breach_carries_nc_mitigation(swiss):
     breaches = _by_category(result)["barrier_breach"]
     assert len(breaches) == 1
     assert breaches[0].evidence["mitigation"] == "nc_noncritical"
+
+
+def test_breach_is_measured_from_the_operator_internal_member():
+    # The earliest member is a web CA's cross-sign of an agency CA, and the
+    # agency's own certificate comes later: the native member is the
+    # agency's, and the cross-sign breaches into the web class.
+    b = PkiBuilder("native-member")
+    b.root("web_root", "CN=Web Root, O=Web CA", nb=utc(2005), na=utc(2035))
+    b.root("gov_root", "CN=Agency Root, O=Agency", nb=utc(2005), na=utc(2035))
+    b.ca("gov_ca", "CN=Agency CA, O=Agency", issuer="gov_root",
+         nb=utc(2012), na=utc(2030))
+    b.cross_sign("gov_xs", "gov_ca", issuer="web_root", nb=utc(2010),
+                 na=utc(2030))
+    b.store("mozilla", "web", [(utc(2005), ["web_root"])])
+    b.store("agency", "government", [(utc(2005), ["gov_root"])])
+    b.view("none")
+    b.operator_spans = [
+        {"operator_id": "agency", "subjects": ["CN=Agency Root, O=Agency",
+                                               "CN=Agency CA, O=Agency"]},
+        {"operator_id": "webca", "subjects": ["CN=Web Root, O=Web CA"]}]
+    bundle = b.realize(ScenarioSpec("native-member"))
+    breaches = _by_category(_analyzed(bundle))["barrier_breach"]
+    assert [f.evidence["member"] for f in breaches] == [bundle.fp("gov_xs")]
+    ev = breaches[0].evidence
+    assert ev["native_member"] == bundle.fp("gov_ca")
+    assert (ev["native_classes"], ev["breached_classes"]) == (
+        ["government"], ["web"])
 
 
 def test_single_class_corpus_no_breach(figure1):
@@ -309,14 +334,12 @@ def test_ownership_matches_containment_oracle():
         xs_start = start + timedelta(days=rng.randrange(0, 300))
         xs_end = xs_start + timedelta(days=rng.randrange(500, 4000))
         b.cross_sign("m2", "m1", issuer="B", nb=xs_start, na=xs_end)
-        from xsign.corpus import ScenarioDef
-        d = ScenarioDef(b)
-        d.store("web1", "web", [(utc(2005), ["A", "B"])])
-        d.view("all")
+        b.store("web1", "web", [(utc(2005), ["A", "B"])])
+        b.view("all")
         event_date = utc(2010) + timedelta(days=rng.randrange(0, 6000))
-        d.ownership_events = [{"date": event_date, "subjects": [subject],
+        b.ownership_events = [{"date": event_date, "subjects": [subject],
                                "from": "x", "to": "y"}]
-        bundle = d.realize(ScenarioSpec(f"churn-{trial}"))
+        bundle = b.realize(ScenarioSpec(f"churn-{trial}"))
         run, xs, _ = build_run(bundle.records, bundle.stores,
                                bundle.revocations, bundle.views,
                                bundle.operator_map)
@@ -423,15 +446,13 @@ def test_uniformly_revoked_group_no_inconsistency():
     b.root("B", "CN=Root B, O=T", nb=utc(2000), na=utc(2040))
     b.ca("m1", "CN=Shared, O=T", issuer="A", nb=utc(2014), na=utc(2024))
     b.cross_sign("m2", "m1", issuer="B", nb=utc(2014), na=utc(2024))
-    from xsign.corpus import ScenarioDef
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(utc(2010), ["A", "B"])])
+    b.store("web1", "web", [(utc(2010), ["A", "B"])])
     for label in ("m1", "m2"):
-        d.revoke("vendor", "onecrl", "issuer_serial", label, utc(2018))
-        d.revoke("vendor", "crlset", "issuer_serial", label, utc(2018))
-    d.view("mozilla", "onecrl")
-    d.view("google", "crlset")
-    bundle = d.realize(ScenarioSpec("uniform"))
+        b.revoke("vendor", "onecrl", "issuer_serial", label, utc(2018))
+        b.revoke("vendor", "crlset", "issuer_serial", label, utc(2018))
+    b.view("mozilla", "onecrl")
+    b.view("google", "crlset")
+    bundle = b.realize(ScenarioSpec("uniform"))
     run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
                            bundle.views)
     findings = find_revocation_inconsistency(xs[0], run)

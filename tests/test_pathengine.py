@@ -182,7 +182,7 @@ def test_non_ca_issuer_flagged():
 
 
 def test_pathlen_constraint_enforced():
-    from xsign.corpus import PkiBuilder, ScenarioDef
+    from xsign.corpus import PkiBuilder
     b = PkiBuilder("pathlen-test")
     nb, na = utc(2015), utc(2030)
     b.root("root", "CN=Limited Root, O=T", nb=nb, na=na)
@@ -240,6 +240,32 @@ def test_critical_name_constraint_invalidates_in_default_mode():
     result = enumerate_paths(records["leaf"], index)
     assert result.paths == []
     assert result.roots == {records["root"].fingerprint}
+
+
+@pytest.mark.parametrize("subtrees", ["permitted", "excluded"])
+def test_critical_directory_name_constraint(subtrees):
+    # A permitted subtree that the leaf's subject does not start with, or an
+    # excluded one that it does, removes the leaf's path. The subjects are
+    # written in the order NormalizedName.startswith compares their RDNs.
+    from xsign.certmodel import NameConstraints, Subtree
+    from xsign.corpus import PkiBuilder
+    from xsign.names import normalize_name
+    subtree = {"permitted": "O=Inside", "excluded": "O=Outside"}[subtrees]
+    scope = {"permitted": (), "excluded": (),
+             subtrees: (Subtree("dirname", normalize_name(subtree)),)}
+    b = PkiBuilder(f"nc-dirname-{subtrees}")
+    nb, na = utc(2015), utc(2030)
+    b.root("root", "O=T, CN=Root", nb=nb, na=na)
+    b.ca("ca", "O=T, CN=Scoped CA", issuer="root", nb=nb, na=na,
+         name_constraints=NameConstraints(critical=True, **scope))
+    b.leaf("inside", "O=Inside, CN=in.example", issuer="ca", nb=nb, na=na)
+    b.leaf("outside", "O=Outside, CN=out.example", issuer="ca", nb=nb, na=na)
+    records = b.build("structural")
+    index = build_index(records.values())
+    chain = tuple(records[label].fingerprint for label in ("inside", "ca", "root"))
+    assert [p.chain for p in enumerate_paths(records["inside"], index).paths] \
+        == [chain]
+    assert enumerate_paths(records["outside"], index).paths == []
 
 
 def test_unknown_store_rejected(figure1):
@@ -624,7 +650,7 @@ def test_assessed_paths_and_causes_match_the_inputs_with_dense_cross_signs(
 def test_a_distrust_rule_ends_trust_at_its_effective_date():
     # No scenario ends a trust interval at a distrust rule: here the rule
     # takes effect inside the leaf's trusted interval.
-    from xsign.corpus import PkiBuilder, ScenarioDef
+    from xsign.corpus import PkiBuilder
     b = PkiBuilder("distrust-mid-interval")
     b.root("root", "CN=Root, O=T", nb=utc(2010), na=utc(2040))
     b.ca("ica", "CN=Issuing CA, O=T", issuer="root", nb=utc(2012),
@@ -633,12 +659,11 @@ def test_a_distrust_rule_ends_trust_at_its_effective_date():
            na=utc(2020))
     b.leaf("late", "CN=late.example, O=T", issuer="ica", nb=utc(2016),
            na=utc(2020))
-    d = ScenarioDef(b)
     rule = {"anchors": ["root"], "issued_after": utc(2015),
             "effective_from": utc(2017), "description": "root: late leaves"}
-    d.store("web", "web", [(utc(2010), ["root"])], rules=[rule])
-    d.view("none")
-    bundle = d.realize(ScenarioSpec("distrust-mid-interval"))
+    b.store("web", "web", [(utc(2010), ["root"])], rules=[rule])
+    b.view("none")
+    bundle = b.realize(ScenarioSpec("distrust-mid-interval"))
     index = build_index(bundle.records)
     early, late = (assess_trust(bundle.record(label), index, bundle.stores,
                                 bundle.revocations, bundle.views[0])

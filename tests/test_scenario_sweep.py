@@ -4,7 +4,9 @@ The digests in golden/scenario_sweep.json cover groups, reissuance,
 assessments, findings and lint JSONL at default analysis options, with the
 scenario parameters of scripts/run_scenarios.py. Lint is pinned on both of
 its routes: the verdicts `analyze_corpus` returns and `lint_corpus`. A
-refactor that keeps them equal keeps every report byte-identical.
+refactor that keeps them equal keeps every report byte-identical. The
+`bundle` digest pins the generator itself: the name and bytes of every file
+`Bundle.write` writes, hashed as perfbench/run.py's `input_digest` does.
 Regenerate (only for an intended output change) with:
 PYTHONPATH=src python tests/test_scenario_sweep.py
 
@@ -14,6 +16,7 @@ line, and its reports compared with the in-memory analysis.
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -38,13 +41,25 @@ def _bundle(scenario_id: str, mode: str = "structural"):
                                  params=params))
 
 
+def bundle_digest(bundle) -> str:
+    """The written bundle's file names and bytes, in file-name order."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle.write(Path(tmp))
+        for path in sorted(Path(tmp).iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def scenario_digests(scenario_id: str) -> dict[str, str]:
-    """Every report's digest, lint included, from one `analyze_corpus`."""
+    """The bundle's digest and every report's, lint included, from one
+    `analyze_corpus`."""
     bundle = _bundle(scenario_id)
     result = analyze_corpus(bundle.records, bundle.stores, bundle.revocations,
                             bundle.views, bundle.operator_map,
                             extensions=bundle.extensions)
     return {
+        "bundle": bundle_digest(bundle),
         "groups": _digest(reports.groups_jsonl(result.xs_groups)),
         "reissuance": _digest(reports.groups_jsonl(result.reissuance_groups)),
         "assessments": _digest(reports.assessments_jsonl(result.rows)),

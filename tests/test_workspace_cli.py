@@ -70,6 +70,12 @@ def test_schema_error_carries_line_number(tmp_path, capsys):
     assert payload["line"] == 1
 
 
+_RECORD = {"fingerprint": "ab" * 32, "subject": "CN=x", "issuer": "CN=x",
+           "spki": "cd" * 32, "serial": "1", "not_before": "2015-01-01",
+           "not_after": "2030-01-01", "is_ca": True}
+_REVOCATION = {"source": {"kind": "vendor", "name": "onecrl"},
+               "selector": {"type": "fingerprint", "digest": "ab" * 32},
+               "effective": "2016-01-01"}
 _EXPANDING = {"motivations": [{"kind": "expanding_trust",
                                 "target_stores": ["web1"]}]}
 # A view id given twice, and the coverage view's id: either would drop a
@@ -92,6 +98,15 @@ _BAD_VIEW_IDS = [
     # Accepted, "web" would be stored as the three stores "w", "e" and "b".
     ("extensions.jsonl", {"member": "ab" * 32, "extension": {"motivations": [
         {"kind": "expanding_trust", "target_stores": "web"}]}}, 1),
+    ("certs.jsonl", {**_RECORD, "name_constraints": 5}, 1),
+    # Stored, [5] could not be written back beside a string usage, and
+    # "certSign" would become its letters.
+    ("certs.jsonl", {**_RECORD, "key_usages": [5]}, 1),
+    ("certs.jsonl", {**_RECORD, "key_usages": "certSign"}, 1),
+    # Stored, "x" ended `analyze` with a traceback in the path-length check.
+    ("certs.jsonl", {**_RECORD, "path_len": "x"}, 1),
+    *[("stores.json", {"stores": [{"store_id": "s", "distrust_rules": rules}]},
+       None) for rules in ("x", [5], {"a": 1})],
 ])
 def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
                                                         name, text, line):
@@ -112,14 +127,6 @@ def _assert_ingest_rejects(tmp_path, capsys, name, text, line):
     assert payload.get("line") == line
     assert not any((ws_dir / "config").iterdir())
     assert not any((ws_dir / "certs").iterdir())
-
-
-_RECORD = {"fingerprint": "ab" * 32, "subject": "CN=x", "issuer": "CN=x",
-           "spki": "cd" * 32, "serial": "1", "not_before": "2015-01-01",
-           "not_after": "2030-01-01", "is_ca": True}
-_REVOCATION = {"source": {"kind": "vendor", "name": "onecrl"},
-               "selector": {"type": "fingerprint", "digest": "ab" * 32},
-               "effective": "2016-01-01"}
 
 
 @pytest.mark.parametrize("name, text, line", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import xsign
 from xsign.analysis import AnalysisOptions, build_run
-from xsign.corpus import PkiBuilder, ScenarioDef, ScenarioSpec, generate
+from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import find_revocation_inconsistency
 from xsign.timeutil import utc
 from xsign.truststore import RootStoreTimeline, StoreSnapshot
@@ -70,8 +70,12 @@ def test_malformed_bytes_rejected():
     with pytest.raises(MalformedExtension):
         decode_xs_extension(b'[1,2,3]')
     with pytest.raises(MalformedExtension):
+        decode_xs_extension(b'{"issuance_timestamps":[],"motivations":'
+                            b'[{"kind":"bootstrapping","target_stores":["a"]}]}')
+    # Accepted, this re-encoded with an empty timestamp list added.
+    with pytest.raises(MalformedExtension):
         decode_xs_extension(
-            b'{"motivations":[{"kind":"bootstrapping","target_stores":["a"]}]}')
+            b'{"motivations":[{"kind":"expanding_trust","target_stores":["a"]}]}')
 
 
 _STORES = {"kind": "expanding_trust", "target_stores": ["web"]}
@@ -98,14 +102,24 @@ _STAMP = {"log_id": "log-a", "timestamp": "2016-03-17T00:00:00Z"}
                                                         "timestamp": 5}]},
     {"motivations": [_STORES], "issuance_timestamps": [
         {**_STAMP, "timestamp": "9999-12-31T23:59:59-01:00"}]},
+    # Accepted, each of these re-encoded to other bytes.
+    {"motivations": [{**_STORES, "x": 1}]},
+    {"motivations": [_STORES], "x": 1},
+    {"motivations": [_STORES], "issuance_timestamps": [{**_STAMP, "x": 1}]},
+    {"motivations": [_STORES], "issuance_timestamps": [
+        {**_STAMP, "timestamp": "2016-03-17"}]},
+    {"motivations": [_STORES], "issuance_timestamps": [
+        {**_STAMP, "timestamp": "2016-03-17T01:00:00+01:00"}]},
 ], ids=["string-for-list", "number-for-list", "number-in-list",
         "number-for-string", "number-for-fingerprint", "list-kind",
         "number-kind", "lone-surrogate", "motivations-not-a-list",
         "timestamps-not-a-list", "number-log-id", "number-timestamp",
-        "timestamp-past-year-9999"])
+        "timestamp-past-year-9999", "extra-motivation-key", "extra-top-key",
+        "extra-timestamp-key", "bare-date", "offset-timestamp"])
 def test_decoder_rejects_what_it_cannot_re_encode(doc):
     with pytest.raises(MalformedExtension):
-        decode_xs_extension(json.dumps(doc).encode())
+        decode_xs_extension(json.dumps({"issuance_timestamps": [], **doc})
+                            .encode())
 
 
 def test_a_timestamp_before_year_1000_round_trips():
@@ -135,13 +149,15 @@ _JSON = st.recursive(
 
 @given(st.dictionaries(_NAMES, _JSON, max_size=3))
 def test_any_json_object_decodes_or_is_malformed(doc):
-    """Decoding raises nothing but MalformedExtension, and what it accepts
-    re-encodes to a payload that decodes to the same extension."""
+    """Decoding raises nothing but MalformedExtension, and a canonical
+    payload it accepts encodes back to the same bytes."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                         ensure_ascii=False).encode("utf-8")
     try:
-        ext = decode_xs_extension(json.dumps(doc).encode())
+        ext = decode_xs_extension(payload)
     except MalformedExtension:
         return
-    assert decode_xs_extension(encode_xs_extension(ext)) == ext
+    assert encode_xs_extension(ext) == payload
 
 
 def random_extension(rng: random.Random) -> XsExtension:
@@ -198,11 +214,10 @@ def _lint_bundle():
          nb=utc(2015, 1, 1), na=utc(2016, 1, 1))
     b.cross_sign("m2", "m1", issuer="root_b",
                  nb=utc(2015, 3, 1), na=utc(2025, 3, 1))
-    d = ScenarioDef(b)
-    d.store("web1", "web", [(utc(2005), ["root_a", "root_b"])])
-    d.store("web2", "web", [(utc(2005), ["root_b"])])
-    d.view("all")
-    return d.realize(ScenarioSpec("lint"))
+    b.store("web1", "web", [(utc(2005), ["root_a", "root_b"])])
+    b.store("web2", "web", [(utc(2005), ["root_b"])])
+    b.view("all")
+    return b.realize(ScenarioSpec("lint"))
 
 
 def _lint_group(group, run, coverage):
