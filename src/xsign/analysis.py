@@ -7,11 +7,11 @@ its assessment rows left unread. It starts from one `Run`, built by
 `build_run`: the index, the stores sorted by id, their anchor union, the
 revocation index (which also holds the CA-CRL source names), the views in
 the order given, the operator map, the options, the extensions, the
-explanations and the lint instant. Each is built once per run, and every
-analyzer and lint reads it from there. The analyzers and the lints read paths and
-assessments of cross-sign members only, so those are all an analysis
-keeps; every other certificate is enumerated and assessed when its
-assessment rows are read, and dropped after them."""
+explanations, the lint instant, and the paths and assessments of the
+cross-sign members only. Each is built once, and every analyzer (which
+takes a group and the run) and every lint reads it from there. Every other
+certificate is enumerated and assessed when its assessment rows are read,
+and dropped after them."""
 
 from __future__ import annotations
 
@@ -25,13 +25,14 @@ from . import xsext
 from .certmodel import CertRecord
 from .constants import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_VALIDITY_DAYS,
                         DEFAULT_OVERLAP_MIN_DAYS)
-from .findings import Assessments, Finding, Paths
+from .findings import Finding
 from .pathengine import (CertIndex, PathEnumeration, TrustAssessment,
                          assess_paths, build_index, check_options,
                          enumerate_paths)
 from .revocation import (COVERAGE_VIEW_ID, RevocationIndex, RevocationRecord,
                          RevocationView, check_view_ids)
-from .truststore import OperatorMap, RootStoreTimeline, combined_anchors
+from .truststore import (OperatorMap, RootStoreTimeline, check_store_ids,
+                         combined_anchors)
 from .xsdetect import XSCertGroup, classify_groups, group_xs
 
 # Synthetic revocation-free view backing coverage-style analyzers. It never
@@ -74,6 +75,10 @@ class Run:
     extensions: Mapping[str, xsext.XsExtension]
     explanations: frozenset[str]
     lint_at: Optional[datetime]              # lint instant: latest snapshot
+    # The cross-sign members' paths, by fingerprint, and their assessments
+    # under the coverage view and every view, by (fingerprint, view id).
+    paths: dict[str, PathEnumeration]
+    assessments: dict[tuple[str, str], TrustAssessment]
 
 
 def build_run(records: Sequence[CertRecord],
@@ -86,7 +91,10 @@ def build_run(records: Sequence[CertRecord],
               explanations: Sequence[str] = ()
               ) -> tuple[Run, list[XSCertGroup], list[XSCertGroup]]:
     """The run, its classified cross-sign groups and its reissuance
-    groups."""
+    groups. A view id given twice or reserved, or a store id given twice,
+    raises ValueError."""
+    check_view_ids(views)
+    check_store_ids(stores)
     index = build_index(records)
     stores = tuple(sorted(stores, key=lambda s: s.store_id))
     revocations = RevocationIndex(revocations)
@@ -96,11 +104,24 @@ def build_run(records: Sequence[CertRecord],
         operator_map=operator_map, options=options,
         extensions=extensions, explanations=frozenset(explanations),
         lint_at=max((snapshot.effective_date for store in stores
-                     for snapshot in store.snapshots), default=None))
+                     for snapshot in store.snapshots), default=None),
+        paths={}, assessments={})
     xs_groups, reissuance = group_xs(index, overlap_min=options.overlap_min,
                                      mode=options.mode)
-    return (run, classify_groups(xs_groups, run.anchors, operator_map, index),
-            reissuance)
+    xs_groups = classify_groups(xs_groups, run.anchors, operator_map)
+    # Each member once, in group order. Its paths are enumerated once and
+    # shared by the assessments of every view, the finding analyzers, the
+    # lints and the rows. The coverage view's assessments are a
+    # cross-sign's intended reach, not its fate: the trust-delta and
+    # barrier-breach analyzers and lint V4 read them.
+    members = [record for group in xs_groups for record in group.records]
+    run.paths.update((r.fingerprint, _enumerate(run, r)) for r in members)
+    run.assessments.update(
+        ((r.fingerprint, view.consumer_id),
+         assess_paths(r, run.paths[r.fingerprint], run.stores,
+                      run.revocations, view))
+        for view in (COVERAGE_VIEW, *run.views) for r in members)
+    return run, xs_groups, reissuance
 
 
 def _enumerate(run: Run, record: CertRecord) -> PathEnumeration:
@@ -119,29 +140,29 @@ class AssessmentRows:
     enumeration the depth bound cut short; it is complete once the rows
     have been read."""
 
-    def __init__(self, run: Run, paths: Paths, assessments: Assessments):
-        self._inputs = (run, paths, assessments)
+    def __init__(self, run: Run):
+        self._run: Optional[Run] = run
         self.truncated: list[str] = []
 
     def __iter__(self) -> Iterator[TrustAssessment]:
-        inputs, self._inputs = self._inputs, None
-        if inputs is None:
+        run, self._run = self._run, None
+        if run is None:
             raise RuntimeError("the assessment rows can be read once")
-        return self._stream(*inputs)
+        return self._stream(run)
 
-    def _stream(self, run: Run, paths: Paths,
-                assessments: Assessments) -> Iterator[TrustAssessment]:
+    def _stream(self, run: Run) -> Iterator[TrustAssessment]:
         views = sorted(run.views, key=lambda v: v.consumer_id)
         for record in run.index.sorted_records():
             fp = record.fingerprint
-            enumeration = paths.get(fp)
+            enumeration = run.paths.get(fp)
             if enumeration is None:
                 enumeration = _enumerate(run, record)
-                rows = (assess_paths(record, enumeration, run.index,
-                                     run.stores, run.revocations, view)
+                rows = (assess_paths(record, enumeration, run.stores,
+                                     run.revocations, view)
                         for view in views)
             else:
-                rows = (assessments[fp, view.consumer_id] for view in views)
+                rows = (run.assessments[fp, view.consumer_id]
+                        for view in views)
             if enumeration.truncated:
                 self.truncated.append(fp)
             yield from rows
@@ -154,7 +175,7 @@ class AnalysisResult:
     `rows` yields every certificate's."""
     xs_groups: list[XSCertGroup]
     reissuance_groups: list[XSCertGroup]
-    assessments: Assessments
+    assessments: dict[tuple[str, str], TrustAssessment]
     rows: AssessmentRows
     findings: list[Finding]
     verdicts: list[xsext.LintVerdict]
@@ -174,27 +195,12 @@ def analyze_corpus(records: Sequence[CertRecord],
     finding analyzers and lint the cross-sign groups, at the options'
     `max_validity_days`. The other certificates are assessed as
     `result.rows` is read."""
-    check_view_ids(views)
     run, xs_groups, reissuance = build_run(
         records, stores, revocations, views, operator_map, options,
         extensions, explanations)
-    # Each member once, in group order. Its paths are enumerated once and
-    # shared by the assessments of every view, the finding analyzers, the
-    # lints and the rows. The coverage view's assessments are a
-    # cross-sign's intended reach, not its fate: the trust-delta and
-    # barrier-breach analyzers and lint V4 read them.
-    members = {fp: run.index.get(fp)
-               for group in xs_groups for fp in group.members}
-    paths = {fp: _enumerate(run, record) for fp, record in members.items()}
-    assessments = {
-        (fp, view.consumer_id): assess_paths(record, paths[fp], run.index,
-                                             run.stores, run.revocations, view)
-        for view in (COVERAGE_VIEW, *run.views)
-        for fp, record in members.items()}
-
-    all_findings = findings_mod.run_all(xs_groups, run, assessments, paths)
-    covered = {fp: assessments[fp, COVERAGE_VIEW_ID].covered_stores()
-               for fp in members}
+    all_findings = findings_mod.run_all(xs_groups, run)
+    covered = {fp: run.assessments[fp, COVERAGE_VIEW_ID].covered_stores()
+               for fp in run.paths}
     inconsistent = {(f.subject, f.spki) for f in all_findings
                     if f.category == "revocation_inconsistency"}
     verdicts = sorted(
@@ -204,10 +210,9 @@ def analyze_corpus(records: Sequence[CertRecord],
         key=lambda v: (v.code, v.member, v.detail))
     return AnalysisResult(
         xs_groups=xs_groups, reissuance_groups=reissuance,
-        assessments=assessments,
-        rows=AssessmentRows(run, paths, assessments),
+        assessments=run.assessments, rows=AssessmentRows(run),
         findings=all_findings, verdicts=verdicts,
-        truncated_members=[fp for fp in members if paths[fp].truncated])
+        truncated_members=[fp for fp, e in run.paths.items() if e.truncated])
 
 
 def lint_corpus(records: Sequence[CertRecord],

@@ -87,12 +87,14 @@ class Subtree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Subtree":
-        kind = obj["kind"]
-        value = obj["value"]
+        if not (isinstance(obj, dict) and set(obj) == {"kind", "value"}
+                and all(isinstance(v, str) for v in obj.values())):
+            raise ValueError("a subtree is {kind: string, value: string}")
+        kind, value = obj["kind"], obj["value"]
         if kind == "dirname":
             value = normalize_name(value)
         elif kind == "dns":
-            value = normalize_value(str(value))
+            value = normalize_value(value)
         return cls(kind, value)
 
 
@@ -113,12 +115,16 @@ class NameConstraints:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NameConstraints":
-        if not isinstance(obj, dict):
-            raise ValueError("name_constraints must be an object")
+        if not (isinstance(obj, dict)
+                and set(obj) == {"permitted", "excluded", "critical"}
+                and isinstance(obj["permitted"], list)
+                and isinstance(obj["excluded"], list)):
+            raise ValueError("name_constraints must be an object of the "
+                             "lists permitted and excluded, and critical")
         return cls(
-            permitted=tuple(Subtree.from_json(s) for s in obj.get("permitted", [])),
-            excluded=tuple(Subtree.from_json(s) for s in obj.get("excluded", [])),
-            critical=bool(obj.get("critical", False)),
+            permitted=tuple(Subtree.from_json(s) for s in obj["permitted"]),
+            excluded=tuple(Subtree.from_json(s) for s in obj["excluded"]),
+            critical=_flag(obj, "critical"),
         )
 
 
@@ -187,6 +193,14 @@ def record_to_json(record: CertRecord) -> dict:
     }
 
 
+def _flag(obj: dict, key: str) -> bool:
+    """The JSON boolean `obj[key]`, False when the key is absent."""
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise ValueError(f"{key} must be true or false")
+    return value
+
+
 def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
     """The record of an interchange dict; `raw`, when given, is the DER the
     dict was written from, kept for signature checks."""
@@ -195,7 +209,9 @@ def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
         raise MalformedInput(f"interchange record missing {missing}")
     try:
         nc = obj.get("name_constraints")
-        usages = obj.get("key_usages") or []
+        usages = obj.get("key_usages")
+        if usages is None:
+            usages = []
         if not (isinstance(usages, list)
                 and all(isinstance(u, str) for u in usages)):
             raise ValueError("key_usages must be a list of strings")
@@ -210,14 +226,15 @@ def record_from_json(obj: dict, raw: Optional[bytes] = None) -> CertRecord:
             serial=str(obj["serial"]).lower(),
             not_before=parse_rfc3339(obj["not_before"]),
             not_after=parse_rfc3339(obj["not_after"]),
-            is_ca=bool(obj["is_ca"]),
+            is_ca=_flag(obj, "is_ca"),
             path_len_constraint=path_len,
-            name_constraints=NameConstraints.from_json(nc) if nc else None,
+            name_constraints=(None if nc is None
+                              else NameConstraints.from_json(nc)),
             key_usages=frozenset(usages),
             signature_algorithm=str(obj.get("sig_alg") or "unknown"),
-            self_signed=bool(obj.get("self_signed", False)),
-            legacy_v1=bool(obj.get("legacy_v1", False)),
-            unknown_critical=bool(obj.get("unknown_critical", False)),
+            self_signed=_flag(obj, "self_signed"),
+            legacy_v1=_flag(obj, "legacy_v1"),
+            unknown_critical=_flag(obj, "unknown_critical"),
             raw=raw,
         )
     except MalformedInput:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import intervals
 from .certmodel import CertRecord
 from .constants import CATEGORIES, SEVERITY
-from .pathengine import CertIndex, PathEnumeration, TrustAssessment
+from .pathengine import TrustPath
 from .revocation import (COVERAGE_VIEW_ID, RevocationView, matching_records,
                          revocation_onset)
 from .timeutil import DT_MAX, format_rfc3339
@@ -28,13 +28,6 @@ if TYPE_CHECKING:
     from .analysis import Run
 
 DEFAULT_BACKDATING_SLACK_DAYS = 365
-
-# Enumerated paths keyed by certificate fingerprint; built once per
-# analysis run with its depth bound, mode and anchors.
-Paths = Mapping[str, PathEnumeration]
-# Trust assessments keyed by (certificate fingerprint, view id).
-Assessments = Mapping[tuple[str, str], TrustAssessment]
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -69,13 +62,13 @@ def _finding(category: str, group: XSCertGroup, evidence: dict) -> Finding:
     )
 
 
-def _union_trusted(assessments: Assessments, fingerprints: Iterable[str],
+def _union_trusted(run: Run, fingerprints: Iterable[str],
                    view_id: str, store_id: str) -> list[intervals.Interval]:
-    """The instants at which any of the certificates is trusted in the
-    store under the view."""
+    """The instants at which any of the members is trusted in the store
+    under the view."""
     out: list[intervals.Interval] = []
     for fp in fingerprints:
-        out.extend(assessments[fp, view_id].intervals_for(store_id))
+        out.extend(run.assessments[fp, view_id].intervals_for(store_id))
     return intervals.normalize(out)
 
 
@@ -86,8 +79,7 @@ def _iv_json(items: list[intervals.Interval]) -> list[dict]:
 # --- valid after revocation -------------------------------------------------
 
 def _member_blocking_events(member: CertRecord, view: RevocationView,
-                            store: RootStoreTimeline, run: Run,
-                            paths: Paths) -> list[dict]:
+                            store: RootStoreTimeline, run: Run) -> list[dict]:
     """Instants from which `member` should have stopped providing trust in
     this (view, store): revocation onsets, matching distrust rules, and the
     member's own removal from the store."""
@@ -102,7 +94,7 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
     for rule in store.distrust_rules:
         if not any(rule_blocks_path(rule, [member, run.index.get(root)],
                                     rule.effective_from)
-                   for root in paths[member.fingerprint].roots):
+                   for root in run.paths[member.fingerprint].roots):
             continue
         events.append({
             "kind": "distrust_rule", "member": member.fingerprint,
@@ -118,23 +110,21 @@ def _member_blocking_events(member: CertRecord, view: RevocationView,
     return events
 
 
-def find_valid_after_revocation(group: XSCertGroup, run: Run,
-                                assessments: Assessments,
-                                paths: Paths) -> list[Finding]:
+def find_valid_after_revocation(group: XSCertGroup,
+                                run: Run) -> list[Finding]:
     """One finding per (view, store) where a member is revoked, rule-blocked
     or store-removed at t while the group's key stays trusted afterwards
     through another member or path."""
-    members = [run.index.get(fp) for fp in group.members]
     findings = []
     for view in sorted(run.views, key=lambda v: v.consumer_id):
         for store in run.stores:
             events = []
-            for member in members:
-                events.extend(_member_blocking_events(
-                    member, view, store, run, paths))
+            for member in group.records:
+                events.extend(_member_blocking_events(member, view, store,
+                                                      run))
             if not events:
                 continue
-            trusted = _union_trusted(assessments, group.members,
+            trusted = _union_trusted(run, group.members,
                                      view.consumer_id, store.store_id)
             windows = []
             hits = []
@@ -156,40 +146,37 @@ def find_valid_after_revocation(group: XSCertGroup, run: Run,
 
 # --- PKI barrier breaches ---------------------------------------------------
 
-def _path_nc_mitigation(member: CertRecord, index: CertIndex, paths: Paths,
+def _path_nc_mitigation(paths: Sequence[TrustPath],
                         target_roots: frozenset[str]) -> Optional[str]:
-    """'nc_critical' / 'nc_noncritical' when every usable path of the member
-    into the target roots passes a name-constrained CA; None otherwise."""
+    """'nc_critical' / 'nc_noncritical' when every one of the usable `paths`
+    into the target roots passes a name-constrained CA; None otherwise. A
+    breach is measured through such a path, so there is at least one."""
     flags = []
-    for path in paths[member.fingerprint].paths:
+    for path in paths:
         if path.root not in target_roots:
             continue
-        constrained = [index.get(fp).name_constraints
-                       for fp in path.chain if index.get(fp).name_constraints]
+        constrained = [r.name_constraints for r in path.records
+                       if r.name_constraints]
         if not constrained:
             return None
         flags.append("nc_critical" if any(nc.critical for nc in constrained)
                      else "nc_noncritical")
-    if not flags:
-        return None
     return "nc_critical" if all(f == "nc_critical" for f in flags) else "nc_noncritical"
 
 
-def find_barrier_breach(group: XSCertGroup, run: Run,
-                        assessments: Assessments,
-                        paths: Paths) -> list[Finding]:
+def find_barrier_breach(group: XSCertGroup, run: Run) -> list[Finding]:
     """A member reaches a store class the group's native member (its
     native anchoring) never reaches, under the coverage view. Empty native
     coverage is bootstrapping territory, not a breach."""
-    index, view_id = run.index, COVERAGE_VIEW_ID
+    assessments, view_id = run.assessments, COVERAGE_VIEW_ID
     class_of = {s.store_id: s.store_class for s in run.stores}
-    native = group.native(index, run.operator_map)
+    native = group.native(run.operator_map)
     native_stores = assessments[native.fingerprint, view_id].covered_stores()
     native_classes = {class_of[s] for s in native_stores}
     if not native_classes:
         return []
     findings = []
-    for member in group.chronological(index):
+    for member in group.chronological():
         if member.fingerprint == native.fingerprint:
             continue
         covered = assessments[member.fingerprint, view_id].covered_stores()
@@ -198,7 +185,8 @@ def find_barrier_breach(group: XSCertGroup, run: Run,
             continue
         target_roots = combined_anchors(
             st for st in run.stores if st.store_id in new_stores)
-        mitigation = _path_nc_mitigation(member, index, paths, target_roots)
+        mitigation = _path_nc_mitigation(run.paths[member.fingerprint].paths,
+                                         target_roots)
         findings.append(_finding("barrier_breach", group, {
             "member": member.fingerprint,
             "native_member": native.fingerprint,
@@ -213,16 +201,15 @@ def find_barrier_breach(group: XSCertGroup, run: Run,
 
 # --- trust deltas: bootstrapping / expansion / extension / alternatives ----
 
-def find_trust_deltas(group: XSCertGroup, run: Run,
-                      assessments: Assessments,
-                      paths: Paths) -> list[Finding]:
+def find_trust_deltas(group: XSCertGroup, run: Run) -> list[Finding]:
     """Exactly one finding per XS group under the coverage view, with
     precedence: new stores beat longer validity beat alternative paths; a
     new-store member whose issuer is external while the group has no native
     anchor in the target store is bootstrapping."""
     view_id, operator_map = COVERAGE_VIEW_ID, run.operator_map
+    assessments = run.assessments
     store_ids = sorted({s.store_id for s in run.stores})
-    members = group.chronological(run.index)
+    members = group.chronological()
 
     new_store_members: list[tuple[CertRecord, list[str]]] = []
     extended_members: list[tuple[CertRecord, dict]] = []
@@ -234,7 +221,7 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
             own = assessments[member.fingerprint, view_id].intervals_for(sid)
             if not own:
                 continue
-            rest_cover = _union_trusted(assessments, rest, view_id, sid)
+            rest_cover = _union_trusted(run, rest, view_id, sid)
             if not rest_cover:
                 new_stores.append(sid)
             else:
@@ -262,7 +249,7 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
             for other in members:
                 if other.fingerprint == member.fingerprint:
                     continue
-                native_roots.update(paths[other.fingerprint].roots)
+                native_roots.update(run.paths[other.fingerprint].roots)
             own_root_absent = all(
                 sid in store_map and not (
                     native_roots & store_map[sid].active_roots(member.not_before))
@@ -286,18 +273,15 @@ def find_trust_deltas(group: XSCertGroup, run: Run,
 
 # --- multiple signature algorithms ------------------------------------------
 
-def find_multi_algorithm(group: XSCertGroup, index: CertIndex,
-                         paths: Paths) -> list[Finding]:
+def find_multi_algorithm(group: XSCertGroup, run: Run) -> list[Finding]:
     """Members (or their best paths) use differing signature algorithms."""
-    members = [index.get(fp) for fp in group.members]
-    direct = {m.fingerprint: m.signature_algorithm for m in members}
+    direct = {m.fingerprint: m.signature_algorithm for m in group.records}
     path_algs: dict[str, list[str]] = {}
-    for member in members:
-        usable = paths[member.fingerprint].paths
+    for member in group.records:
+        usable = run.paths[member.fingerprint].paths
         if usable:
-            best = usable[0]
             path_algs[member.fingerprint] = sorted(
-                {index.get(fp).signature_algorithm for fp in best.chain})
+                {r.signature_algorithm for r in usable[0].records})
     differs = len(set(direct.values())) > 1 or len(
         {tuple(v) for v in path_algs.values()}) > 1
     if not differs:
@@ -343,18 +327,17 @@ def find_ownership_span(group: XSCertGroup, run: Run) -> list[Finding]:
 
 # --- backdating ----------------------------------------------------------------
 
-def find_backdating(group: XSCertGroup, index: CertIndex) -> list[Finding]:
+def find_backdating(group: XSCertGroup, run: Run) -> list[Finding]:
     """Flags members whose not_before predates their issuer's certificate,
     and members predating the rest of the group by more than
     `DEFAULT_BACKDATING_SLACK_DAYS` while their issuing CA's certificate
     post-dates them."""
-    members = [index.get(fp) for fp in group.members]
     findings = []
-    for member in members:
+    for member in group.records:
         if member.self_signed:
             continue
         # Same-key records cannot have signed the member.
-        candidates = [c for c in index.issuers_of(member)
+        candidates = [c for c in run.index.issuers_of(member)
                       if c.spki_digest != member.spki_digest]
         issuer_nb = min((c.not_before for c in candidates), default=None)
         reasons = []
@@ -362,7 +345,7 @@ def find_backdating(group: XSCertGroup, index: CertIndex) -> list[Finding]:
             gap = (issuer_nb - member.not_before).days
             reasons.append({"kind": "precedes_issuer", "gap_days": gap,
                             "issuer_not_before": format_rfc3339(issuer_nb)})
-        others = [m for m in members if m.fingerprint != member.fingerprint]
+        others = [m for m in group.records if m is not member]
         earliest_other = min((m.not_before for m in others), default=None)
         if (earliest_other is not None and issuer_nb is not None
                 and issuer_nb > member.not_before
@@ -389,9 +372,9 @@ def find_revocation_inconsistency(group: XSCertGroup,
     CRLs together, each of the run's views in the order given), a revoked
     member has an unrevoked overlapping sibling, or siblings were revoked
     with a lag."""
-    index, revocations = run.index, run.revocations
+    revocations = run.revocations
     ca_sources = revocations.ca_sources
-    members = [index.get(fp) for fp in group.members]
+    members = group.records
     relevant = [r for m in members for r in revocations.candidates(m)]
     if not relevant:
         return []
@@ -429,8 +412,8 @@ def find_revocation_inconsistency(group: XSCertGroup,
             if crls and not any(revocations.can_list(src, member)
                                 for src in crls):
                 continue
-            overlapping = [fp for fp in onsets
-                           if overlap_days(index.get(fp), member) > 0]
+            overlapping = [m for m in members if m.fingerprint in onsets
+                           and overlap_days(m, member) > 0]
             if overlapping:
                 issues.append({
                     "kind": "partial", "scope": label,
@@ -462,24 +445,19 @@ def find_revocation_inconsistency(group: XSCertGroup,
 
 # --- orchestration -----------------------------------------------------------
 
-def run_all(groups: Sequence[XSCertGroup], run: Run,
-            assessments: Assessments, paths: Paths) -> list[Finding]:
+def run_all(groups: Sequence[XSCertGroup], run: Run) -> list[Finding]:
     """Run every analyzer over each cross-sign group; the findings are
-    sorted by category, subject, key and evidence.
-
-    `assessments` holds every member's assessment under every view and the
-    revocation-free coverage view, which the barrier-breach and
-    trust-delta analyzers read; `paths` holds the enumerated paths they
-    were built from."""
+    sorted by category, subject, key and evidence. The analyzers are named
+    here, not in a module-level tuple, so that a hook replacing one of them
+    in this module reaches this loop."""
     findings: list[Finding] = []
     for group in groups:
-        findings.extend(find_valid_after_revocation(
-            group, run, assessments, paths))
-        findings.extend(find_barrier_breach(group, run, assessments, paths))
-        findings.extend(find_trust_deltas(group, run, assessments, paths))
-        findings.extend(find_multi_algorithm(group, run.index, paths))
+        findings.extend(find_valid_after_revocation(group, run))
+        findings.extend(find_barrier_breach(group, run))
+        findings.extend(find_trust_deltas(group, run))
+        findings.extend(find_multi_algorithm(group, run))
         findings.extend(find_ownership_span(group, run))
-        findings.extend(find_backdating(group, run.index))
+        findings.extend(find_backdating(group, run))
         findings.extend(find_revocation_inconsistency(group, run))
     findings.sort(key=lambda f: (CATEGORIES.index(f.category),
                                  f.subject, f.spki,

@@ -82,10 +82,12 @@ def build_index(certs: Iterable[CertRecord]) -> CertIndex:
 @dataclass(frozen=True)
 class TrustPath:
     """One usable chain, leaf-side first, root-side last, with the window
-    in which every member is valid."""
+    in which every member is valid: the fingerprints, and the records they
+    name."""
 
     chain: tuple[str, ...]
     validity: tuple[datetime, datetime]
+    records: tuple[CertRecord, ...] = field(compare=False, repr=False)
 
     @property
     def root(self) -> str:
@@ -230,7 +232,8 @@ def _walk(records: list[CertRecord], spkis: set[str], index: CertIndex,
         validity = _usable_validity(records, mode, start, end)
         if validity is not None:
             result.paths.append(TrustPath(
-                tuple(r.fingerprint for r in records), validity))
+                tuple(r.fingerprint for r in records), validity,
+                tuple(records)))
     # A parent whose key is on the chain already is skipped; at the depth
     # bound, any other parent truncates the enumeration. The window is
     # narrowed by comparisons: the builtin `max` and `min` are slower on
@@ -303,11 +306,11 @@ def assess_trust(cert: CertRecord, index: CertIndex,
     """Enumerate `cert`'s paths into every store's roots, then assess them."""
     enumeration = enumerate_paths(cert, index, max_depth=max_depth, mode=mode,
                                   anchors=combined_anchors(stores))
-    return assess_paths(cert, enumeration, index, stores,
+    return assess_paths(cert, enumeration, stores,
                         RevocationIndex(revocations), view)
 
 
-def path_trust(path: TrustPath, index: CertIndex, store: RootStoreTimeline,
+def path_trust(path: TrustPath, store: RootStoreTimeline,
                revocations: RevocationIndex,
                view: RevocationView) -> Optional[tuple]:
     """One path's fate in one store: None when it keeps no trust there,
@@ -319,7 +322,7 @@ def path_trust(path: TrustPath, index: CertIndex, store: RootStoreTimeline,
     allowed = intervals.intersect([path.validity], presence)
     if not allowed:
         return None
-    records = [index.get(fp) for fp in path.chain]
+    records = path.records
     cutoffs = [(rec.effective_date, {
         "kind": "revocation", "member": member.fingerprint,
         "source": rec.source.name, "reason": rec.reason or ""})
@@ -369,7 +372,6 @@ def merge(trusts: Iterable[Optional[tuple]]) -> list[TrustInterval]:
 
 
 def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
-                 index: CertIndex,
                  stores: Sequence[RootStoreTimeline],
                  revocations: RevocationIndex,
                  view: RevocationView) -> TrustAssessment:
@@ -379,7 +381,7 @@ def assess_paths(cert: CertRecord, enumeration: PathEnumeration,
     blocks the path."""
     return TrustAssessment(cert.fingerprint, view.consumer_id, {
         store.store_id: merge([
-            path_trust(path, index, store, revocations, view)
+            path_trust(path, store, revocations, view)
             for path in enumeration.paths])
         for store in stores})
 
@@ -388,11 +390,7 @@ def select_stores(stores: Sequence[RootStoreTimeline],
                   store_ids: Optional[Sequence[str]]) -> list[RootStoreTimeline]:
     if store_ids is None:
         return list(stores)
-    known: dict[str, RootStoreTimeline] = {}
-    for store in stores:
-        if store.store_id in known:
-            raise ValueError(f"duplicate store id {store.store_id!r}")
-        known[store.store_id] = store
+    known = {store.store_id: store for store in stores}
     repeated = sorted({sid for sid in store_ids if store_ids.count(sid) > 1})
     if repeated:
         raise ValueError(f"store id(s) given more than once: "

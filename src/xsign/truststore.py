@@ -150,6 +150,16 @@ def rule_blocks_path(rule: DistrustRule, path: Sequence[CertRecord],
     return path[0].not_before > rule.issued_after
 
 
+def check_store_ids(stores: Iterable[RootStoreTimeline]) -> None:
+    """Raise ValueError on a store id given twice: every assessment row and
+    finding names a store by its id."""
+    seen: set[str] = set()
+    for store in stores:
+        if store.store_id in seen:
+            raise ValueError(f"duplicate store id {store.store_id!r}")
+        seen.add(store.store_id)
+
+
 def combined_anchors(stores: Iterable[RootStoreTimeline]) -> frozenset[str]:
     """Union of every root ever present in any store."""
     out: set[str] = set()

@@ -109,6 +109,12 @@ def _views(doc: dict) -> list[RevocationView]:
     return views
 
 
+def _stores(doc: dict) -> list[RootStoreTimeline]:
+    stores = [truststore.RootStoreTimeline.from_json(s) for s in doc["stores"]]
+    truststore.check_store_ids(stores)
+    return stores
+
+
 def _signature(obj: dict) -> tuple[tuple[str, str], bool]:
     return (obj["child"], obj["issuer"]), obj["verified"] is True
 
@@ -400,11 +406,9 @@ class Workspace:
             raise SchemaError("top-level JSON must be an object", path=str(path))
         try:
             if "stores" in doc or "store_id" in doc:
-                stores = doc.get("stores", [doc] if "store_id" in doc else [])
+                stores = _stores(doc if "stores" in doc else {"stores": [doc]})
                 existing = {s.store_id: s for s in self.load_stores()}
-                for obj in stores:
-                    store = truststore.RootStoreTimeline.from_json(obj)
-                    existing[store.store_id] = store
+                existing.update((s.store_id, s) for s in stores)
                 payload = {"stores": [existing[k].to_json()
                                       for k in sorted(existing)]}
                 self._write_input(self.config_dir / _CONFIG_FILES["stores"],
@@ -480,9 +484,7 @@ class Workspace:
         return _read_jsonl(self.config_dir / _CONFIG_FILES[kind], parse) or []
 
     def load_stores(self) -> list[RootStoreTimeline]:
-        return self._load_config("stores", lambda doc: [
-            truststore.RootStoreTimeline.from_json(s)
-            for s in doc["stores"]], [])
+        return self._load_config("stores", _stores, [])
 
     def load_revocations(self) -> list[RevocationRecord]:
         return self._load_config_lines("revocations",

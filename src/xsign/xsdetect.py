@@ -34,7 +34,7 @@ class XSCertGroup:
 
     subject: NormalizedName
     spki_digest: str
-    members: tuple[str, ...]
+    records: tuple[CertRecord, ...]          # in fingerprint order
     qualifying_pairs: tuple[QualifyingPair, ...]
     reissuance_members: tuple[str, ...]
     xs_type: Optional[str] = None
@@ -44,17 +44,20 @@ class XSCertGroup:
     def key(self) -> tuple[str, str]:
         return (str(self.subject), self.spki_digest)
 
-    def chronological(self, index: CertIndex) -> list[CertRecord]:
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The members' fingerprints, in fingerprint order."""
+        return tuple(r.fingerprint for r in self.records)
+
+    def chronological(self) -> list[CertRecord]:
         """The members' records in issuance order: by not_before, then by
         fingerprint."""
-        return sorted((index.get(fp) for fp in self.members),
-                      key=lambda r: (r.not_before, r.fingerprint))
+        return sorted(self.records, key=lambda r: (r.not_before, r.fingerprint))
 
-    def native(self, index: CertIndex,
-               operator_map: Optional[OperatorMap]) -> CertRecord:
+    def native(self, operator_map: Optional[OperatorMap]) -> CertRecord:
         """The group's native member: the earliest issued within the
         subject's own operator, else the earliest issued."""
-        members = self.chronological(index)
+        members = self.chronological()
         if operator_map is not None:
             for m in members:
                 subj_op, issuer_op = operator_map.issuance_operators(m)
@@ -136,7 +139,7 @@ def group_xs(index: CertIndex,
         (xs_groups if pairs else reissuance).append(XSCertGroup(
             subject=subject,
             spki_digest=spki,
-            members=tuple(r.fingerprint for r in members),
+            records=tuple(members),
             qualifying_pairs=tuple(pairs),
             reissuance_members=tuple(r.fingerprint for r in members
                                      if r.fingerprint not in qualified),
@@ -146,17 +149,15 @@ def group_xs(index: CertIndex,
     return sorted(xs_groups, key=key), sorted(reissuance, key=key)
 
 
-def classify_type(group: XSCertGroup, anchors: frozenset[str],
-                  index: CertIndex) -> str:
+def classify_type(group: XSCertGroup, anchors: frozenset[str]) -> str:
     """Group taxonomy: root (all CA, some member ever in a store),
     intermediate (all CA, never in a store), leaf (no CA member), leaf_mix
     (CA and leaf members share the key). `anchors` is every root ever in
     any store (`truststore.combined_anchors`): store membership has no time
     qualifier."""
-    records = [index.get(fp) for fp in group.members]
-    ca_flags = [r.ca_capable for r in records]
+    ca_flags = [r.ca_capable for r in group.records]
     if all(ca_flags):
-        if any(r.fingerprint in anchors for r in records):
+        if any(r.fingerprint in anchors for r in group.records):
             return "root"
         return "intermediate"
     if not any(ca_flags):
@@ -164,8 +165,8 @@ def classify_type(group: XSCertGroup, anchors: frozenset[str],
     return "leaf_mix"
 
 
-def classify_scope(group: XSCertGroup, operator_map: Optional[OperatorMap],
-                   index: CertIndex) -> str:
+def classify_scope(group: XSCertGroup,
+                   operator_map: Optional[OperatorMap]) -> str:
     """internal: every member's subject and issuer resolve to one common
     operator at the member's issuance; external: some member's issuer is a
     different operator; unknown: the map does not cover a participant."""
@@ -173,8 +174,8 @@ def classify_scope(group: XSCertGroup, operator_map: Optional[OperatorMap],
         return "unknown"
     ops: set[str] = set()
     any_unknown = False
-    for fp in group.members:
-        subj_op, issuer_op = operator_map.issuance_operators(index.get(fp))
+    for record in group.records:
+        subj_op, issuer_op = operator_map.issuance_operators(record)
         if subj_op is not None and issuer_op is not None and subj_op != issuer_op:
             return "external"
         if subj_op is None or issuer_op is None:
@@ -187,9 +188,8 @@ def classify_scope(group: XSCertGroup, operator_map: Optional[OperatorMap],
 
 
 def classify_groups(groups: Iterable[XSCertGroup], anchors: frozenset[str],
-                    operator_map: Optional[OperatorMap],
-                    index: CertIndex) -> list[XSCertGroup]:
+                    operator_map: Optional[OperatorMap]) -> list[XSCertGroup]:
     return [replace(g,
-                    xs_type=classify_type(g, anchors, index),
-                    scope=classify_scope(g, operator_map, index))
+                    xs_type=classify_type(g, anchors),
+                    scope=classify_scope(g, operator_map))
             for g in groups]

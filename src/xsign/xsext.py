@@ -234,8 +234,8 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
     name the group. The reference instant is the latest store snapshot, or
     the latest member issuance when no store has a snapshot."""
     verdicts: list[LintVerdict] = []
-    index, exts = run.index, run.extensions
-    members = group.chronological(index)
+    exts = run.extensions
+    members = group.chronological()
     at = run.lint_at
     if at is None:
         at = max(m.not_before for m in members)
@@ -254,7 +254,7 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
     # The "original" members need no motivation extension: the self-signed
     # ones and the group's native member.
     exempt = {m.fingerprint for m in members if m.self_signed}
-    exempt.add(group.native(index, run.operator_map).fingerprint)
+    exempt.add(group.native(run.operator_map).fingerprint)
     for member in members:
         if (member.fingerprint in qualified
                 and member.fingerprint not in exempt
@@ -293,8 +293,8 @@ def lint_cross_sign(group: XSCertGroup, run: Run,
                             break
             elif isinstance(m, MultipleAlgorithms):
                 chain = [member.fingerprint, *m.path_certs]
-                outside = sorted({index.get(fp).signature_algorithm
-                                  for fp in chain if fp in index}
+                outside = sorted({run.index.get(fp).signature_algorithm
+                                  for fp in chain if fp in run.index}
                                  - set(m.algorithm_set))
                 if outside:
                     verdicts.append(LintVerdict(

@@ -204,7 +204,7 @@ def test_criterion_07_taxonomy_totality():
         xs, _ = group_xs(index)
         types = {}
         for group in xs:
-            t = classify_type(group, combined_anchors(stores), index)
+            t = classify_type(group, combined_anchors(stores))
             assert t in ("root", "intermediate", "leaf", "leaf_mix")
             types.setdefault(t, []).append(group)
         mix_spki = shapes.record("mix_ca").spki_digest
@@ -270,11 +270,11 @@ def test_criterion_09_delta_precedence(letsencrypt):
 def test_criterion_10_backdating():
     from xsign.findings import find_backdating
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views)
     ut = next(g for g in xs
               if g.spki_digest == bundle.record("usertrust_ecc").spki_digest)
-    flagged = find_backdating(ut, index)
+    flagged = find_backdating(ut, run)
     assert len(flagged) == 1
     assert flagged[0].evidence["member"] == bundle.fp("ut_xs_backdated")
     gap = flagged[0].evidence["max_gap_days"]
@@ -282,7 +282,7 @@ def test_criterion_10_backdating():
 
     boundary = next(g for g in xs
                     if g.spki_digest == bundle.record("bd_root").spki_digest)
-    assert not find_backdating(boundary, index)
+    assert not find_backdating(boundary, run)
     _ok(10, f"backdating: year-2000 cross-sign of a 2010 root flagged "
             f"(gap {gap}d >= 9y); exact-slack control not flagged")
 

@@ -84,6 +84,13 @@ def test_analyze_corpus_rejects_repeated_and_reserved_view_ids(corpus, ids):
         _analyze(corpus, [RevocationView(i, frozenset()) for i in ids])
 
 
+def test_analyze_corpus_rejects_a_repeated_store_id(corpus):
+    # Every row and finding names a store by its id.
+    with pytest.raises(ValueError, match="duplicate store id"):
+        analyze_corpus(corpus.records, [*corpus.stores, corpus.stores[0]],
+                       corpus.revocations, corpus.views)
+
+
 def _patch(monkeypatch, owner, name, make):
     """Replace `owner.<name>` with `make(original)` in every xsign module
     that holds it by name."""

@@ -7,6 +7,7 @@ import xsign.findings
 import xsign.pathengine
 from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                             build_run, lint_corpus)
+from xsign.certmodel import NameConstraints, Subtree
 from xsign.corpus import PkiBuilder, ScenarioSpec, generate
 from xsign.findings import (find_backdating, find_ownership_span,
                             find_revocation_inconsistency)
@@ -15,7 +16,6 @@ from xsign.revocation import (IssuerSerial, RevocationRecord,
                               RevocationSource, RevocationView)
 from xsign.timeutil import parse_rfc3339, utc
 from xsign.truststore import combined_anchors
-from xsign.xsdetect import group_xs
 
 DELTA_CATEGORIES = {"bootstrapping", "expanded_trust", "extended_validity",
                     "alternative_paths"}
@@ -177,6 +177,36 @@ def test_breach_is_measured_from_the_operator_internal_member():
     assert ev["native_member"] == bundle.fp("gov_ca")
     assert (ev["native_classes"], ev["breached_classes"]) == (
         ["government"], ["web"])
+
+
+def test_breach_mitigation_reads_only_paths_into_the_breached_class():
+    # The cross-sign `gov_xs` reaches the government store through the
+    # unconstrained `bridge` and the web store through the name-constrained
+    # `bridge_web`: only the latter path leads into the breached class.
+    b = PkiBuilder("mitigation-scope")
+    b.root("gov_root", "CN=Agency Root, O=Agency", nb=utc(2005), na=utc(2035))
+    b.root("web_root", "CN=Web Root, O=Web CA", nb=utc(2005), na=utc(2035))
+    b.ca("gov_ca", "CN=Agency CA, O=Agency", issuer="gov_root",
+         nb=utc(2010), na=utc(2030))
+    b.ca("bridge", "CN=Bridge CA, O=Bridge", issuer="gov_root",
+         nb=utc(2008), na=utc(2032))
+    b.cross_sign("bridge_web", "bridge", issuer="web_root", nb=utc(2009),
+                 na=utc(2032), name_constraints=NameConstraints(
+                     permitted=(), excluded=(Subtree("dns", "x.invalid"),),
+                     critical=True))
+    b.cross_sign("gov_xs", "gov_ca", issuer="bridge", nb=utc(2012),
+                 na=utc(2030))
+    b.store("mozilla", "web", [(utc(2005), ["web_root"])])
+    b.store("agency", "government", [(utc(2005), ["gov_root"])])
+    b.view("none")
+    bundle = b.realize(ScenarioSpec("mitigation-scope"))
+    result = _analyzed(bundle)
+    assert len(result.assessments[bundle.fp("gov_xs"), COVERAGE_VIEW_ID]
+               .covered_stores()) == 2
+    [breach] = [f for f in _by_category(result)["barrier_breach"]
+                if f.evidence["member"] == bundle.fp("gov_xs")]
+    assert breach.evidence["breached_classes"] == ["web"]
+    assert breach.evidence["mitigation"] == "nc_critical"
 
 
 def test_single_class_corpus_no_breach(figure1):
@@ -356,11 +386,11 @@ def test_ownership_matches_containment_oracle():
 
 def test_backdated_cross_sign_flagged():
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views)
     ut = next(g for g in xs
               if g.spki_digest == bundle.record("usertrust_ecc").spki_digest)
-    findings = find_backdating(ut, index)
+    findings = find_backdating(ut, run)
     assert len(findings) == 1
     ev = findings[0].evidence
     assert ev["member"] == bundle.fp("ut_xs_backdated")
@@ -375,9 +405,8 @@ def test_not_before_equal_to_issuer_not_flagged():
     b.root("B", "CN=Root B, O=T", nb=utc(2000), na=utc(2040))
     b.ca("m1", "CN=Shared, O=T", issuer="A", nb=utc(2012), na=utc(2030))
     b.cross_sign("m2", "m1", issuer="B", nb=utc(2000), na=utc(2030))
-    index = build_index(b.build("structural").values())
-    xs, _ = group_xs(index)
-    findings = find_backdating(xs[0], index)
+    run, xs, _ = build_run(list(b.build("structural").values()), [], [], [])
+    findings = find_backdating(xs[0], run)
     # m2's claimed start equals its issuer's: the group-gap clause needs the
     # issuer to post-date the member, so nothing fires.
     assert not findings
@@ -385,21 +414,21 @@ def test_not_before_equal_to_issuer_not_flagged():
 
 def test_gap_exactly_slack_not_flagged(monkeypatch):
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views)
     boundary = next(g for g in xs
                     if g.spki_digest == bundle.record("bd_root").spki_digest)
     # The control group's cross-sign predates its sibling by exactly 365
     # days and does not predate its issuer: silent at any slack.
-    assert not find_backdating(boundary, index)
+    assert not find_backdating(boundary, run)
     monkeypatch.setattr(xsign.findings, "DEFAULT_BACKDATING_SLACK_DAYS", 1)
-    assert not find_backdating(boundary, index)
+    assert not find_backdating(boundary, run)
 
 
 def test_group_gap_comparison_is_strict(monkeypatch):
     bundle = generate(ScenarioSpec("backdating", 1, "structural"))
-    index = build_index(bundle.records)
-    xs, _ = group_xs(index)
+    run, xs, _ = build_run(bundle.records, bundle.stores, bundle.revocations,
+                           bundle.views)
     ut = next(g for g in xs
               if g.spki_digest == bundle.record("usertrust_ecc").spki_digest)
 
@@ -407,7 +436,7 @@ def test_group_gap_comparison_is_strict(monkeypatch):
         monkeypatch.setattr(xsign.findings, "DEFAULT_BACKDATING_SLACK_DAYS",
                             slack)
         out = set()
-        for f in find_backdating(ut, index):
+        for f in find_backdating(ut, run):
             out |= {r["kind"] for r in f.evidence["reasons"]}
         return out
 

@@ -318,7 +318,7 @@ def test_assess_without_paths_answers_every_store_at_once(certinomis,
     monkeypatch.setattr(RootStoreTimeline, "presence_intervals",
                         per_store_loop)
     monkeypatch.setattr(intervals, "normalize", per_store_loop)
-    a = assess_paths(orphan, enumeration, index, stores, RevocationIndex([]),
+    a = assess_paths(orphan, enumeration, stores, RevocationIndex([]),
                      RevocationView("v", frozenset()))
     assert (a.fingerprint, a.view_id) == (orphan.fingerprint, "v")
     assert list(a.stores.items()) == [(s.store_id, []) for s in stores]
@@ -531,7 +531,7 @@ def _sampled_rows(bundle):
             revoked = [oracles.revocation_instants(chain, bundle.revocations,
                                                    view)
                        for chain in chains]
-            assessment = assess_paths(cert, enumeration, index, bundle.stores,
+            assessment = assess_paths(cert, enumeration, bundle.stores,
                                       revocations, view)
             for store in bundle.stores:
                 rows = assessment.stores[store.store_id]
@@ -585,11 +585,9 @@ def _check_merge_of_path_trusts(bundle, subsets):
         for subset in subsets(paths):
             for view in views:
                 assessment = assess_paths(cert, PathEnumeration(list(subset)),
-                                          index, bundle.stores, revocations,
-                                          view)
+                                          bundle.stores, revocations, view)
                 for store in bundle.stores:
-                    merged = merge(path_trust(path, index, store, revocations,
-                                              view)
+                    merged = merge(path_trust(path, store, revocations, view)
                                    for path in reversed(subset))
                     assert [ti.to_json() for ti in merged] == [
                         ti.to_json()

@@ -11,11 +11,14 @@ Regenerate (only for an intended output change) with:
 PYTHONPATH=src python tests/test_scenario_sweep.py
 
 In cryptographic mode every scenario is also taken through the command
-line, and its reports compared with the in-memory analysis.
+line, and its reports compared with the in-memory analysis. The script
+itself is run too, and its counts compared with the sweep's.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from xsign.cli import main
 from xsign.corpus import SCENARIOS, ScenarioSpec, generate
 
 GOLDEN = Path(__file__).parent / "golden" / "scenario_sweep.json"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
 
 
 def _digest(lines: list[str]) -> str:
@@ -85,6 +89,26 @@ def test_scenario_reports_match_golden_digests():
         assert scenario_digests(scenario_id) == golden[scenario_id], scenario_id
         assert cold_lint_digest(scenario_id) == golden[scenario_id]["lint"], \
             scenario_id
+
+
+def test_run_scenarios_script_prints_the_sweep_counts():
+    """The script exits 0 and prints, for each scenario, the certificate,
+    group and verdict counts of `analyze_corpus` over the sweep's bundle."""
+    proc = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    printed = {fields[0]: [int(f) for f in fields[1:4]]
+               for fields in map(str.split, proc.stdout.splitlines()[2:])}
+    expected = {}
+    for scenario_id in sorted(SCENARIOS):
+        bundle = _bundle(scenario_id)
+        result = analyze_corpus(bundle.records, bundle.stores,
+                                bundle.revocations, bundle.views,
+                                bundle.operator_map,
+                                extensions=bundle.extensions)
+        expected[scenario_id] = [len(bundle.records), len(result.xs_groups),
+                                 len(result.verdicts)]
+    assert printed == expected
 
 
 def _no_verification(child_raw, issuer_raw):

@@ -10,7 +10,7 @@ import pytest
 
 import xsign
 import xsign.workspace
-from xsign import reports
+from xsign import certmodel, reports
 from xsign.analysis import (COVERAGE_VIEW_ID, AnalysisOptions, analyze_corpus,
                             build_run)
 from xsign.cli import main
@@ -107,6 +107,24 @@ _BAD_VIEW_IDS = [
     ("certs.jsonl", {**_RECORD, "path_len": "x"}, 1),
     *[("stores.json", {"stores": [{"store_id": "s", "distrust_rules": rules}]},
        None) for rules in ("x", [5], {"a": 1})],
+    # Read by truthiness, a flag of "false" was stored as true, a falsy
+    # name_constraints or key_usages as none, {"a": 1} as empty
+    # constraints and "critical": "no" as critical, and a subtree whose
+    # kind or value is not a string was kept.
+    *[("certs.jsonl", {**_RECORD, flag: value}, 1)
+      for flag in ("is_ca", "self_signed", "legacy_v1", "unknown_critical")
+      for value in ("false", "no", "0", None)],
+    *[("certs.jsonl", {**_RECORD, "name_constraints": nc}, 1)
+      for nc in (0, "", False, [], {"a": 1},
+                 {"permitted": [], "excluded": [], "critical": "no"},
+                 {"permitted": [{"kind": 5, "value": "a.example"}],
+                  "excluded": [], "critical": True},
+                 {"permitted": [], "excluded": [{"kind": "dns", "value": 5}],
+                  "critical": True})],
+    *[("certs.jsonl", {**_RECORD, "key_usages": usages}, 1)
+      for usages in (0, "", {}, False)],
+    # Accepted, only the last of the two would be kept.
+    ("stores.json", {"stores": [{"store_id": "s"}, {"store_id": "s"}]}, None),
 ])
 def test_ingest_rejects_configs_the_loaders_cannot_read(tmp_path, capsys,
                                                         name, text, line):
@@ -253,6 +271,45 @@ def test_views_flag_overrides_config(tmp_path, capsys):
                                   "--views", spec)
             assert code == 1 and out == "", (command, spec)
             assert json.loads(err)["error"] == "analysis"
+
+
+def test_a_bare_source_is_the_view_of_that_source(tmp_path, capsys):
+    # certinomis: `onecrl` revokes the cross-sign.
+    ws_dir, _ = _make_ws(tmp_path, capsys)
+    rows = {}
+    for spec in ("onecrl", "onecrl=onecrl", "onecrl="):
+        code, _, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                            "--views", spec)
+        assert code == 0, err
+        rows[spec] = (ws_dir / "reports" / "assessments.jsonl").read_text()
+    assert rows["onecrl"] == rows["onecrl=onecrl"] != rows["onecrl="]
+
+
+def test_cryptographic_mode_skips_records_without_raw_bytes(tmp_path,
+                                                            capsys):
+    """In cryptographic mode a record without raw bytes builds no chain and
+    verifies no issuer: over a JSONL workspace, and over netsol's PEM, whose
+    two cross-signs share an issuer name, beside one metadata record of
+    that name."""
+    jsonl_ws, _ = _make_ws(tmp_path, capsys)
+    bundle = generate(ScenarioSpec("netsol", seed=1, mode="cryptographic"))
+    bundle.write(tmp_path / "netsol")
+    issuer = bundle.record("utn_hw")
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text(json.dumps({
+        **certmodel.record_to_json(issuer),
+        "fingerprint": "ee" * 32, "spki": "ff" * 32}) + "\n")
+    mixed_ws = tmp_path / "mixed"
+    code, _, err = _run(capsys, "ingest", "--ws", str(mixed_ws),
+                        str(tmp_path / "netsol"), str(extra))
+    assert code == 0, err
+    for ws_dir in (jsonl_ws, mixed_ws):
+        code, _, err = _run(capsys, "analyze", "--ws", str(ws_dir),
+                            "--mode", "cryptographic")
+        assert code == 0, err
+    groups = (mixed_ws / "reports" / "groups.jsonl").read_text()
+    assert [json.loads(line)["members"] for line in groups.splitlines()] == [
+        sorted([bundle.fp("ns_root"), bundle.fp("ns_xs1"), bundle.fp("ns_xs2")])]
 
 
 def test_pem_ingest_cryptographic_bundle(tmp_path, capsys):
@@ -569,6 +626,10 @@ def test_reports_interrupted_before_their_stamp_are_not_served(
     ("config/extensions.jsonl", '{"member": "ab"}', "lint"),
     ("config/revocations.jsonl", '{"selector": {"type": "spki"}}', "analyze"),
     ("certs/*.json", '{"fingerprint": "ab"}', "lint"),
+    # A store id given twice: its rows would keep one timeline's intervals.
+    ("config/stores.json", json.dumps({"stores": [{"store_id": "s"},
+                                                  {"store_id": "s"}]}),
+     "analyze"),
     # A well-formed record under another certificate's file name.
     ("certs/*.json", json.dumps({
         "fingerprint": "00" * 32, "subject": "CN=x", "issuer": "CN=x",

@@ -52,9 +52,9 @@ def test_letsencrypt_group(letsencrypt):
     assert len(xs) == 1
     group = xs[0]
     assert set(group.members) == {letsencrypt.fp("x3"), letsencrypt.fp("x3_xs")}
-    assert classify_type(group, combined_anchors(letsencrypt.stores),
-                         index) == "intermediate"
-    assert classify_scope(group, letsencrypt.operator_map, index) == "external"
+    assert classify_type(group, combined_anchors(letsencrypt.stores)
+                         ) == "intermediate"
+    assert classify_scope(group, letsencrypt.operator_map) == "external"
 
 
 def test_same_issuer_renewal_is_not_a_group():
@@ -131,9 +131,9 @@ def test_taxonomy_all_four_shapes():
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
     anchors = combined_anchors(bundle.stores)
-    types = {classify_type(g, anchors, index) for g in xs}
+    types = {classify_type(g, anchors) for g in xs}
     assert types == {"root", "intermediate", "leaf", "leaf_mix"}
-    by_type = {classify_type(g, anchors, index): g for g in xs}
+    by_type = {classify_type(g, anchors): g for g in xs}
     mix = by_type["leaf_mix"]
     assert {index.get(fp).is_ca for fp in mix.members} == {True, False}
 
@@ -142,7 +142,7 @@ def test_classify_type_assigns_exactly_one(figure1):
     index = build_index(figure1.records)
     xs, _ = group_xs(index)
     for group in xs:
-        t = classify_type(group, combined_anchors(figure1.stores), index)
+        t = classify_type(group, combined_anchors(figure1.stores))
         assert t in ("root", "intermediate", "leaf", "leaf_mix")
 
 
@@ -150,8 +150,8 @@ def test_scope_internal_external_unknown(certinomis):
     index = build_index(certinomis.records)
     xs, _ = group_xs(index)
     group = xs[0]
-    assert classify_scope(group, certinomis.operator_map, index) == "external"
-    assert classify_scope(group, None, index) == "unknown"
+    assert classify_scope(group, certinomis.operator_map) == "external"
+    assert classify_scope(group, None) == "unknown"
 
 
 def test_scope_internal(letsencrypt):
@@ -160,7 +160,7 @@ def test_scope_internal(letsencrypt):
     index = build_index(bundle.records)
     xs, _ = group_xs(index)
     for group in xs:
-        assert classify_scope(group, bundle.operator_map, index) == "internal"
+        assert classify_scope(group, bundle.operator_map) == "internal"
 
 
 def test_scope_unknown_with_partial_map(letsencrypt):
@@ -170,7 +170,7 @@ def test_scope_unknown_with_partial_map(letsencrypt):
         normalize_name("CN=DST Root CA X3, O=Digital Signature Trust Co."),))])
     index = build_index(letsencrypt.records)
     xs, _ = group_xs(index)
-    assert classify_scope(xs[0], partial, index) == "unknown"
+    assert classify_scope(xs[0], partial) == "unknown"
 
 
 def test_equal_issuer_names_distinct_keys_cryptographic():
